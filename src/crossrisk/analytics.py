@@ -9,7 +9,6 @@ cross-tabulated with stopping behavior.
 from __future__ import annotations
 
 import csv
-import enum
 import logging
 import math
 from dataclasses import dataclass, field
@@ -26,16 +25,6 @@ from .errors import (
 from .features import SceneFeatures
 
 log = logging.getLogger(__name__)
-
-
-class SceneType(enum.Enum):
-    CAR_ONLY = "car_only"
-    INTERACTIVE = "interactive"
-
-
-def classify_scene(features: SceneFeatures) -> SceneType:
-    """Interactive when at least one pedestrian overlapped the vehicle."""
-    return SceneType.INTERACTIVE if features.interactive else SceneType.CAR_ONLY
 
 
 @dataclass
@@ -66,17 +55,18 @@ def scene_speed_kmh(features: SceneFeatures, reduce: str = "mean") -> float | No
 def spot_speed_stats(spot_id: str, features: list[SceneFeatures],
                      reduce: str = "mean") -> SpotStats:
     """Max/min/mean of per-scene speeds, overall and by scene type."""
-    rows = [(classify_scene(f), scene_speed_kmh(f, reduce)) for f in features]
+    rows = [(f.interactive, scene_speed_kmh(f, reduce)) for f in features]
     speeds = [s for _, s in rows if s is not None]
     if not speeds:
         raise EmptySpot(f"spot {spot_id} has no scenes with speeds")
-    car_only = [s for t, s in rows if s is not None and t is SceneType.CAR_ONLY]
-    inter = [s for t, s in rows if s is not None and t is SceneType.INTERACTIVE]
+    car_only = [s for i, s in rows if s is not None and not i]
+    inter = [s for i, s in rows if s is not None and i]
+    interactive = sum(1 for f in features if f.interactive)
     return SpotStats(
         spot_id=spot_id,
         scenes_total=len(features),
-        scenes_car_only=sum(1 for t, _ in rows if t is SceneType.CAR_ONLY),
-        scenes_interactive=sum(1 for t, _ in rows if t is SceneType.INTERACTIVE),
+        scenes_car_only=len(features) - interactive,
+        scenes_interactive=interactive,
         speed_max_kmh=max(speeds),
         speed_min_kmh=min(speeds),
         speed_mean_kmh=float(np.mean(speeds)),

@@ -35,12 +35,6 @@ class DegenerateCalibration(PipelineError):
     """Calibration correspondences cannot support a homography fit."""
 
 
-# --- motion gate ----------------------------------------------------------
-
-class DimensionMismatch(PipelineError):
-    """Two frames passed to frame differencing have different shapes."""
-
-
 # --- geometry -------------------------------------------------------------
 
 class PointAtInfinity(PipelineError):

@@ -86,13 +86,12 @@ class PsmValue:
     vehicle_step_index: int
 
 
-def speed_list(traj: Trajectory, calib: Calibration | None = None) -> list[float]:
+def speed_list(traj: Trajectory) -> list[float]:
     """Per-step speeds in km/h from consecutive trajectory positions.
 
-    Positions are ground-plane meters; each step divides the distance by
-    the actual time elapsed (the sampling interval, unless detections were
-    dropped). calib is only needed when the trajectory was built without
-    world projection.
+    Positions are the trajectory's ground-plane meters; each step divides
+    the distance by the actual time elapsed (the sampling interval, unless
+    detections were dropped).
     """
     if len(traj) < 2:
         raise TooShort(f"trajectory {traj.object_id} has {len(traj)} points")
@@ -296,13 +295,6 @@ def stop_window(speeds: list[float], zones: list[VehicleZone],
     return False, []
 
 
-def detect_stop(speeds: list[float], zones: list[VehicleZone],
-                tolerance_kmh: float = 2.0, min_steps: int = 3) -> bool:
-    """Whether the vehicle stopped before passing the crosswalk."""
-    stopped, _ = stop_window(speeds, zones, tolerance_kmh, min_steps)
-    return stopped
-
-
 def crosswalk_distances(traj: Trajectory, config: SpotConfig) -> list[float]:
     """Per-frame distance from the vehicle to the crosswalk boundary."""
     if not config.crosswalk_polygon_world:
@@ -353,15 +345,21 @@ def relative_positions(vehicle: Trajectory, pedestrian: Trajectory,
     vehicle's contact point along its heading.
     """
     common, _ = pairwise_distances(vehicle, pedestrian)
+    pw = {p.frame: p.world for p in pedestrian.points}
+    return _front_or_behind(vehicle, calib, [(f, pw[f]) for f in common])
+
+
+def _front_or_behind(vehicle: Trajectory, calib: Calibration | None,
+                     pedestrian_at) -> list[str]:
+    """FRONT/BEHIND for each (frame, pedestrian world point) pair; every
+    frame must be one of the vehicle's."""
     headings = _world_headings(vehicle, calib)
     frame_index = {p.frame: k for k, p in enumerate(vehicle.points)}
-    pw = {p.frame: p.world for p in pedestrian.points}
     out = []
-    for f in common:
+    for f, (px, py) in pedestrian_at:
         k = frame_index[f]
         hx, hy = headings[k]
         vx, vy = vehicle.points[k].world
-        px, py = pw[f]
         out.append(FRONT if (px - vx) * hx + (py - vy) * hy >= 0 else BEHIND)
     return out
 
@@ -508,18 +506,10 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
 
     rel_positions: list[str] = []
     if common:
-        headings = _world_headings(vehicle, calib)
-        frame_index = {p.frame: k for k, p in enumerate(vehicle.points)}
         ped_world = {(ped.object_id, p.frame): p.world
                      for ped in pedestrians for p in ped.points}
-        for f in common:
-            _, nearest_id = min(per_frame[f])
-            k = frame_index[f]
-            hx, hy = headings[k]
-            vx, vy = vehicle.points[k].world
-            px, py = ped_world[(nearest_id, f)]
-            rel_positions.append(
-                FRONT if (px - vx) * hx + (py - vy) * hy >= 0 else BEHIND)
+        rel_positions = _front_or_behind(vehicle, calib, [
+            (f, ped_world[(min(per_frame[f])[1], f)]) for f in common])
 
     psm_value = None
     if nearest_overall is not None:

@@ -1,4 +1,4 @@
-"""Parsing and validation of detection records, spot configs, and raw frames.
+"""Parsing and validation of detection records and spot configs.
 
 The detector itself is an external system; its output reaches the pipeline
 as line-delimited JSON records, one detected object per line:
@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import enum
 import json
-import struct
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import geometry
 from .errors import (
     DegenerateCalibration,
-    DimensionMismatch,
-    IoFailure,
     MalformedRecord,
     MissingField,
     NonMonotoneFrame,
@@ -76,19 +71,6 @@ class SpotConfig:
         f = geometry.seconds_per_step(self.frame_skip, self.fps)
         return geometry.Calibration(
             pixels_per_meter=p, seconds_per_step=f, homography=h)
-
-
-@dataclass
-class GrayFrame:
-    """A single 8-bit grayscale frame, row-major."""
-
-    frame_index: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.ndim != 2:
-            raise ValueError("pixels must be a 2-D grid")
 
 
 @dataclass
@@ -261,46 +243,3 @@ def spot_config_to_dict(config: SpotConfig) -> dict:
         "approach_direction_world": list(config.approach_direction_world),
         "cia_buffer_m": config.cia_buffer_m,
     }
-
-
-# Binary frame files: three little-endian uint32 (width, height, frame
-# index) followed by width*height raw bytes, row-major.
-_FRAME_HEADER = struct.Struct("<III")
-
-
-def write_gray_frames(path, frames) -> None:
-    """Write frames back-to-back into one binary grid file."""
-    try:
-        with open(path, "wb") as fh:
-            for frame in frames:
-                h, w = frame.pixels.shape
-                fh.write(_FRAME_HEADER.pack(w, h, frame.frame_index))
-                fh.write(frame.pixels.tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write frames to {path}: {exc}") from exc
-
-
-def read_gray_frames(path, expected_size: tuple[int, int] | None = None,
-                     ) -> list[GrayFrame]:
-    """Read all frames from a binary grid file written by write_gray_frames."""
-    frames = []
-    try:
-        with open(path, "rb") as fh:
-            while True:
-                header = fh.read(_FRAME_HEADER.size)
-                if not header:
-                    break
-                if len(header) < _FRAME_HEADER.size:
-                    raise MalformedRecord(len(frames) + 1, "truncated frame header")
-                w, h, idx = _FRAME_HEADER.unpack(header)
-                if expected_size is not None and (w, h) != tuple(expected_size):
-                    raise DimensionMismatch(
-                        f"frame is {w}x{h}, config says {expected_size}")
-                data = fh.read(w * h)
-                if len(data) < w * h:
-                    raise MalformedRecord(len(frames) + 1, "truncated frame body")
-                pixels = np.frombuffer(data, dtype=np.uint8).reshape(h, w)
-                frames.append(GrayFrame(frame_index=idx, pixels=pixels.copy()))
-    except OSError as exc:
-        raise IoFailure(f"cannot read frames from {path}: {exc}") from exc
-    return frames

@@ -1,13 +1,16 @@
-"""Frame differencing and per-vehicle scene segmentation.
+"""Per-vehicle scene segmentation of the detection stream.
 
-Long stretches of an unattended camera are idle; moving traffic shows up as
-large pixel deltas between consecutive frames. A frame counts as "motion"
-when enough of its pixels change by more than a threshold. The detection
-stream is then cut into scenes, one per vehicle presence: the scene spans
+The stream is cut into scenes, one per vehicle presence: the scene spans
 the vehicle's first to last detected frame, with short detection dropouts
 (up to the hangover) bridged rather than split. Co-present vehicles yield
 separate, overlapping scenes; a pedestrian sharing any frame makes the
 scene interactive.
+
+The paper gates idle footage by frame differencing before this step. The
+pipeline's input is detections and no stage reads frames, so that gate is
+not implemented. The module keeps its name because it is where that gate
+belongs, and because the benchmark tracer (`perfbench/tracing.py`) looks
+up `crossrisk.motion_gate` by name.
 """
 
 from __future__ import annotations
@@ -15,30 +18,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DimensionMismatch
-from .ingest import DetectionRecord, GrayFrame, ObjectClass
+from .ingest import ObjectClass
 
 
 @dataclass(frozen=True)
 class MotionParams:
-    """Thresholds for the frame-difference motion gate.
+    """Scene segmentation thresholds.
 
-    pixel_threshold: intensity delta above which a pixel counts as changed.
-    active_fraction: fraction of changed pixels for a frame to count as motion.
     hangover_frames: missing-detection frames bridged before a scene closes.
     """
 
-    pixel_threshold: int = 30
-    active_fraction: float = 0.005
     hangover_frames: int = 2
 
     def __post_init__(self):
-        if not 0 < self.pixel_threshold < 255:
-            raise ValueError("pixel_threshold must be in (0, 255)")
-        if not 0 < self.active_fraction <= 1:
-            raise ValueError("active_fraction must be in (0, 1]")
         if self.hangover_frames < 0:
             raise ValueError("hangover_frames must be >= 0")
 
@@ -67,66 +59,21 @@ class SceneSpan:
         return self.frame_start <= frame <= self.frame_end
 
 
-def frame_diff(a: GrayFrame, b: GrayFrame) -> np.ndarray:
-    """Absolute per-pixel intensity difference of two frames."""
-    if a.pixels.shape != b.pixels.shape:
-        raise DimensionMismatch(
-            f"frame shapes differ: {a.pixels.shape} vs {b.pixels.shape}")
-    return np.abs(a.pixels.astype(np.int16) - b.pixels.astype(np.int16)).astype(np.uint8)
-
-
-def detect_motion(diff: np.ndarray, params: MotionParams) -> bool:
-    """True when enough pixels changed by more than the threshold."""
-    active = int(np.count_nonzero(diff > params.pixel_threshold))
-    return active / diff.size >= params.active_fraction
-
-
-def motion_flags_from_frames(frames, params: MotionParams) -> dict[int, bool]:
-    """Per-frame motion booleans from consecutive-frame differencing.
-
-    Each frame is compared with its predecessor; the first frame is flagged
-    by its successor comparison. Passing a fixed background frame as the
-    predecessor of every frame gives the static-background form instead.
-    """
-    frames = list(frames)
-    flags: dict[int, bool] = {}
-    for prev, cur in zip(frames, frames[1:]):
-        moving = detect_motion(frame_diff(prev, cur), params)
-        flags[cur.frame_index] = moving
-        flags.setdefault(prev.frame_index, moving)
-    return flags
-
-
-def segment_scenes(detections, motion_flags=None,
-                   params: MotionParams | None = None,
-                   track_ids: dict[tuple[int, str], str] | None = None,
+def segment_scenes(detections, params: MotionParams | None = None,
                    ) -> list[SceneSpan]:
     """Cut a frame-ordered detection sequence into per-vehicle scenes.
 
-    Vehicle identity comes from track_ids ((frame, detection_id) -> track)
-    when the tracker has already run, and from detection ids otherwise
-    (detector outputs with stable ids, and all synthetic corpora, support
-    the direct route). Frames flagged motionless contribute no detections.
-    A gap longer than the hangover closes the scene and a reappearance
-    opens a new one.
+    Vehicle identity is the detection id (detector outputs with stable ids,
+    and all synthetic corpora, carry one). A gap longer than the hangover
+    closes the scene and a reappearance opens a new one.
     """
     params = params or MotionParams()
-    records = list(detections)
-    if motion_flags is not None:
-        records = [r for r in records if motion_flags.get(r.frame_index, True)]
-
-    def identity(rec: DetectionRecord) -> str:
-        if track_ids is not None:
-            return track_ids.get((rec.frame_index, rec.detection_id),
-                                 rec.detection_id)
-        return rec.detection_id
-
     vehicle_frames: dict[str, list[int]] = {}
     order: list[str] = []
     ped_frames: set[int] = set()
-    for rec in records:
+    for rec in detections:
         if rec.object_class is ObjectClass.VEHICLE:
-            key = identity(rec)
+            key = rec.detection_id
             if key not in vehicle_frames:
                 vehicle_frames[key] = []
                 order.append(key)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,7 @@ from .errors import (
     NoQualifyingScenes,
     OneSidedDistribution,
     PipelineError,
+    ZeroHeading,
 )
 from .features import FeatureParams, PedestrianZone, SceneFeatures, VehicleZone
 from .ingest import (
@@ -144,12 +146,7 @@ def _truth_record(truth: synth.GroundTruth) -> dict:
             } for aid, t in sorted(truth.tracks.items())
         },
         "emitted_frames": {k: v for k, v in sorted(truth.emitted_frames.items())},
-        "spans": [
-            {"scene_id": s.scene_id, "vehicle": s.vehicle_track_hint,
-             "frame_start": s.frame_start, "frame_end": s.frame_end,
-             "interactive": s.interactive}
-            for s in truth.spans
-        ],
+        "spans": [_span_record(s) for s in truth.spans],
     }
 
 
@@ -201,11 +198,8 @@ def run_segment(cfg: PipelineConfig) -> None:
         records = load_detections(spot_dir, config)
         spans = motion_gate.segment_scenes(
             records, params=MotionParams.for_config(config))
-        write_jsonl(spot_dir / "scenes.jsonl", "scenes", (
-            {"scene_id": s.scene_id, "vehicle": s.vehicle_track_hint,
-             "frame_start": s.frame_start, "frame_end": s.frame_end,
-             "interactive": s.interactive}
-            for s in spans))
+        write_jsonl(spot_dir / "scenes.jsonl", "scenes",
+                    (_span_record(s) for s in spans))
         frames = sum((s.frame_end - s.frame_start) // config.frame_skip + 1
                      for s in spans)
         inter = sum(1 for s in spans if s.interactive)
@@ -215,6 +209,14 @@ def run_segment(cfg: PipelineConfig) -> None:
             "avg %.2f frames/scene (%.2f sec)",
             config.spot_id, len(spans), len(spans) - inter, inter, frames,
             avg, avg * config.frame_skip / config.fps)
+
+
+def _span_record(span: SceneSpan) -> dict:
+    """One `scenes.jsonl` row, also used for the spans in `truth.json`;
+    `read_scenes` reads it back."""
+    return {"scene_id": span.scene_id, "vehicle": span.vehicle_track_hint,
+            "frame_start": span.frame_start, "frame_end": span.frame_end,
+            "interactive": span.interactive}
 
 
 def read_scenes(spot_dir: Path) -> list[SceneSpan]:
@@ -228,9 +230,7 @@ def read_scenes(spot_dir: Path) -> list[SceneSpan]:
 
 
 def _track_scene_job(args):
-    span_id, records, config_doc, params = args
-    config = parse_spot_config(config_doc)
-    calib = config.build_calibration()
+    span_id, records, config, calib, params = args
     trajectories = tracker.track_scene(records, params, calib,
                                        fps=config.fps,
                                        frame_stride=config.frame_skip)
@@ -252,7 +252,7 @@ def run_track(cfg: PipelineConfig) -> None:
 
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
-        config_doc = spot_config_to_dict(config)
+        calib = config.build_calibration()
         records = load_detections(spot_dir, config)
         spans = read_scenes(spot_dir)
         frames = [r.frame_index for r in records]   # already frame-ordered
@@ -260,7 +260,8 @@ def run_track(cfg: PipelineConfig) -> None:
         for span in spans:
             lo = bisect_left(frames, span.frame_start)
             hi = bisect_right(frames, span.frame_end)
-            jobs.append((span.scene_id, records[lo:hi], config_doc, cfg.tracker))
+            jobs.append((span.scene_id, records[lo:hi], config, calib,
+                         cfg.tracker))
         results = _map_jobs(_track_scene_job, jobs, cfg.workers)
         rows = [row for res in results for row in res]
         rows.sort(key=lambda r: (r["scene_id"], r["object_id"], r["frame"]))
@@ -381,38 +382,43 @@ def scene_vehicle(trajectories: list[Trajectory], hint: str) -> Trajectory | Non
     return max(vehicles, key=lambda t: (len(t), t.object_id))
 
 
-def _extract_scene_job(args):
-    span_dict, trajectories, config_doc, params = args
-    config = parse_spot_config(config_doc)
-    calib = config.build_calibration()
-    vehicle = scene_vehicle(trajectories, span_dict["vehicle"])
+# Why `_extract_scene_job` skipped a scene.
+_NO_VEHICLE = "no_vehicle"
+_NEVER_MOVED = "never_moved"
+
+
+def _extract_scene_job(args) -> tuple[dict | None, str | None]:
+    """The scene's feature record, or None and the reason it was skipped."""
+    span, trajectories, config, calib, params = args
+    vehicle = scene_vehicle(trajectories, span.vehicle_track_hint)
     if vehicle is None:
-        return None
+        return None, _NO_VEHICLE
     peds = [t for t in trajectories
             if t.object_class is ObjectClass.PEDESTRIAN and len(t) > 0]
-    bundle = feat.extract_scene_features(
-        span_dict["scene_id"], vehicle, peds, config, calib, params)
-    return features_to_record(bundle)
+    try:
+        bundle = feat.extract_scene_features(
+            span.scene_id, vehicle, peds, config, calib, params)
+    except ZeroHeading:
+        return None, _NEVER_MOVED
+    return features_to_record(bundle), None
 
 
 def run_extract(cfg: PipelineConfig) -> None:
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
-        config_doc = spot_config_to_dict(config)
-        spans = read_scenes(spot_dir)
+        calib = config.build_calibration()
         per_scene = read_trajectories(spot_dir)
-        jobs = []
-        for span in spans:
-            trajectories = per_scene.get(span.scene_id, [])
-            jobs.append(({"scene_id": span.scene_id,
-                          "vehicle": span.vehicle_track_hint},
-                         trajectories, config_doc, cfg.features))
+        jobs = [(span, per_scene.get(span.scene_id, []), config, calib,
+                 cfg.features) for span in read_scenes(spot_dir)]
         results = _map_jobs(_extract_scene_job, jobs, cfg.workers)
-        rows = sorted((r for r in results if r is not None),
+        rows = sorted((r for r, _ in results if r is not None),
                       key=lambda r: r["scene_id"])
         write_jsonl(spot_dir / "features.jsonl", "features", rows)
-        log.info("spot %s: extracted features for %d scenes",
-                 config.spot_id, len(rows))
+        skipped = Counter(why for _, why in results if why is not None)
+        log.info("spot %s: extracted features for %d scenes, skipped %d "
+                 "with no vehicle track and %d whose vehicle never moved",
+                 config.spot_id, len(rows), skipped[_NO_VEHICLE],
+                 skipped[_NEVER_MOVED])
 
 
 def read_features(spot_dir: Path) -> list[SceneFeatures]:

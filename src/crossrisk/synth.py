@@ -13,13 +13,12 @@ code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .geometry import Calibration
-from .ingest import DetectionRecord, GrayFrame, ObjectClass, SpotConfig
+from .ingest import DetectionRecord, ObjectClass, SpotConfig
 from .motion_gate import MotionParams, SceneSpan, segment_scenes
 
 MPS_TO_KMH = 3.6
@@ -87,15 +86,6 @@ class TrueTrack:
 
     def world_at(self, frame: int) -> tuple[float, float]:
         return self.world[self.frames.index(frame)]
-
-    def speed_list_kmh(self) -> list[float]:
-        """Analytic per-step speeds over the sampled positions."""
-        out = []
-        for k in range(len(self.frames) - 1):
-            d = math.dist(self.world[k], self.world[k + 1])
-            dt = (self.frames[k + 1] - self.frames[k])
-            out.append(d / dt * MPS_TO_KMH)
-        return out
 
 
 @dataclass
@@ -436,35 +426,3 @@ def traffic_spec(n_scenes: int, seed: int = 0, spot_id: str = "bulk",
     return ScenarioSpec(name=spot_id, config=synthetic_spot_config(spot_id=spot_id),
                         agents=tuple(agents), noise_sigma=noise_sigma,
                         drop_probability=0.0, seed=seed)
-
-
-def render_gray_frames(spec: ScenarioSpec, background: int = 30,
-                       intensity: int = 220) -> list[GrayFrame]:
-    """Plain moving-rectangle frames for motion-gate tests.
-
-    Vehicles are ~40 px squares and pedestrians ~14 px squares over a
-    constant background; photorealism is a non-goal.
-    """
-    config = spec.config
-    calib = config.build_calibration()
-    w, h = config.frame_size
-    fps, skip = config.fps, config.frame_skip
-    t_lo = min(a.t_start for a in spec.agents)
-    t_hi = max(a.t_end for a in spec.agents)
-    first = int(math.ceil(t_lo * fps / skip)) * skip
-    last = int(math.floor(t_hi * fps / skip)) * skip
-
-    frames = []
-    for frame in range(first, last + 1, skip):
-        t = frame / fps
-        pixels = np.full((h, w), background, dtype=np.uint8)
-        for agent in spec.agents:
-            if not agent.visible(t):
-                continue
-            px, py = calib.to_pixel_xy(agent.position(t))
-            size = 40 if agent.object_class is ObjectClass.VEHICLE else 14
-            x0 = max(0, int(px) - size // 2)
-            y0 = max(0, int(py) - size)
-            pixels[y0:min(h, int(py)), x0:min(w, x0 + size)] = intensity
-        frames.append(GrayFrame(frame_index=frame, pixels=pixels))
-    return frames

@@ -23,12 +23,12 @@ from crossrisk.features import (
     VehicleZone,
     acceleration_list,
     classify_zones,
-    detect_stop,
     extract_scene_features,
     low_pass,
     psm,
     relative_positions,
     speed_list,
+    stop_window,
 )
 from crossrisk.ingest import ObjectClass
 from crossrisk.synth import standard_corpus, synthetic_spot_config
@@ -260,8 +260,8 @@ def test_criterion_6_feature_invariants():
     speeds = [15.0, 0.5, 0.5, 0.5, 0.5, 15.0]
     before = [VehicleZone.BEFORE] * 7
     after = [VehicleZone.AFTER] * 7
-    assert detect_stop(speeds, before, tolerance_kmh=2.0, min_steps=3)
-    assert not detect_stop(speeds, after, tolerance_kmh=2.0, min_steps=3)
+    assert stop_window(speeds, before, tolerance_kmh=2.0, min_steps=3)[0]
+    assert not stop_window(speeds, after, tolerance_kmh=2.0, min_steps=3)[0]
 
     print("criterion 6 PASS: feature invariants all hold")
 

@@ -7,8 +7,6 @@ import pytest
 from crossrisk.analytics import (
     PsmDistribution,
     PsmRanges,
-    SceneType,
-    classify_scene,
     emit_report,
     psm_ranges,
     spot_speed_stats,
@@ -42,11 +40,6 @@ def _scene(scene_id="s0", spot="A", interactive=False, speeds=(10.0, 12.0),
 
 
 # --- scene classification -----------------------------------------------------
-
-
-def test_classify_scene():
-    assert classify_scene(_scene()) is SceneType.CAR_ONLY
-    assert classify_scene(_scene(interactive=True)) is SceneType.INTERACTIVE
 
 
 def test_scene_type_proportions_replay():

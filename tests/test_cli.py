@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,16 @@ def test_all_produces_reports(tmp_path):
     assert header == ("spot,max_kmh,min_kmh,mean_kmh,"
                       "car_only_mean_kmh,interactive_mean_kmh")
     assert (tmp_path / "analysis.json").exists()
+
+
+def test_scene_whose_vehicle_never_moved_is_skipped(tmp_path, caplog):
+    # With 30% of detections dropped on seed 2, one scene keeps too little
+    # of its vehicle for a heading; extract skips it and goes on.
+    caplog.set_level(logging.INFO, logger="crossrisk.stages")
+    assert _run("all", "--out-dir", str(tmp_path), "--seed", "2",
+                "--drop-probability", "0.3") == 0
+    assert (tmp_path / "report" / "speed_stats.csv").exists()
+    assert "and 1 whose vehicle never moved" in caplog.text
 
 
 def test_spot_filter_restricts_stages(tmp_path):

@@ -24,7 +24,6 @@ from crossrisk.features import (
     classify_zones,
     collapse_runs,
     crosswalk_distances,
-    detect_stop,
     distance_to_polygon,
     extract_scene_features,
     low_pass,
@@ -33,6 +32,7 @@ from crossrisk.features import (
     psm,
     relative_positions,
     speed_list,
+    stop_window,
 )
 from crossrisk.ingest import ObjectClass
 from crossrisk.synth import synthetic_spot_config
@@ -238,13 +238,16 @@ def test_zone_stability_under_small_perturbation(config):
 def test_stop_detected_before_crosswalk():
     speeds = [20.0, 10.0, 0.5, 0.5, 0.5, 0.5, 15.0]
     zones = [VehicleZone.BEFORE] * 7 + [VehicleZone.ON]
-    assert detect_stop(speeds, zones, tolerance_kmh=2.0, min_steps=3)
+    stopped, window = stop_window(speeds, zones, tolerance_kmh=2.0,
+                                  min_steps=3)
+    assert stopped
+    assert window == [2, 3, 4, 5]
 
 
 def test_no_stop_when_never_below_tolerance():
     speeds = [20.0, 10.0, 5.0, 5.0, 5.0, 15.0]
     zones = [VehicleZone.BEFORE] * 7
-    assert not detect_stop(speeds, zones, tolerance_kmh=2.0, min_steps=3)
+    assert not stop_window(speeds, zones, tolerance_kmh=2.0, min_steps=3)[0]
 
 
 def test_stop_after_crosswalk_does_not_count():
@@ -252,7 +255,7 @@ def test_stop_after_crosswalk_does_not_count():
     zones = [VehicleZone.BEFORE, VehicleZone.ON, VehicleZone.AFTER,
              VehicleZone.AFTER, VehicleZone.AFTER, VehicleZone.AFTER,
              VehicleZone.AFTER]
-    assert not detect_stop(speeds, zones, tolerance_kmh=2.0, min_steps=3)
+    assert not stop_window(speeds, zones, tolerance_kmh=2.0, min_steps=3)[0]
 
 
 # --- distances --------------------------------------------------------------------

@@ -1,25 +1,20 @@
 import json
 
-import numpy as np
 import pytest
 
 from crossrisk.errors import (
     DegenerateCalibration,
-    DimensionMismatch,
     MalformedRecord,
     MissingField,
     NonMonotoneFrame,
     OutOfBounds,
 )
 from crossrisk.ingest import (
-    GrayFrame,
     ObjectClass,
     format_detection,
     parse_detections,
     parse_spot_config,
-    read_gray_frames,
     spot_config_to_dict,
-    write_gray_frames,
 )
 from crossrisk.synth import synthetic_spot_config
 
@@ -181,24 +176,3 @@ def test_defaults_for_optional_fields():
     config = parse_spot_config(doc)
     assert config.frame_skip == 1
     assert config.cia_buffer_m == pytest.approx(3.0)
-
-
-def test_gray_frame_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    frames = [GrayFrame(frame_index=k, pixels=rng.integers(0, 256, (48, 64),
-                                                           dtype=np.uint8))
-              for k in range(3)]
-    path = tmp_path / "frames.bin"
-    write_gray_frames(path, frames)
-    back = read_gray_frames(path, expected_size=(64, 48))
-    assert [f.frame_index for f in back] == [0, 1, 2]
-    for a, b in zip(frames, back):
-        assert np.array_equal(a.pixels, b.pixels)
-
-
-def test_gray_frame_size_mismatch(tmp_path):
-    frames = [GrayFrame(frame_index=0, pixels=np.zeros((48, 64), dtype=np.uint8))]
-    path = tmp_path / "frames.bin"
-    write_gray_frames(path, frames)
-    with pytest.raises(DimensionMismatch):
-        read_gray_frames(path, expected_size=(32, 32))

@@ -1,67 +1,9 @@
 import numpy as np
-import pytest
 
-from crossrisk.errors import DimensionMismatch
-from crossrisk.ingest import GrayFrame, ObjectClass
-from crossrisk.motion_gate import (
-    MotionParams,
-    detect_motion,
-    frame_diff,
-    motion_flags_from_frames,
-    segment_scenes,
-)
+from crossrisk.ingest import ObjectClass
+from crossrisk.motion_gate import MotionParams, segment_scenes
 
 from oracles import make_detection
-
-
-def _frame(value, shape=(40, 60), index=0):
-    return GrayFrame(frame_index=index, pixels=np.full(shape, value, np.uint8))
-
-
-def test_identical_frames_give_zero_diff():
-    assert not frame_diff(_frame(77), _frame(77)).any()
-
-
-def test_constant_offset():
-    diff = frame_diff(_frame(10), _frame(25))
-    assert (diff == 15).all()
-
-
-def test_single_changed_pixel():
-    a = _frame(0)
-    b = _frame(0)
-    b.pixels[7, 9] = 200
-    diff = frame_diff(a, b)
-    assert diff[7, 9] == 200
-    assert diff.sum() == 200
-
-
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        frame_diff(_frame(0, (10, 10)), _frame(0, (10, 11)))
-
-
-def test_frame_diff_symmetric():
-    rng = np.random.default_rng(3)
-    a = GrayFrame(0, rng.integers(0, 256, (30, 30), dtype=np.uint8))
-    b = GrayFrame(1, rng.integers(0, 256, (30, 30), dtype=np.uint8))
-    assert np.array_equal(frame_diff(a, b), frame_diff(b, a))
-
-
-def test_no_change_is_no_motion():
-    assert not detect_motion(np.zeros((100, 100)), MotionParams())
-
-
-def test_motion_fraction_thresholds():
-    # 1% of pixels at delta 100: count them the dumb way first.
-    diff = np.zeros((100, 100))
-    diff[:10, :10] = 100.0
-    exceeding = sum(1 for v in diff.ravel() if v > 30)
-    assert exceeding / diff.size == pytest.approx(0.01)
-    assert detect_motion(diff, MotionParams(pixel_threshold=30,
-                                            active_fraction=0.005))
-    assert not detect_motion(diff, MotionParams(pixel_threshold=30,
-                                                active_fraction=0.02))
 
 
 def _vehicle_run(det_id, frames):
@@ -152,26 +94,3 @@ def test_interactive_iff_a_pedestrian_frame_lies_in_the_span():
             [(10, 19), (40, 49)]
         for s in spans:
             assert s.interactive == any(s.contains(f) for f in ped_frames)
-
-
-def test_motionless_frames_contribute_no_detections():
-    dets = _vehicle_run("v0", range(0, 20))
-    flags = {f: f < 10 for f in range(20)}
-    spans = segment_scenes(dets, motion_flags=flags,
-                           params=MotionParams(hangover_frames=2))
-    assert [(s.frame_start, s.frame_end) for s in spans] == [(0, 9)]
-
-
-def test_motion_flags_from_rendered_frames():
-    # A 20 px square sliding across a static background must register
-    # motion on every consecutive pair.
-    frames = []
-    for k in range(5):
-        pixels = np.full((80, 120), 30, np.uint8)
-        x = 10 + 20 * k
-        pixels[30:50, x:x + 20] = 220
-        frames.append(GrayFrame(frame_index=k, pixels=pixels))
-    flags = motion_flags_from_frames(frames, MotionParams(active_fraction=0.01))
-    assert all(flags[k] for k in range(5))
-    still = [GrayFrame(frame_index=k, pixels=frames[0].pixels) for k in range(3)]
-    assert not any(motion_flags_from_frames(still, MotionParams()).values())

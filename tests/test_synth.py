@@ -5,14 +5,12 @@ import pytest
 
 from crossrisk.errors import InvalidSpec
 from crossrisk.ingest import ObjectClass
-from crossrisk.motion_gate import MotionParams, motion_flags_from_frames
 from crossrisk.synth import (
     AgentScript,
     ScenarioSpec,
     analytic_psm,
     generate,
     random_crossing_spec,
-    render_gray_frames,
     standard_corpus,
     synthetic_spot_config,
     traffic_spec,
@@ -165,15 +163,3 @@ def test_traffic_spec_scales_with_scene_count():
     small, _ = generate(traffic_spec(5, seed=1))
     large, _ = generate(traffic_spec(15, seed=1))
     assert len(large) > len(small) > 0
-
-
-def test_rendered_frames_trip_the_motion_gate():
-    config = synthetic_spot_config(spot_id="tiny", frame_size=(320, 180),
-                                   fps=5, frame_skip=1)
-    agent = AgentScript("v0", ObjectClass.VEHICLE,
-                        ((0.0, -20.0, -3.5), (5.0, 20.0, -3.5)))
-    spec = ScenarioSpec(name="render", config=config, agents=(agent,))
-    frames = render_gray_frames(spec)
-    assert len(frames) > 3
-    flags = motion_flags_from_frames(frames, MotionParams(active_fraction=0.001))
-    assert all(flags.values())
