@@ -25,6 +25,10 @@ from .errors import (
     OutOfBounds,
 )
 
+# One shared encoder for stage-file lines: json.dumps(..., sort_keys=True)
+# builds a new JSONEncoder on every call. Same bytes as that call.
+dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+
 
 class ObjectClass(enum.Enum):
     VEHICLE = "vehicle"
@@ -109,7 +113,8 @@ def _parse_line(line: str, line_number: int, config: SpotConfig,
     cls = _CLASS_NAMES.get(str(cls_name).lower())
     if cls is None:
         raise MalformedRecord(line_number, f"unknown class {cls_name!r}")
-    if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
+    if (not isinstance(x, (int, float)) or not isinstance(y, (int, float))
+            or isinstance(x, bool) or isinstance(y, bool)):
         raise MalformedRecord(line_number, "x and y must be numbers")
     w, h = config.frame_size
     if not (0 <= x < w and 0 <= y < h):
@@ -160,13 +165,13 @@ def parse_detections(stream, config: SpotConfig,
 
 def format_detection(record: DetectionRecord) -> str:
     """Serialize one record to the line format parse_detections reads."""
-    return json.dumps({
+    return dumps_sorted({
         "frame": record.frame_index,
         "class": record.object_class.value,
         "x": record.contact_point_px[0],
         "y": record.contact_point_px[1],
         "id": record.detection_id,
-    }, sort_keys=True)
+    })
 
 
 def _require(doc: dict, key: str):

@@ -42,6 +42,7 @@ from .features import FeatureParams, PedestrianZone, SceneFeatures, VehicleZone
 from .ingest import (
     ObjectClass,
     SpotConfig,
+    dumps_sorted,
     format_detection,
     parse_detections,
     parse_spot_config,
@@ -65,9 +66,9 @@ SCHEMAS = {
 def write_jsonl(path, schema_key: str, rows) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(json.dumps({"schema": SCHEMAS[schema_key]}) + "\n")
+            fh.write(dumps_sorted({"schema": SCHEMAS[schema_key]}) + "\n")
             for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(dumps_sorted(row) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -175,7 +176,7 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
             json.dumps(spot_config_to_dict(spec.config), sort_keys=True, indent=1))
         try:
             with open(spot_dir / "detections.jsonl", "w") as fh:
-                fh.write(json.dumps({"schema": SCHEMAS["detections"]}) + "\n")
+                fh.write(dumps_sorted({"schema": SCHEMAS["detections"]}) + "\n")
                 for rec in records:
                     fh.write(format_detection(rec) + "\n")
         except OSError as exc:

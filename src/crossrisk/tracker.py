@@ -12,6 +12,18 @@ object's momentum through the crossing. A nearest-neighbor mode without
 prediction is kept for comparison, as is an optimal (Hungarian) assignment
 mode behind a flag.
 
+The filter runs in separable form, in plain floats. The state is
+(x, y, vx, vy) with the 4x4 transition F = [[I, I], [0, I]] and the
+position-only measurement H = [I, 0]. When the process noise is q*I, the
+measurement noise r*I and the start covariance diag(r, r, V, V), F and H
+act on the x and y axes alike and never mix them, so the 4x4 covariance
+stays two equal 2x2 blocks over (x, vx) and (y, vy) with zero cross
+terms. A track therefore keeps one symmetric 2x2 covariance (pp, pv, vv),
+and predict and update are exact scalar forms of the matrix ones: their
+operations run in the order of the dense products, which gives the same
+floats. TrackState.state_mean and state_covariance are the 4-vector and
+4x4 matrix derived from that state, read-only.
+
 Validation counts three kinds of trajectory defects against ground truth:
 breaks in one object's coverage (connectivity), mutual identity exchanges
 between two tracks (crossing), and tracks containing points from several
@@ -27,16 +39,6 @@ import numpy as np
 
 from .geometry import Calibration
 from .ingest import DetectionRecord, ObjectClass
-
-# Constant-velocity transition over one sampled step and the position-only
-# measurement matrix.
-_F = np.array([[1.0, 0.0, 1.0, 0.0],
-               [0.0, 1.0, 0.0, 1.0],
-               [0.0, 0.0, 1.0, 0.0],
-               [0.0, 0.0, 0.0, 1.0]])
-_H = np.array([[1.0, 0.0, 0.0, 0.0],
-               [0.0, 1.0, 0.0, 0.0]])
-_I4 = np.eye(4)
 
 # Fresh tracks know their position to measurement accuracy but nothing
 # about velocity; a huge velocity variance lets the first updates lock it.
@@ -64,66 +66,109 @@ class TrackerParams:
                 else self.gate_threshold_pedestrian)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrackState:
-    """One live track: filter state plus the points it has consumed."""
+    """One live track: filter state plus the points it has consumed.
+
+    The filter state is the position (x, y) and velocity (vx, vy), in
+    pixels and px/step, and one symmetric 2x2 covariance (pp, pv, vv) of
+    (position, velocity) that both axes share: with Q = q*I, R = r*I and an
+    isotropic start the x and y blocks of the 4x4 covariance never couple
+    and stay equal (see the module docstring). state_mean and
+    state_covariance are the 4-vector and 4x4 matrix derived from it.
+    """
 
     object_id: str
     object_class: ObjectClass
-    state_mean: np.ndarray            # (x, y, vx, vy), pixels and px/step
-    state_covariance: np.ndarray      # 4x4
+    x: float
+    y: float
+    vx: float
+    vy: float
+    pp: float
+    pv: float
+    vv: float
     last_frame: int
     points: list[tuple[int, tuple[float, float]]] = field(default_factory=list)
     misses: int = 0
 
     @property
     def position(self) -> tuple[float, float]:
-        return (float(self.state_mean[0]), float(self.state_mean[1]))
+        return (self.x, self.y)
 
     @property
     def velocity(self) -> tuple[float, float]:
-        return (float(self.state_mean[2]), float(self.state_mean[3]))
+        return (self.vx, self.vy)
+
+    @property
+    def state_mean(self) -> np.ndarray:
+        """(x, y, vx, vy)."""
+        return np.array([self.x, self.y, self.vx, self.vy])
+
+    @property
+    def state_covariance(self) -> np.ndarray:
+        """The 4x4 covariance of (x, y, vx, vy); off-block terms are 0."""
+        pp, pv, vv = self.pp, self.pv, self.vv
+        return np.array([[pp, 0.0, pv, 0.0],
+                         [0.0, pp, 0.0, pv],
+                         [pv, 0.0, vv, 0.0],
+                         [0.0, pv, 0.0, vv]])
 
 
 def new_track(object_id: str, cls: ObjectClass, frame: int,
               point: tuple[float, float], params: TrackerParams) -> TrackState:
-    mean = np.array([point[0], point[1], 0.0, 0.0])
-    cov = np.diag([params.measurement_noise, params.measurement_noise,
-                   _INITIAL_VELOCITY_VAR, _INITIAL_VELOCITY_VAR])
-    return TrackState(object_id=object_id, object_class=cls, state_mean=mean,
-                      state_covariance=cov, last_frame=frame,
-                      points=[(frame, (float(point[0]), float(point[1])))])
+    x, y = float(point[0]), float(point[1])
+    return TrackState(object_id, cls, x, y, 0.0, 0.0,
+                      float(params.measurement_noise), 0.0,
+                      _INITIAL_VELOCITY_VAR, frame, [(frame, (x, y))])
 
 
 def kalman_predict(state: TrackState, process_noise: float = 1.0) -> TrackState:
-    """Propagate one step with the constant-velocity model."""
-    mean = _F @ state.state_mean
-    cov = _F @ state.state_covariance @ _F.T + process_noise * _I4
-    return TrackState(object_id=state.object_id, object_class=state.object_class,
-                      state_mean=mean, state_covariance=cov,
-                      last_frame=state.last_frame, points=state.points,
-                      misses=state.misses)
+    """Propagate one step with the constant-velocity model.
+
+    Per axis F = [[1, 1], [0, 1]], so P' = F P F^T + q*I.
+    """
+    pp, pv, vv = state.pp, state.pv, state.vv
+    return TrackState(state.object_id, state.object_class,
+                      state.x + state.vx, state.y + state.vy,
+                      state.vx, state.vy,
+                      ((pp + pv) + (pv + vv)) + process_noise, pv + vv,
+                      vv + process_noise,
+                      state.last_frame, state.points, state.misses)
 
 
 def kalman_update(state: TrackState, measurement: tuple[float, float],
                   measurement_noise: float = 2.0) -> TrackState:
-    """Fold a position measurement into a predicted state (Joseph form)."""
-    z = np.asarray(measurement, dtype=float)
-    cov = state.state_covariance
-    innovation = z - _H @ state.state_mean
-    s = _H @ cov @ _H.T + measurement_noise * np.eye(2)
-    # 2x2 inverse, hand-rolled: this runs once per detection.
-    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    s_inv = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]]) / det
-    gain = cov @ _H.T @ s_inv
-    mean = state.state_mean + gain @ innovation
-    ikh = _I4 - gain @ _H
-    cov = ikh @ cov @ ikh.T + measurement_noise * (gain @ gain.T)
-    cov = (cov + cov.T) / 2.0
-    return TrackState(object_id=state.object_id, object_class=state.object_class,
-                      state_mean=mean, state_covariance=cov,
-                      last_frame=state.last_frame, points=state.points,
-                      misses=state.misses)
+    """Fold a position measurement into a predicted state (Joseph form).
+
+    Per axis H = [1, 0], so the innovation variance s = pp + r is a scalar
+    and the gain is K = (pp, pv) / s. The covariance is
+    (I - K H) P (I - K H)^T + r K K^T, then symmetrised.
+    """
+    pp, pv, vv = state.pp, state.pv, state.vv
+    r = measurement_noise
+    s = pp + r
+    # s / s^2 rather than 1 / s: the inverse of S = s*I as adjugate over
+    # determinant, rounded as the matrix form rounds it.
+    inv = s / (s * s)
+    k1 = pp * inv
+    k2 = pv * inv
+    ik = 1.0 - k1
+    # M = (I - K H) P, then M (I - K H)^T + r K K^T, entry by entry; its
+    # two off-diagonal entries differ in rounding only.
+    m00 = ik * pp
+    m01 = ik * pv
+    m10 = -k2 * pp + pv
+    m11 = -k2 * pv + vv
+    upper = (m00 * -k2 + m01) + r * (k1 * k2)
+    lower = m10 * ik + r * (k2 * k1)
+    dx = measurement[0] - state.x
+    dy = measurement[1] - state.y
+    return TrackState(state.object_id, state.object_class,
+                      state.x + k1 * dx, state.y + k1 * dy,
+                      state.vx + k2 * dx, state.vy + k2 * dy,
+                      m00 * ik + r * (k1 * k1), (upper + lower) / 2.0,
+                      (m10 * -k2 + m11) + r * (k2 * k2),
+                      state.last_frame, state.points, state.misses)
 
 
 @dataclass
@@ -151,13 +196,20 @@ def assign(tracks: dict[str, TrackState], predicted: dict[str, TrackState],
     the result is independent of input order. Optimal mode solves the
     assignment problem per class instead.
     """
+    # Bucket by class once. Two lists picked by identity: hashing an enum
+    # member runs Python code and costs more than the pair test it saves.
+    vehicles: list[DetectionRecord] = []
+    pedestrians: list[DetectionRecord] = []
+    for det in detections:
+        (vehicles if det.object_class is ObjectClass.VEHICLE
+         else pedestrians).append(det)
     candidates = []
     for tid, track in tracks.items():
         ref = _reference_point(track, predicted[tid], params)
         gate = params.gate_for(track.object_class)
-        for det in detections:
-            if det.object_class is not track.object_class:
-                continue
+        same_class = (vehicles if track.object_class is ObjectClass.VEHICLE
+                      else pedestrians)
+        for det in same_class:
             d = math.dist(ref, det.contact_point_px)
             if d <= gate:
                 candidates.append((d, det.detection_id, tid, det))
@@ -276,8 +328,7 @@ def track_scene(detections, params: TrackerParams, calib: Calibration,
             state.last_frame = frame
             state.misses = 0
             state.points.append((frame, det.contact_point_px))
-            smoothed[tid].append((float(state.state_mean[0]),
-                                  float(state.state_mean[1])))
+            smoothed[tid].append((state.x, state.y))
             consumed[tid].append(det.detection_id)
             live[tid] = state
 

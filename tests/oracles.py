@@ -82,6 +82,37 @@ def dense_psm_oracle(vehicle: Trajectory, pedestrian: Trajectory,
     return dense_arrival(vp, vt) - dense_arrival(pp, pt)
 
 
+# Constant-velocity transition over one step and the position-only
+# measurement matrix of the (x, y, vx, vy) state.
+_F = np.array([[1.0, 0.0, 1.0, 0.0],
+               [0.0, 1.0, 0.0, 1.0],
+               [0.0, 0.0, 1.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0]])
+_H = np.array([[1.0, 0.0, 0.0, 0.0],
+               [0.0, 1.0, 0.0, 0.0]])
+_I4 = np.eye(4)
+
+
+def dense_kalman_predict(mean, cov, process_noise):
+    """Reference predict on the full 4-vector and 4x4 covariance."""
+    return _F @ mean, _F @ cov @ _F.T + process_noise * _I4
+
+
+def dense_kalman_update(mean, cov, measurement, measurement_noise):
+    """Reference Joseph-form update on the full 4-vector and 4x4
+    covariance, symmetrised like the tracker's."""
+    z = np.asarray(measurement, dtype=float)
+    innovation = z - _H @ mean
+    s = _H @ cov @ _H.T + measurement_noise * np.eye(2)
+    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+    s_inv = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]]) / det
+    gain = cov @ _H.T @ s_inv
+    mean = mean + gain @ innovation
+    ikh = _I4 - gain @ _H
+    cov = ikh @ cov @ ikh.T + measurement_noise * (gain @ gain.T)
+    return mean, (cov + cov.T) / 2.0
+
+
 def random_crossing_trajectories(rng, fps=25.0, skip=5):
     """A vehicle and a pedestrian on straight tracks that cross inside
     both sampled spans, with randomized speeds, angles, and timing."""

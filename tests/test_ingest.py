@@ -58,6 +58,18 @@ def test_malformed_lines(config, line):
         parse_detections([line], config)
 
 
+@pytest.mark.parametrize("line", [
+    '{"frame":0,"class":"car","x":true,"y":5,"id":"a"}',
+    '{"frame":0,"class":"car","x":5,"y":false,"id":"a"}',
+])
+def test_boolean_coordinate_is_malformed(config, line):
+    with pytest.raises(MalformedRecord, match="x and y must be numbers"):
+        parse_detections([line], config)
+    diagnostics = []
+    assert parse_detections([line], config, diagnostics=diagnostics) == []
+    assert [d.line_number for d in diagnostics] == [1]
+
+
 def test_non_monotone_frame(config):
     lines = ['{"frame":5,"class":"vehicle","x":500,"y":500,"id":"a"}',
              '{"frame":4,"class":"vehicle","x":500,"y":500,"id":"b"}']

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossrisk import synth
 from crossrisk.geometry import Calibration
@@ -18,7 +19,12 @@ from crossrisk.tracker import (
     validate_trajectories,
 )
 
-from oracles import make_detection, make_traj
+from oracles import (
+    dense_kalman_predict,
+    dense_kalman_update,
+    make_detection,
+    make_traj,
+)
 
 PARAMS = TrackerParams()
 FLAT = Calibration(pixels_per_meter=1.0, seconds_per_step=1.0,
@@ -32,7 +38,7 @@ def test_default_gates_match_validated_thresholds():
 
 def test_predict_constant_velocity():
     state = new_track("t", ObjectClass.VEHICLE, 0, (0.0, 0.0), PARAMS)
-    state.state_mean = np.array([0.0, 0.0, 1.0, 0.0])
+    state.vx, state.vy = 1.0, 0.0
     out = kalman_predict(state, process_noise=0.0)
     assert np.allclose(out.state_mean, [1.0, 0.0, 1.0, 0.0])
 
@@ -75,9 +81,52 @@ def test_velocity_converges_on_clean_input():
     assert state.velocity == pytest.approx((3.0, 2.0), abs=1e-6)
 
 
+# Entries of the 4x4 covariance that couple the x and y axes.
+_OFF_BLOCK = [(i, j) for i in range(4) for j in range(4) if (i - j) % 2]
+
+_coordinate = st.floats(-1000.0, 1000.0)
+_step = st.tuples(
+    st.floats(0.1, 5.0),                                   # process noise
+    st.none() | st.tuples(_coordinate, _coordinate,
+                          st.floats(0.5, 10.0)))           # skipped or (z, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.tuples(_coordinate, _coordinate),
+       steps=st.lists(_step, min_size=1, max_size=40))
+def test_separable_filter_matches_dense_reference(start, steps):
+    # Where BLAS sums each dense product in index order, fused or not, the
+    # reference gives the same floats as the scalar filter. The tolerance
+    # leaves room for a BLAS that rounds differently: 1e-12 of the largest
+    # magnitude the run has carried, per array, because the first update
+    # cancels velocity variances near 1e6 down to units.
+    state = new_track("t", ObjectClass.VEHICLE, 0, start, PARAMS)
+    r0 = PARAMS.measurement_noise
+    mean = np.array([start[0], start[1], 0.0, 0.0])
+    cov = np.diag([r0, r0, 1e6, 1e6])
+    mean_scale = max(1.0, abs(start[0]), abs(start[1]))
+    cov_scale = 1e6
+    for process_noise, update in steps:
+        state = kalman_predict(state, process_noise)
+        mean, cov = dense_kalman_predict(mean, cov, process_noise)
+        mean_scale = max(mean_scale, np.abs(mean).max())
+        cov_scale = max(cov_scale, np.abs(cov).max())
+        if update is not None:
+            zx, zy, noise = update
+            state = kalman_update(state, (zx, zy), noise)
+            mean, cov = dense_kalman_update(mean, cov, (zx, zy), noise)
+            mean_scale = max(mean_scale, abs(zx), abs(zy), np.abs(mean).max())
+        np.testing.assert_allclose(state.state_mean, mean, rtol=0,
+                                   atol=1e-12 * mean_scale)
+        np.testing.assert_allclose(state.state_covariance, cov, rtol=0,
+                                   atol=1e-12 * cov_scale)
+        assert all(cov[i, j] == 0.0 for i, j in _OFF_BLOCK)
+        assert all(state.state_covariance[i, j] == 0.0 for i, j in _OFF_BLOCK)
+
+
 def _track_with_velocity(tid, pos, vel, cls=ObjectClass.VEHICLE):
     state = new_track(tid, cls, 0, pos, PARAMS)
-    state.state_mean = np.array([pos[0], pos[1], vel[0], vel[1]])
+    state.vx, state.vy = vel
     state.points = [(0, pos)]
     return state
 
