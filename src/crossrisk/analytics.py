@@ -42,20 +42,15 @@ class SpotStats:
     interactive_mean_kmh: float | None
 
 
-def scene_speed_kmh(features: SceneFeatures, reduce: str = "mean") -> float | None:
-    """Collapse a scene's speed list to one scalar (mean, or median)."""
+def scene_speed_kmh(features: SceneFeatures) -> float | None:
+    """A scene's speed: the mean of its speed list (None when empty)."""
     speeds = features.vehicle_speeds_kmh
-    if not speeds:
-        return None
-    if reduce == "median":
-        return float(np.median(speeds))
-    return float(np.mean(speeds))
+    return float(np.mean(speeds)) if speeds else None
 
 
-def spot_speed_stats(spot_id: str, features: list[SceneFeatures],
-                     reduce: str = "mean") -> SpotStats:
+def spot_speed_stats(spot_id: str, features: list[SceneFeatures]) -> SpotStats:
     """Max/min/mean of per-scene speeds, overall and by scene type."""
-    rows = [(f.interactive, scene_speed_kmh(f, reduce)) for f in features]
+    rows = [(f.interactive, scene_speed_kmh(f)) for f in features]
     speeds = [s for _, s in rows if s is not None]
     if not speeds:
         raise EmptySpot(f"spot {spot_id} has no scenes with speeds")

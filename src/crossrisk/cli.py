@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import PipelineError
@@ -79,10 +80,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# FeatureParams fields set by their own flag, not by --config.
+_FLAGGED = {"alpha": "--alpha", "epsilon_kmh": "--epsilon-kmh"}
+
+
+def _load_overrides(path: str) -> dict:
+    """The --config document: optional "tracker" and "features" objects of
+    TrackerParams and FeatureParams fields. ValueError names the first
+    problem."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        for key, section in doc.items():
+            params = {"tracker": TrackerParams, "features": FeatureParams}.get(key)
+            if params is None or not isinstance(section, dict):
+                raise ValueError(f"{key!r} is not a tracker or features object")
+            for name in section:
+                if name not in {f.name for f in fields(params)}:
+                    raise ValueError(f"unknown key {key}.{name}")
+                if name in _FLAGGED:
+                    raise ValueError(f"{key}.{name} is set by {_FLAGGED[name]}")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--config {path}: {exc}") from exc
+    return doc
+
+
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+    overrides = _load_overrides(args.config) if args.config else {}
     tracker_params = TrackerParams(**overrides.get("tracker", {}))
     feature_params = FeatureParams(
         alpha=args.alpha, epsilon_kmh=args.epsilon_kmh,
@@ -99,8 +124,6 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
         baseline_m=args.baseline_m,
         tracker=tracker_params,
         features=feature_params,
-        **{k: v for k, v in overrides.items()
-           if k in ("speed_reduce",)},
     )
 
 
@@ -112,6 +135,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         cfg = config_from_args(args)
+    except (TypeError, ValueError) as exc:   # a bad --config or flag value
+        parser.error(str(exc))
+    try:
         STAGES[args.command](cfg)
     except PipelineError as exc:
         sys.stderr.write(json.dumps({

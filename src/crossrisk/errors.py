@@ -41,14 +41,6 @@ class PointAtInfinity(PipelineError):
     """Projection hit the homography's vanishing line."""
 
 
-class NonPositiveLength(PipelineError):
-    """A length that must be positive was zero or negative."""
-
-
-class NonPositiveRate(PipelineError):
-    """fps or frame skip that must be positive was zero or negative."""
-
-
 # --- features -------------------------------------------------------------
 
 class TooShort(PipelineError):

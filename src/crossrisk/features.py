@@ -64,7 +64,6 @@ class FeatureParams:
     epsilon_kmh: float = 0.5          # acceleration dead-band per step
     stop_tolerance_kmh: float = 2.0
     stop_min_steps: int = 3
-    accel_full_scene: bool = False    # ignore the crosswalk cutoff
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
@@ -115,16 +114,16 @@ def low_pass(values: list[float], alpha: float) -> list[float]:
 
 
 def acceleration_list(filtered: list[float], epsilon_kmh: float,
-                      zones: list[VehicleZone] | None = None,
-                      full_scene: bool = False) -> list[str]:
+                      zones: list[VehicleZone] | None = None) -> list[str]:
     """Classify per-step speed changes as acc/dec/nc with a dead-band.
 
-    By default only the approach matters: steps after the vehicle first
-    reaches the crosswalk are dropped (zones aligned to trajectory points,
-    one longer than the speed list). full_scene keeps everything.
+    Only the approach counts: given the vehicle's zones (aligned to its
+    trajectory points, one longer than the speed list), the speeds from the
+    first point on or after the crosswalk onwards are dropped. Without
+    zones every step is classified.
     """
     speeds = list(filtered)
-    if zones is not None and not full_scene:
+    if zones is not None:
         cut = next((i for i, z in enumerate(zones) if z is not VehicleZone.BEFORE),
                    None)
         if cut is not None:
@@ -475,8 +474,7 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
     speeds = speed_list(vehicle) if len(vehicle) >= 2 else []
     zones = classify_zones(vehicle, config)
     filtered = low_pass(speeds, params.alpha)
-    accel = (acceleration_list(filtered, params.epsilon_kmh, zones=zones,
-                               full_scene=params.accel_full_scene)
+    accel = (acceleration_list(filtered, params.epsilon_kmh, zones=zones)
              if len(filtered) >= 2 else [])
     cw_dists = crosswalk_distances(vehicle, config)
     stopped, window = stop_window(speeds, zones, params.stop_tolerance_kmh,

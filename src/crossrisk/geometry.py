@@ -1,10 +1,9 @@
-"""Camera-to-ground calibration and pixel/frame to meter/second conversion.
+"""Camera-to-ground calibration: pixel to ground-plane meter conversion.
 
 The oblique camera view is rectified with a planar homography fitted from
 pixel<->world point correspondences (crosswalk corners measured in the
-field). A scalar pixels-per-meter constant is kept alongside for spots that
-are configured without a full calibration and for compatibility with the
-plain distance/speed formulas; both routes agree on a fronto-parallel view.
+field). Every spot is calibrated this way; time comes from frame indices
+and the spot's fps, not from this module.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateCalibration,
-    NonPositiveLength,
-    NonPositiveRate,
-    PointAtInfinity,
-)
+from .errors import DegenerateCalibration, PointAtInfinity
 
 # Relative tolerance on the homogeneous divide term before a point counts
 # as being on the vanishing line.
@@ -37,69 +31,28 @@ class WorldPoint:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Immutable conversion bundle for one camera spot.
+    """Immutable pixel->world conversion for one camera spot.
 
-    homography maps pixel coordinates to world meters (ground plane); it may
-    be None for scalar-only spots, in which case world coordinates are
-    pixel coordinates divided by pixels_per_meter.
+    homography maps pixel coordinates to world meters on the ground plane.
     """
 
-    pixels_per_meter: float
-    seconds_per_step: float
-    homography: np.ndarray | None = None
+    homography: np.ndarray
 
     def __post_init__(self):
-        if self.pixels_per_meter <= 0:
-            raise NonPositiveLength("pixels_per_meter must be > 0")
-        if self.seconds_per_step <= 0:
-            raise NonPositiveRate("seconds_per_step must be > 0")
-        if self.homography is not None:
-            h = np.asarray(self.homography, dtype=float)
-            if h.shape != (3, 3) or abs(np.linalg.det(h)) < 1e-15:
-                raise DegenerateCalibration("homography must be an invertible 3x3 matrix")
-            object.__setattr__(self, "homography", h)
-
-    def to_world_xy(self, point_px) -> tuple[float, float]:
-        """Convert one pixel point to ground-plane meters."""
-        if self.homography is None:
-            return (point_px[0] / self.pixels_per_meter,
-                    point_px[1] / self.pixels_per_meter)
-        return apply_homography(self.homography, point_px)
+        h = np.asarray(self.homography, dtype=float)
+        if h.shape != (3, 3) or abs(np.linalg.det(h)) < 1e-15:
+            raise DegenerateCalibration("homography must be an invertible 3x3 matrix")
+        object.__setattr__(self, "homography", h)
 
     def to_world_many(self, points_px: np.ndarray) -> np.ndarray:
         """Vectorized pixel->world conversion for an (n, 2) array."""
         pts = np.asarray(points_px, dtype=float)
-        if self.homography is None:
-            return pts / self.pixels_per_meter
         ones = np.ones((pts.shape[0], 1))
         homog = np.hstack([pts, ones]) @ self.homography.T
         w = homog[:, 2]
         if np.any(np.abs(w) < _W_EPS * np.abs(homog[:, :2]).max(initial=1.0)):
             raise PointAtInfinity("a point lies on the vanishing line")
         return homog[:, :2] / w[:, None]
-
-    def to_pixel_xy(self, point_world) -> tuple[float, float]:
-        """Inverse conversion, world meters to pixels."""
-        if self.homography is None:
-            return (point_world[0] * self.pixels_per_meter,
-                    point_world[1] * self.pixels_per_meter)
-        return apply_homography(np.linalg.inv(self.homography), point_world)
-
-
-def pixels_per_meter(l_pixel: float, l_world: float) -> float:
-    """Scale constant from a known length seen in pixels and in meters."""
-    if l_pixel <= 0 or l_world <= 0:
-        raise NonPositiveLength(
-            f"lengths must be positive (got {l_pixel} px, {l_world} m)")
-    return l_pixel / l_world
-
-
-def seconds_per_step(frame_skip: int, fps: float) -> float:
-    """Seconds elapsed between two consecutive sampled frames."""
-    if frame_skip <= 0 or fps <= 0:
-        raise NonPositiveRate(
-            f"frame_skip and fps must be positive (got {frame_skip}, {fps})")
-    return frame_skip / fps
 
 
 def apply_homography(h: np.ndarray, point) -> tuple[float, float]:
@@ -189,22 +142,3 @@ def fit_homography(correspondences) -> tuple[np.ndarray, float]:
         rx, ry = apply_homography(h, (px, py))
         err = max(err, math.hypot(rx - wx, ry - wy))
     return h, err
-
-
-def scale_from_correspondences(correspondences) -> float:
-    """Mean pixel-distance / world-distance ratio over correspondence pairs.
-
-    Used as the scalar pixels-per-meter fallback; equals the exact scale on
-    a fronto-parallel view.
-    """
-    pairs = list(correspondences)
-    ratios = []
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            dpx = math.dist(pairs[i][0], pairs[j][0])
-            dw = math.dist(pairs[i][1], pairs[j][1])
-            if dw > 1e-12:
-                ratios.append(dpx / dw)
-    if not ratios:
-        raise DegenerateCalibration("no usable correspondence pair for scale")
-    return sum(ratios) / len(ratios)

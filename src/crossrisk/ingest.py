@@ -69,12 +69,8 @@ class SpotConfig:
     cia_buffer_m: float = 3.0
 
     def build_calibration(self) -> geometry.Calibration:
-        """Fit the homography and derive the scalar constants."""
-        h, _ = geometry.fit_homography(self.calibration)
-        p = geometry.scale_from_correspondences(self.calibration)
-        f = geometry.seconds_per_step(self.frame_skip, self.fps)
-        return geometry.Calibration(
-            pixels_per_meter=p, seconds_per_step=f, homography=h)
+        """Fit the pixel->world homography from the correspondences."""
+        return geometry.Calibration(geometry.fit_homography(self.calibration)[0])
 
 
 @dataclass

@@ -73,18 +73,29 @@ def write_jsonl(path, schema_key: str, rows) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _parse_json(text: str, path, line_number: int = 1):
+    """json.loads, but a file cut short or otherwise not JSON raises
+    MalformedRecord with the line number."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(line_number + exc.lineno - 1,
+                              f"{path}: invalid JSON ({exc.msg})") from exc
+
+
 def read_jsonl(path, schema_key: str) -> list[dict]:
     try:
         with open(path) as fh:
-            first = fh.readline().strip()
-            header = json.loads(first) if first else {}
-            if header.get("schema") != SCHEMAS[schema_key]:
-                raise MalformedRecord(
-                    1, f"{path}: expected schema {SCHEMAS[schema_key]!r}, "
-                    f"found {header.get('schema')!r}")
-            return [json.loads(line) for line in fh if line.strip()]
+            rows = [_parse_json(line, path, n)
+                    for n, line in enumerate(fh, start=1) if line.strip()]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    header = rows[0] if rows else {}
+    if header.get("schema") != SCHEMAS[schema_key]:
+        raise MalformedRecord(
+            1, f"{path}: expected schema {SCHEMAS[schema_key]!r}, "
+            f"found {header.get('schema')!r}")
+    return rows[1:]
 
 
 @dataclass
@@ -100,7 +111,6 @@ class PipelineConfig:
     drop_probability: float = 0.0
     spot: str | None = None           # restrict stages to one spot
     baseline_m: float = 10.0
-    speed_reduce: str = "mean"
     tracker: TrackerParams = field(default_factory=TrackerParams)
     features: FeatureParams = field(default_factory=FeatureParams)
 
@@ -237,10 +247,11 @@ def _track_scene_job(args):
                                        frame_stride=config.frame_skip)
     rows = []
     for traj in trajectories:
+        cls = traj.object_class.value
         for p in traj.points:
             rows.append({
                 "scene_id": span_id, "object_id": traj.object_id,
-                "class": traj.object_class.value, "frame": p.frame,
+                "class": cls, "frame": p.frame,
                 "t": p.t, "raw_px": list(p.raw_px),
                 "smooth_px": list(p.smooth_px), "world": list(p.world),
                 "det": p.detection_id,
@@ -441,8 +452,7 @@ def run_analyze(cfg: PipelineConfig) -> Path:
         by_spot_features[config.spot_id] = bundles
         signalized[config.spot_id] = config.signalized
         try:
-            stats.append(analytics.spot_speed_stats(
-                config.spot_id, bundles, reduce=cfg.speed_reduce))
+            stats.append(analytics.spot_speed_stats(config.spot_id, bundles))
         except EmptySpot:
             log.warning("spot %s: no scenes with speeds", config.spot_id)
         try:
@@ -519,7 +529,7 @@ def run_analyze(cfg: PipelineConfig) -> Path:
 def run_report(cfg: PipelineConfig) -> list[Path]:
     path = Path(cfg.out_dir) / "analysis.json"
     try:
-        doc = json.loads(path.read_text())
+        doc = _parse_json(path.read_text(), path)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if doc.get("schema") != SCHEMAS["analysis"]:

@@ -24,10 +24,11 @@ operations run in the order of the dense products, which gives the same
 floats. TrackState.state_mean and state_covariance are the 4-vector and
 4x4 matrix derived from that state, read-only.
 
-Validation counts three kinds of trajectory defects against ground truth:
-breaks in one object's coverage (connectivity), mutual identity exchanges
-between two tracks (crossing), and tracks containing points from several
-true objects (directivity).
+Validation scores tracks against ground truth, given as the true object
+behind each (frame, detection id), so it applies to synthetic corpora. It
+counts three kinds of trajectory defects: breaks in one object's coverage
+(connectivity), mutual identity exchanges between two tracks (crossing),
+and tracks containing points from several true objects (directivity).
 """
 
 from __future__ import annotations
@@ -388,10 +389,6 @@ class SceneValidation:
     def clean(self) -> bool:
         return self.connectivity == 0 and self.crossing == 0 and self.directivity == 0
 
-    @property
-    def total(self) -> int:
-        return self.connectivity + self.crossing + self.directivity
-
 
 @dataclass
 class TrajectoryReport:
@@ -420,26 +417,16 @@ def _dominant_sequence(traj: Trajectory, truth: dict) -> list[str]:
     return out
 
 
-def validate_trajectories(trajectories: list[Trajectory],
-                          truth: dict | None = None,
+def validate_trajectories(trajectories: list[Trajectory], truth: dict,
                           params: TrackerParams | None = None,
                           frame_stride: int = 1) -> SceneValidation:
     """Count connectivity/crossing/directivity violations for one scene.
 
     truth maps (frame_index, detection_id) to the true object identity.
-    Without it, heuristic flags are used instead: suspicious track splits,
-    path intersections with simultaneous proximity, and per-step heading
-    reversals beyond 120 degrees. frame_stride converts raw frame gaps
-    into sampled steps for the connectivity check.
+    frame_stride converts raw frame gaps into sampled steps for the
+    connectivity check.
     """
     params = params or TrackerParams()
-    if truth is not None:
-        return _validate_against_truth(trajectories, truth, params, frame_stride)
-    return _validate_heuristic(trajectories, params)
-
-
-def _validate_against_truth(trajectories, truth, params,
-                            frame_stride: int = 1) -> SceneValidation:
     result = SceneValidation()
 
     # Directivity: a track containing points of two or more true objects.
@@ -482,76 +469,6 @@ def _validate_against_truth(trajectories, truth, params,
                 split = True
         if split:
             result.connectivity += 1
-    return result
-
-
-def _heading_reversals(traj: Trajectory, limit_deg: float = 120.0) -> int:
-    pts = traj.world_array()
-    if len(pts) < 3:
-        return 0
-    v = np.diff(pts, axis=0)
-    norms = np.linalg.norm(v, axis=1)
-    count = 0
-    for k in range(len(v) - 1):
-        if norms[k] < 1e-9 or norms[k + 1] < 1e-9:
-            continue
-        cosang = np.dot(v[k], v[k + 1]) / (norms[k] * norms[k + 1])
-        if math.degrees(math.acos(max(-1.0, min(1.0, cosang)))) > limit_deg:
-            count += 1
-    return count
-
-
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
-
-    return (orient(p1, p2, p3) * orient(p1, p2, p4) < 0
-            and orient(p3, p4, p1) * orient(p3, p4, p2) < 0)
-
-
-def _validate_heuristic(trajectories, params) -> SceneValidation:
-    result = SceneValidation()
-
-    for traj in trajectories:
-        frames = traj.frames
-        if len(frames) >= 2:
-            stride = min(b - a for a, b in zip(frames, frames[1:]))
-            if any(b - a > stride * (params.max_coast_frames + 1)
-                   for a, b in zip(frames, frames[1:])):
-                result.connectivity += 1
-        if _heading_reversals(traj) > 0:
-            result.directivity += 1
-
-    # Pairwise: same-class tracks whose pixel paths intersect while the two
-    # objects were simultaneously close are crossing suspects.
-    for i in range(len(trajectories)):
-        for j in range(i + 1, len(trajectories)):
-            a, b = trajectories[i], trajectories[j]
-            if a.object_class is not b.object_class:
-                continue
-            common = sorted(set(a.frames) & set(b.frames))
-            if not common:
-                continue
-            pa = {p.frame: p.raw_px for p in a.points}
-            pb = {p.frame: p.raw_px for p in b.points}
-            gate = params.gate_for(a.object_class)
-            close = any(math.dist(pa[f], pb[f]) < gate for f in common)
-            if not close:
-                continue
-            crossed = False
-            apts = [p.raw_px for p in a.points]
-            bpts = [p.raw_px for p in b.points]
-            for k in range(len(apts) - 1):
-                for m in range(len(bpts) - 1):
-                    if _segments_intersect(apts[k], apts[k + 1],
-                                           bpts[m], bpts[m + 1]):
-                        crossed = True
-                        break
-                if crossed:
-                    break
-            if crossed:
-                result.crossing += 1
     return result
 
 

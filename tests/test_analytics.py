@@ -79,12 +79,6 @@ def test_spot_speed_stats_split_by_type():
     assert stats.interactive_mean_kmh < stats.car_only_mean_kmh
 
 
-def test_spot_speed_stats_median_reduce():
-    stats = spot_speed_stats("A", [_scene(speeds=[10.0, 20.0, 90.0])],
-                             reduce="median")
-    assert stats.speed_mean_kmh == pytest.approx(20.0)
-
-
 def test_empty_spot_raises():
     with pytest.raises(EmptySpot):
         spot_speed_stats("A", [])

@@ -29,6 +29,39 @@ def test_missing_required_stage_file_is_data_error(tmp_path, capsys):
     assert "error" in diagnostic and "message" in diagnostic
 
 
+@pytest.mark.parametrize("stage, rel", [
+    ("extract", "single_pass/trajectories.jsonl"),
+    ("report", "analysis.json"),
+])
+def test_truncated_stage_file_is_data_error(tmp_path, capsys, stage, rel):
+    assert _run("all", "--out-dir", str(tmp_path), "--spot", "single_pass") == 0
+    path = tmp_path / rel
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+    capsys.readouterr()
+    assert _run(stage, "--out-dir", str(tmp_path), "--spot", "single_pass") == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert diagnostic["message"].startswith(f"line {len(lines)}: ")
+
+
+@pytest.mark.parametrize("document, problem", [
+    ('{"features": {"alpha": 0.2}}', "features.alpha is set by --alpha"),
+    ('{"tracker": {"gate": 3}}', "unknown key tracker.gate"),
+    ('{"tracker": ', "Expecting value"),
+    ('{"tracker": {"gate_threshold_vehicle": -1}}', "gate thresholds must be > 0"),
+    ('{"speed_reduce": "median"}', "'speed_reduce' is not a tracker or features object"),
+])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, document, problem):
+    config = tmp_path / "params.json"
+    config.write_text(document)
+    with pytest.raises(SystemExit) as exc:
+        _run("analyze", "--out-dir", str(tmp_path), "--config", str(config))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("crossrisk: error: ") and problem in err
+
+
 def test_stage_files_are_self_describing(tmp_path):
     assert _run("synth", "--out-dir", str(tmp_path)) == 0
     assert _run("segment", "--out-dir", str(tmp_path)) == 0

@@ -132,8 +132,6 @@ def test_acceleration_restricted_to_before_crosswalk():
     zones = [VehicleZone.BEFORE] * 3 + [VehicleZone.ON] * 2 + [VehicleZone.AFTER]
     limited = acceleration_list(speeds, 0.5, zones=zones)
     assert limited == [ACC, ACC]          # only the 3 approach speeds used
-    full = acceleration_list(speeds, 0.5, zones=zones, full_scene=True)
-    assert full == [ACC] * 4
 
 
 def test_acceleration_shift_invariance():

@@ -3,20 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from crossrisk.errors import (
-    DegenerateCalibration,
-    NonPositiveLength,
-    NonPositiveRate,
-    PointAtInfinity,
-)
-from crossrisk.geometry import (
-    Calibration,
-    apply_homography,
-    fit_homography,
-    pixels_per_meter,
-    scale_from_correspondences,
-    seconds_per_step,
-)
+from crossrisk.errors import DegenerateCalibration, PointAtInfinity
+from crossrisk.geometry import Calibration, apply_homography, fit_homography
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -48,9 +36,8 @@ def test_fit_needs_four_pairs():
 
 
 def test_project_identity():
-    calib = Calibration(pixels_per_meter=1.0, seconds_per_step=1.0,
-                        homography=np.eye(3))
-    assert calib.to_world_xy((3.0, 4.0)) == pytest.approx((3.0, 4.0))
+    calib = Calibration(np.eye(3))
+    assert calib.to_world_many([(3.0, 4.0)])[0] == pytest.approx((3.0, 4.0))
 
 
 def test_project_translation():
@@ -62,21 +49,6 @@ def test_project_vanishing_line_point_at_infinity():
     h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     with pytest.raises(PointAtInfinity):
         apply_homography(h, (-1.0, 0.5))
-
-
-def test_pixels_per_meter_follows_the_quotient():
-    # 960 px over 15 m is 64 px/m; the quotient governs.
-    assert pixels_per_meter(960, 15) == pytest.approx(64.0)
-    assert pixels_per_meter(100, 100) == pytest.approx(1.0)
-    with pytest.raises(NonPositiveLength):
-        pixels_per_meter(960, 0)
-
-
-def test_seconds_per_step():
-    assert seconds_per_step(5, 11) == pytest.approx(5 / 11)
-    assert seconds_per_step(1, 25) == pytest.approx(0.04)
-    with pytest.raises(NonPositiveRate):
-        seconds_per_step(5, 0)
 
 
 def _oblique_pairs():
@@ -112,24 +84,15 @@ def test_fronto_parallel_scalar_and_homography_agree():
     pairs = [((x * scale, y * scale), (x, y))
              for x, y in [(0, 0), (10, 0), (10, 6), (0, 6), (4, 2)]]
     h, _ = fit_homography(pairs)
-    p = scale_from_correspondences(pairs)
-    assert p == pytest.approx(scale, rel=1e-12)
     rng = np.random.default_rng(6)
     for _ in range(50):
         a = rng.uniform(0, 600, 2)
         b = rng.uniform(0, 380, 2)
         via_h = math.dist(apply_homography(h, a), apply_homography(h, b))
-        via_p = math.dist(a, b) / p
+        via_p = math.dist(a, b) / scale
         assert via_h == pytest.approx(via_p, rel=1e-9)
 
 
 def test_calibration_requires_invertible_homography():
     with pytest.raises(DegenerateCalibration):
-        Calibration(pixels_per_meter=1.0, seconds_per_step=1.0,
-                    homography=np.zeros((3, 3)))
-
-
-def test_calibration_scalar_mode_divides_by_p():
-    calib = Calibration(pixels_per_meter=64.0, seconds_per_step=0.2)
-    assert calib.to_world_xy((64.0, 128.0)) == pytest.approx((1.0, 2.0))
-    assert calib.to_pixel_xy((1.0, 2.0)) == pytest.approx((64.0, 128.0))
+        Calibration(np.zeros((3, 3)))

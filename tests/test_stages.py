@@ -1,16 +1,31 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crossrisk.analytics import spot_speed_stats
 from crossrisk.errors import MalformedRecord
-from crossrisk.features import PedestrianZone, SceneFeatures, VehicleZone
-from crossrisk.ingest import ObjectClass
+from crossrisk.features import (
+    ACC,
+    BEHIND,
+    DEC,
+    FRONT,
+    NC,
+    PedestrianZone,
+    SceneFeatures,
+    VehicleZone,
+)
+from crossrisk.ingest import ObjectClass, dumps_sorted
+from crossrisk.motion_gate import SceneSpan
 from crossrisk.stages import (
+    _span_record,
     features_to_record,
     read_features,
     read_jsonl,
+    read_scenes,
     record_to_features,
     scene_vehicle,
     write_jsonl,
@@ -58,6 +73,63 @@ def test_feature_record_round_trip():
                                      "t2": []})
     for b in (zones_only, both):
         assert record_to_features(features_to_record(b)) == b
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_float_lists = st.lists(_floats, max_size=6)
+_frames = st.integers(min_value=0, max_value=10**7)
+
+
+@st.composite
+def _bundles(draw):
+    ids = st.text(max_size=4)
+    return SceneFeatures(
+        scene_id=draw(st.text()), spot_id=draw(st.text()),
+        frame_start=draw(_frames), frame_end=draw(_frames),
+        interactive=draw(st.booleans()), vehicle_id=draw(st.text()),
+        vehicle_speeds_kmh=draw(_float_lists),
+        vehicle_zones=draw(st.lists(st.sampled_from(VehicleZone), max_size=6)),
+        vehicle_accelerations=draw(st.lists(st.sampled_from([ACC, DEC, NC]),
+                                            max_size=6)),
+        vehicle_acceleration_runs=draw(st.lists(
+            st.sampled_from([ACC, DEC, NC]), max_size=6)),
+        crosswalk_distances_m=draw(_float_lists),
+        stopped=draw(st.booleans()),
+        stop_distance_m=draw(st.none() | _floats),
+        pedestrian_speeds_kmh=draw(st.dictionaries(ids, _float_lists,
+                                                   max_size=3)),
+        pedestrian_zones=draw(st.dictionaries(
+            ids, st.lists(st.sampled_from(PedestrianZone), max_size=6),
+            max_size=3)),
+        distances_m=draw(_float_lists),
+        relative_positions=draw(st.lists(st.sampled_from([FRONT, BEHIND]),
+                                         max_size=6)),
+        psm_seconds=draw(st.none() | _floats),
+        psm_seconds_refined=draw(st.none() | _floats),
+        ped_in_crossing_area=draw(st.booleans()))
+
+
+@given(_bundles())
+def test_feature_record_round_trips_through_json_text(bundle):
+    text = dumps_sorted(features_to_record(bundle))
+    assert record_to_features(json.loads(text)) == bundle
+
+
+@st.composite
+def _spans(draw):
+    start = draw(_frames)
+    return SceneSpan(scene_id=draw(st.text()), vehicle_track_hint=draw(st.text()),
+                     frame_start=start,
+                     frame_end=start + draw(st.integers(0, 10**4)),
+                     interactive=draw(st.booleans()))
+
+
+@given(st.lists(_spans(), max_size=5))
+def test_scene_rows_round_trip_through_read_scenes(spans):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_jsonl(Path(tmp) / "scenes.jsonl", "scenes",
+                    [_span_record(s) for s in spans])
+        assert read_scenes(Path(tmp)) == spans
 
 
 def test_feature_record_pedestrian_fields_on_disk():
