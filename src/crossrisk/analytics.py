@@ -136,10 +136,6 @@ def _fd_bin_edges(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     lo, hi = float(samples.min()), float(samples.max())
     if hi <= lo:
         return np.array([lo, lo + 1.0])
-    if weights.sum() <= 0:
-        # Degenerate all-zero weighting (single-spot merge): bin the raw
-        # sample so the zero-mass histogram still has usable edges.
-        weights = np.ones_like(weights)
     m = len(np.unique(samples))
     iqr = (weighted_quantile(samples, weights, 0.75)
            - weighted_quantile(samples, weights, 0.25))
@@ -209,8 +205,8 @@ class PsmRanges:
     positive_quartiles: tuple[float, float, float]
 
     def boundaries(self) -> list[float]:
-        return [-math.inf, *self.negative_quartiles, 0.0,
-                *self.positive_quartiles, math.inf]
+        return range_boundaries(self.negative_quartiles,
+                                self.positive_quartiles)
 
     def range_of(self, psm_seconds: float) -> int:
         """1-based range index for one PSM value."""
@@ -220,9 +216,10 @@ class PsmRanges:
                 return k + 1
         return 8
 
-    def labels(self) -> list[tuple[float, float]]:
-        bounds = self.boundaries()
-        return [(bounds[k], bounds[k + 1]) for k in range(8)]
+
+def range_boundaries(negative_quartiles, positive_quartiles) -> list[float]:
+    """The nine edges of the eight PSM ranges."""
+    return [-math.inf, *negative_quartiles, 0.0, *positive_quartiles, math.inf]
 
 
 def psm_ranges(merged: PsmDistribution) -> PsmRanges:
@@ -290,76 +287,85 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         raise IoFailure(f"cannot write report {path}: {exc}") from exc
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def analysis_record(stats: list[SpotStats],
+                    distributions: list[PsmDistribution],
+                    stopping_rows: list[tuple[str, float, int, int]],
+                    range_table: PsmRangeTable | None) -> dict:
+    """The `analysis.json` record, less its schema: every table of the
+    report, each list sorted, in the layout `emit_report` renders."""
+    return {
+        "stats": [{
+            "spot": s.spot_id, "scenes": s.scenes_total,
+            "car_only": s.scenes_car_only, "interactive": s.scenes_interactive,
+            "max_kmh": s.speed_max_kmh, "min_kmh": s.speed_min_kmh,
+            "mean_kmh": s.speed_mean_kmh,
+            "car_only_mean_kmh": s.car_only_mean_kmh,
+            "interactive_mean_kmh": s.interactive_mean_kmh,
+        } for s in sorted(stats, key=lambda s: s.spot_id)],
+        "stopping": sorted(stopping_rows),
+        "distributions": [{
+            "group": d.group,
+            "samples": d.samples.tolist(),
+            "weights": d.weights.tolist(),
+            "bin_edges": d.bin_edges.tolist(),
+            "masses": d.masses.tolist(),
+            "spot_weights": d.spot_weights,
+            "degenerate": d.degenerate,
+        } for d in sorted(distributions, key=lambda d: d.group)],
+        "ranges": None if range_table is None else {
+            "negative": list(range_table.ranges.negative_quartiles),
+            "positive": list(range_table.ranges.positive_quartiles)},
+        "range_table": None if range_table is None else [
+            [r, spot, range_table.counts[(r, spot)][1],
+             range_table.counts[(r, spot)][0], pct]
+            for (r, spot), pct in sorted(range_table.cells.items())],
+    }
 
 
-def emit_report(out_dir, stats: list[SpotStats],
-                distributions: list[PsmDistribution],
-                stopping_rows: list[tuple[str, float, int, int]],
-                range_table: PsmRangeTable | None) -> list[Path]:
-    """Write the deterministic CSV tables and histogram plot data.
+def emit_report(out_dir, record: dict) -> list[Path]:
+    """Render an `analysis_record`, as built or as read back from
+    `analysis.json`, into the report's CSV tables and histogram plot data.
 
-    Output is sorted on every axis so identical inputs produce identical
-    bytes. Histogram files are two-column (bin center, mass), one row per
-    bin, enough to redraw the distribution figures.
+    Rows keep the record's order, which `analysis_record` sorts on every
+    axis, and floats are written with `repr`, so one record always gives
+    the same bytes. Histogram files are two-column (bin center, mass), one
+    row per bin, enough to redraw the distribution figures. Every table is
+    laid out before the first file is written, so a record that lacks a
+    field writes nothing.
     """
+    speed = ["spot", "max_kmh", "min_kmh", "mean_kmh",
+             "car_only_mean_kmh", "interactive_mean_kmh"]
+    counts = ["spot", "scenes", "car_only", "interactive"]
+    tables = [
+        ("speed_stats.csv", speed,
+         [[s[k] for k in speed] for s in record["stats"]]),
+        ("scene_counts.csv", counts,
+         [[s[k] for k in counts] for s in record["stats"]]),
+        ("stopping_percentage.csv",
+         ["spot", "qualifying_scenes", "stopped_scenes", "percentage"],
+         [[spot, total, stopped, pct]
+          for spot, pct, stopped, total in record["stopping"]]),
+    ]
+    for d in record["distributions"]:
+        edges = d["bin_edges"]
+        tables.append((f"psm_hist_{d['group']}.csv", ["bin_center", "mass"],
+                       [[(lo + hi) / 2.0, m]
+                        for lo, hi, m in zip(edges, edges[1:], d["masses"])]))
+    tables.append(("psm_weights.csv", ["group", "spot", "weight"],
+                   [[d["group"], spot, w] for d in record["distributions"]
+                    for spot, w in sorted(d["spot_weights"].items())]))
+    if record["ranges"] is not None:
+        bounds = range_boundaries(record["ranges"]["negative"],
+                                  record["ranges"]["positive"])
+        tables.append(("psm_ranges.csv", ["range", "lower", "upper"],
+                       [[k + 1, lo, hi] for k, (lo, hi)
+                        in enumerate(zip(bounds, bounds[1:]))]))
+        tables.append(("stopping_by_psm_range.csv",
+                       ["range", "spot", "scenes", "stopped", "percentage"],
+                       record["range_table"]))
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out / "speed_stats.csv"
-    _write_csv(path, ["spot", "max_kmh", "min_kmh", "mean_kmh",
-                      "car_only_mean_kmh", "interactive_mean_kmh"],
-               [[s.spot_id, _fmt(s.speed_max_kmh), _fmt(s.speed_min_kmh),
-                 _fmt(s.speed_mean_kmh), _fmt(s.car_only_mean_kmh),
-                 _fmt(s.interactive_mean_kmh)]
-                for s in sorted(stats, key=lambda s: s.spot_id)])
-    written.append(path)
-
-    path = out / "scene_counts.csv"
-    _write_csv(path, ["spot", "scenes", "car_only", "interactive"],
-               [[s.spot_id, s.scenes_total, s.scenes_car_only, s.scenes_interactive]
-                for s in sorted(stats, key=lambda s: s.spot_id)])
-    written.append(path)
-
-    path = out / "stopping_percentage.csv"
-    _write_csv(path, ["spot", "qualifying_scenes", "stopped_scenes", "percentage"],
-               [[spot, total, stopped, _fmt(pct)]
-                for spot, pct, stopped, total in sorted(stopping_rows)])
-    written.append(path)
-
-    for dist in sorted(distributions, key=lambda d: d.group):
-        centers = (dist.bin_edges[:-1] + dist.bin_edges[1:]) / 2.0
-        path = out / f"psm_hist_{dist.group}.csv"
-        _write_csv(path, ["bin_center", "mass"],
-                   [[_fmt(float(c)), _fmt(float(m))]
-                    for c, m in zip(centers, dist.masses)])
-        written.append(path)
-
-    path = out / "psm_weights.csv"
-    _write_csv(path, ["group", "spot", "weight"],
-               [[d.group, spot, _fmt(w)]
-                for d in sorted(distributions, key=lambda d: d.group)
-                for spot, w in sorted(d.spot_weights.items())])
-    written.append(path)
-
-    if range_table is not None:
-        path = out / "psm_ranges.csv"
-        _write_csv(path, ["range", "lower", "upper"],
-                   [[k + 1, _fmt(lo), _fmt(hi)]
-                    for k, (lo, hi) in enumerate(range_table.ranges.labels())])
-        written.append(path)
-
-        path = out / "stopping_by_psm_range.csv"
-        _write_csv(path, ["range", "spot", "scenes", "stopped", "percentage"],
-                   [[r, spot, range_table.counts[(r, spot)][1],
-                     range_table.counts[(r, spot)][0], _fmt(pct)]
-                    for (r, spot), pct in sorted(range_table.cells.items())])
-        written.append(path)
-
-    return written
+    for name, header, rows in tables:
+        _write_csv(out / name, header, rows)
+    return [out / name for name, _, _ in tables]

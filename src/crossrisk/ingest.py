@@ -89,7 +89,7 @@ _CLASS_NAMES = {
 
 
 def _parse_line(line: str, line_number: int, config: SpotConfig,
-                last_frame: int) -> DetectionRecord:
+                previous_frame: int) -> DetectionRecord:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -116,9 +116,9 @@ def _parse_line(line: str, line_number: int, config: SpotConfig,
     if not (0 <= x < w and 0 <= y < h):
         raise OutOfBounds(
             line_number, f"point ({x}, {y}) outside frame {w}x{h}")
-    if frame < last_frame:
+    if frame < previous_frame:
         raise NonMonotoneFrame(
-            line_number, f"frame {frame} after frame {last_frame}")
+            line_number, f"frame {frame} after frame {previous_frame}")
     return DetectionRecord(
         spot_id=config.spot_id,
         frame_index=frame,
@@ -140,7 +140,7 @@ def parse_detections(stream, config: SpotConfig,
     yields exactly one record or one diagnostic.
     """
     records: list[DetectionRecord] = []
-    last_frame = 0
+    previous_frame = 0
     for line_number, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
@@ -148,13 +148,13 @@ def parse_detections(stream, config: SpotConfig,
         if line_number == 1 and '"schema"' in line:
             continue
         try:
-            rec = _parse_line(line, line_number, config, last_frame)
+            rec = _parse_line(line, line_number, config, previous_frame)
         except MalformedRecord as exc:
             if diagnostics is None:
                 raise
             diagnostics.append(ParseDiagnostic(exc.line_number, str(exc)))
             continue
-        last_frame = rec.frame_index
+        previous_frame = rec.frame_index
         records.append(rec)
     return records
 

@@ -9,12 +9,14 @@ one output directory with one subdirectory per camera spot:
     out/<spot>/scenes.jsonl        per-vehicle scene index
     out/<spot>/trajectories.jsonl  one line per tracked point
     out/<spot>/features.jsonl      one feature bundle per scene
-    out/analysis.json              aggregated statistics
-    out/report/*.csv               final tables and plot data
+    out/analysis.json              the report's tables as one record
+    out/report/*.csv               that record rendered as CSV
 
 Stage files are self-describing: the first line names the schema. All
 writers sort their output canonically so results are byte-identical
-regardless of worker count.
+regardless of worker count. `analytics` owns the layout of
+`analysis.json`: `analysis_record` builds it and `emit_report` renders it,
+so the report stage can be rerun from that file alone.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import analytics, features as feat, motion_gate, synth, tracker
 from .errors import (
@@ -73,29 +73,41 @@ def write_jsonl(path, schema_key: str, rows) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_json(text: str, path, line_number: int = 1):
-    """json.loads, but a file cut short or otherwise not JSON raises
-    MalformedRecord with the line number."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(line_number + exc.lineno - 1,
-                              f"{path}: invalid JSON ({exc.msg})") from exc
+# What reading a row of the wrong shape raises: a missing key, a list or
+# number where an object belongs, a value no enum or number accepts.
+_SHAPE_ERRORS = (LookupError, TypeError, ValueError, AttributeError)
 
 
-def read_jsonl(path, schema_key: str) -> list[dict]:
+def read_jsonl(path, schema_key: str, row=lambda r: r) -> list:
+    """The rows after a stage file's schema header, each passed through
+    `row`, which reads it into the stage's own type.
+
+    A wrong header, a line that is not JSON and a row that `row` cannot
+    read all raise MalformedRecord with the line number.
+    """
+    out = []
+    n = 1
     try:
         with open(path) as fh:
-            rows = [_parse_json(line, path, n)
-                    for n, line in enumerate(fh, start=1) if line.strip()]
+            first = fh.readline()
+            header = json.loads(first) if first.strip() else {}
+            found = header.get("schema") if isinstance(header, dict) else header
+            if found != SCHEMAS[schema_key]:
+                raise MalformedRecord(
+                    1, f"{path}: expected schema {SCHEMAS[schema_key]!r}, "
+                    f"found {found!r}")
+            for n, line in enumerate(fh, start=2):
+                if line.strip():
+                    out.append(row(json.loads(line)))
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    header = rows[0] if rows else {}
-    if header.get("schema") != SCHEMAS[schema_key]:
-        raise MalformedRecord(
-            1, f"{path}: expected schema {SCHEMAS[schema_key]!r}, "
-            f"found {header.get('schema')!r}")
-    return rows[1:]
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(n + exc.lineno - 1,
+                              f"{path}: invalid JSON ({exc.msg})") from exc
+    except _SHAPE_ERRORS as exc:
+        raise MalformedRecord(n, f"{path}: not a {schema_key} row "
+                              f"({type(exc).__name__}: {exc})") from exc
+    return out
 
 
 @dataclass
@@ -166,11 +178,8 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
     root = Path(cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
     if cfg.corpus == "standard":
-        specs = [synth.ScenarioSpec(
-            name=spec.name, config=spec.config, agents=spec.agents,
-            noise_sigma=cfg.noise_sigma, drop_probability=cfg.drop_probability,
-            seed=cfg.seed + i)
-            for i, (spec, _) in enumerate(synth.standard_corpus())]
+        specs = [spec for spec, _ in synth.standard_corpus(
+            cfg.noise_sigma, cfg.drop_probability, cfg.seed)]
     elif cfg.corpus == "bulk":
         specs = [synth.traffic_spec(cfg.bulk_scenes, seed=cfg.seed,
                                     noise_sigma=cfg.noise_sigma)]
@@ -230,11 +239,14 @@ def _span_record(span: SceneSpan) -> dict:
             "interactive": span.interactive}
 
 
+def _span_of(r: dict) -> SceneSpan:
+    return SceneSpan(scene_id=r["scene_id"], vehicle_track_hint=r["vehicle"],
+                     frame_start=r["frame_start"], frame_end=r["frame_end"],
+                     interactive=r["interactive"])
+
+
 def read_scenes(spot_dir: Path) -> list[SceneSpan]:
-    return [SceneSpan(scene_id=r["scene_id"], vehicle_track_hint=r["vehicle"],
-                      frame_start=r["frame_start"], frame_end=r["frame_end"],
-                      interactive=r["interactive"])
-            for r in read_jsonl(spot_dir / "scenes.jsonl", "scenes")]
+    return read_jsonl(spot_dir / "scenes.jsonl", "scenes", _span_of)
 
 
 # --- track stage --------------------------------------------------------------
@@ -286,7 +298,8 @@ def read_trajectories(spot_dir: Path) -> dict[str, list[Trajectory]]:
     """Trajectories grouped by scene, rebuilt from the dump."""
     by_scene: dict[str, dict[str, list[TrackPoint]]] = {}
     classes: dict[tuple[str, str], ObjectClass] = {}
-    for r in read_jsonl(spot_dir / "trajectories.jsonl", "trajectories"):
+
+    def add(r: dict) -> None:
         pt = TrackPoint(frame=r["frame"], t=r["t"],
                         raw_px=tuple(r["raw_px"]),
                         smooth_px=tuple(r["smooth_px"]),
@@ -294,6 +307,8 @@ def read_trajectories(spot_dir: Path) -> dict[str, list[Trajectory]]:
         by_scene.setdefault(r["scene_id"], {}).setdefault(
             r["object_id"], []).append(pt)
         classes[(r["scene_id"], r["object_id"])] = ObjectClass(r["class"])
+
+    read_jsonl(spot_dir / "trajectories.jsonl", "trajectories", add)
     out: dict[str, list[Trajectory]] = {}
     for scene_id, tracks in by_scene.items():
         out[scene_id] = [
@@ -434,8 +449,8 @@ def run_extract(cfg: PipelineConfig) -> None:
 
 
 def read_features(spot_dir: Path) -> list[SceneFeatures]:
-    return [record_to_features(r)
-            for r in read_jsonl(spot_dir / "features.jsonl", "features")]
+    return read_jsonl(spot_dir / "features.jsonl", "features",
+                      record_to_features)
 
 
 # --- analyze stage --------------------------------------------------------------
@@ -476,48 +491,20 @@ def run_analyze(cfg: PipelineConfig) -> Path:
             distributions.append(analytics.weighted_merge(
                 spots, group=f"{name}_positive", positive_only=True))
 
-    ranges_doc = None
-    table_doc = None
+    table = None
     unsig = groups["unsignalized"]
     if any(unsig.values()):
         merged = analytics.weighted_merge(unsig, group="unsignalized_weighted")
         distributions.append(merged)
         try:
-            ranges = analytics.psm_ranges(merged)
             table = analytics.stopping_by_psm_range(
                 {s: b for s, b in by_spot_features.items() if not signalized[s]},
-                ranges, signalized, cfg.baseline_m)
-            ranges_doc = {"negative": list(ranges.negative_quartiles),
-                          "positive": list(ranges.positive_quartiles)}
-            table_doc = [[r, spot, table.counts[(r, spot)][1],
-                          table.counts[(r, spot)][0], pct]
-                         for (r, spot), pct in sorted(table.cells.items())]
+                analytics.psm_ranges(merged), signalized, cfg.baseline_m)
         except OneSidedDistribution:
             log.warning("PSM range analysis skipped: one-sided distribution")
 
-    doc = {
-        "schema": SCHEMAS["analysis"],
-        "stats": [{
-            "spot": s.spot_id, "scenes": s.scenes_total,
-            "car_only": s.scenes_car_only, "interactive": s.scenes_interactive,
-            "max_kmh": s.speed_max_kmh, "min_kmh": s.speed_min_kmh,
-            "mean_kmh": s.speed_mean_kmh,
-            "car_only_mean_kmh": s.car_only_mean_kmh,
-            "interactive_mean_kmh": s.interactive_mean_kmh,
-        } for s in sorted(stats, key=lambda s: s.spot_id)],
-        "stopping": sorted(stopping_rows),
-        "distributions": [{
-            "group": d.group,
-            "samples": d.samples.tolist(),
-            "weights": d.weights.tolist(),
-            "bin_edges": d.bin_edges.tolist(),
-            "masses": d.masses.tolist(),
-            "spot_weights": d.spot_weights,
-            "degenerate": d.degenerate,
-        } for d in sorted(distributions, key=lambda d: d.group)],
-        "ranges": ranges_doc,
-        "range_table": table_doc,
-    }
+    doc = {"schema": SCHEMAS["analysis"], **analytics.analysis_record(
+        stats, distributions, stopping_rows, table)}
     path = Path(cfg.out_dir) / "analysis.json"
     path.write_text(json.dumps(doc, sort_keys=True))
     return path
@@ -527,44 +514,23 @@ def run_analyze(cfg: PipelineConfig) -> Path:
 
 
 def run_report(cfg: PipelineConfig) -> list[Path]:
+    """Render `analysis.json` as the report's CSV files."""
     path = Path(cfg.out_dir) / "analysis.json"
     try:
-        doc = _parse_json(path.read_text(), path)
+        doc = json.loads(path.read_text())
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if doc.get("schema") != SCHEMAS["analysis"]:
-        raise MalformedRecord(1, f"{path}: wrong schema {doc.get('schema')!r}")
-
-    stats = [analytics.SpotStats(
-        spot_id=s["spot"], scenes_total=s["scenes"],
-        scenes_car_only=s["car_only"], scenes_interactive=s["interactive"],
-        speed_max_kmh=s["max_kmh"], speed_min_kmh=s["min_kmh"],
-        speed_mean_kmh=s["mean_kmh"],
-        car_only_mean_kmh=s["car_only_mean_kmh"],
-        interactive_mean_kmh=s["interactive_mean_kmh"],
-    ) for s in doc["stats"]]
-    distributions = [analytics.PsmDistribution(
-        samples=np.array(d["samples"]), weights=np.array(d["weights"]),
-        bin_edges=np.array(d["bin_edges"]), masses=np.array(d["masses"]),
-        group=d["group"], spot_weights=d["spot_weights"],
-        degenerate=d["degenerate"],
-    ) for d in doc["distributions"]]
-    stopping_rows = [tuple(row) for row in doc["stopping"]]
-
-    table = None
-    if doc["ranges"] is not None:
-        ranges = analytics.PsmRanges(
-            negative_quartiles=tuple(doc["ranges"]["negative"]),
-            positive_quartiles=tuple(doc["ranges"]["positive"]))
-        cells = {}
-        counts = {}
-        for r, spot, total, stopped, pct in doc["range_table"] or []:
-            cells[(r, spot)] = pct
-            counts[(r, spot)] = (stopped, total)
-        table = analytics.PsmRangeTable(ranges=ranges, cells=cells, counts=counts)
-
-    return analytics.emit_report(Path(cfg.out_dir) / "report",
-                                 stats, distributions, stopping_rows, table)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(exc.lineno,
+                              f"{path}: invalid JSON ({exc.msg})") from exc
+    found = doc.get("schema") if isinstance(doc, dict) else doc
+    if found != SCHEMAS["analysis"]:
+        raise MalformedRecord(1, f"{path}: wrong schema {found!r}")
+    try:
+        return analytics.emit_report(Path(cfg.out_dir) / "report", doc)
+    except _SHAPE_ERRORS as exc:
+        raise MalformedRecord(1, f"{path}: not an analysis record "
+                              f"({type(exc).__name__}: {exc})") from exc
 
 
 # --- helpers --------------------------------------------------------------------

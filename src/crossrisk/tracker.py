@@ -88,7 +88,6 @@ class TrackState:
     pp: float
     pv: float
     vv: float
-    last_frame: int
     points: list[tuple[int, tuple[float, float]]] = field(default_factory=list)
     misses: int = 0
 
@@ -120,7 +119,7 @@ def new_track(object_id: str, cls: ObjectClass, frame: int,
     x, y = float(point[0]), float(point[1])
     return TrackState(object_id, cls, x, y, 0.0, 0.0,
                       float(params.measurement_noise), 0.0,
-                      _INITIAL_VELOCITY_VAR, frame, [(frame, (x, y))])
+                      _INITIAL_VELOCITY_VAR, [(frame, (x, y))])
 
 
 def kalman_predict(state: TrackState, process_noise: float = 1.0) -> TrackState:
@@ -134,7 +133,7 @@ def kalman_predict(state: TrackState, process_noise: float = 1.0) -> TrackState:
                       state.vx, state.vy,
                       ((pp + pv) + (pv + vv)) + process_noise, pv + vv,
                       vv + process_noise,
-                      state.last_frame, state.points, state.misses)
+                      state.points, state.misses)
 
 
 def kalman_update(state: TrackState, measurement: tuple[float, float],
@@ -169,7 +168,7 @@ def kalman_update(state: TrackState, measurement: tuple[float, float],
                       state.vx + k2 * dx, state.vy + k2 * dy,
                       m00 * ik + r * (k1 * k1), (upper + lower) / 2.0,
                       (m10 * -k2 + m11) + r * (k2 * k2),
-                      state.last_frame, state.points, state.misses)
+                      state.points, state.misses)
 
 
 @dataclass
@@ -326,7 +325,6 @@ def track_scene(detections, params: TrackerParams, calib: Calibration,
         for tid, det in result.matches.items():
             state = kalman_update(predicted[tid], det.contact_point_px,
                                   params.measurement_noise)
-            state.last_frame = frame
             state.misses = 0
             state.points.append((frame, det.contact_point_px))
             smoothed[tid].append((state.x, state.y))

@@ -7,6 +7,7 @@ import pytest
 from crossrisk.analytics import (
     PsmDistribution,
     PsmRanges,
+    analysis_record,
     emit_report,
     psm_ranges,
     spot_speed_stats,
@@ -343,7 +344,7 @@ def test_stopping_by_range_monotone_trend():
 
 
 def test_emit_report_empty_corpus(tmp_path):
-    files = emit_report(tmp_path, [], [], [], None)
+    files = emit_report(tmp_path, analysis_record([], [], [], None))
     speed = (tmp_path / "speed_stats.csv").read_text().strip().splitlines()
     assert speed == ["spot,max_kmh,min_kmh,mean_kmh,car_only_mean_kmh,"
                      "interactive_mean_kmh"]
@@ -354,7 +355,7 @@ def test_emit_report_table_five_shape(tmp_path):
     stats = [spot_speed_stats("A", [_scene(speeds=[10.0]),
                                     _scene(scene_id="s1", speeds=[20.0],
                                            interactive=True)])]
-    emit_report(tmp_path, stats, [], [], None)
+    emit_report(tmp_path, analysis_record(stats, [], [], None))
     rows = list(csv.DictReader(open(tmp_path / "speed_stats.csv")))
     assert rows[0]["spot"] == "A"
     assert set(rows[0]) == {"spot", "max_kmh", "min_kmh", "mean_kmh",
@@ -364,6 +365,6 @@ def test_emit_report_table_five_shape(tmp_path):
 def test_emit_report_histogram_rows_match_bins(tmp_path):
     dist = weighted_merge({"A": [1.0, 2.0, 3.0], "B": [2.0, 4.0]},
                           group="check")
-    emit_report(tmp_path, [], [dist], [], None)
+    emit_report(tmp_path, analysis_record([], [dist], [], None))
     rows = (tmp_path / "psm_hist_check.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == len(dist.masses)

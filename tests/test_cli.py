@@ -45,6 +45,30 @@ def test_truncated_stage_file_is_data_error(tmp_path, capsys, stage, rel):
     assert diagnostic["message"].startswith(f"line {len(lines)}: ")
 
 
+@pytest.mark.parametrize("stage, rel, line, text", [
+    ("track", "single_pass/scenes.jsonl", 2, '{"scene_id": "s9"}'),
+    ("extract", "single_pass/trajectories.jsonl", 2, '{"scene_id": "s9"}'),
+    ("analyze", "single_pass/features.jsonl", 2, '{"scene_id": "s9"}'),
+    ("track", "single_pass/scenes.jsonl", 1, "[1]"),
+    ("report", "analysis.json", 1, "[1]"),
+    ("report", "analysis.json", 1, json.dumps({"schema": SCHEMAS["analysis"]})),
+])
+def test_misshapen_stage_row_is_data_error(tmp_path, capsys, stage, rel, line,
+                                           text):
+    # Valid JSON of the wrong shape: a row without its fields, a header or
+    # an analysis record that is not an object, a record without its tables.
+    assert _run("all", "--out-dir", str(tmp_path), "--spot", "single_pass") == 0
+    path = tmp_path / rel
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = text + "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert _run(stage, "--out-dir", str(tmp_path), "--spot", "single_pass") == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert diagnostic["message"].startswith(f"line {line}: ")
+
+
 @pytest.mark.parametrize("document, problem", [
     ('{"features": {"alpha": 0.2}}', "features.alpha is set by --alpha"),
     ('{"tracker": {"gate": 3}}', "unknown key tracker.gate"),
@@ -108,6 +132,18 @@ def test_stage_rerun_in_isolation_is_stable(tmp_path):
     assert _run("segment", "--out-dir", str(tmp_path),
                 "--spot", "near_miss") == 0
     assert (tmp_path / "near_miss" / "scenes.jsonl").read_bytes() == scenes
+
+
+def test_report_rerenders_from_analysis_json_alone(tmp_path):
+    assert _run("all", "--out-dir", str(tmp_path), "--seed", "3") == 0
+    report = tmp_path / "report"
+    first = {p.name: p.read_bytes() for p in report.iterdir()}
+    assert {"psm_ranges.csv", "stopping_by_psm_range.csv"} <= set(first)
+    for p in report.iterdir():
+        p.unlink()
+    report.rmdir()
+    assert _run("report", "--out-dir", str(tmp_path)) == 0
+    assert {p.name: p.read_bytes() for p in report.iterdir()} == first
 
 
 def test_rerun_same_seed_byte_identical(tmp_path):
