@@ -1,10 +1,13 @@
 """Per-vehicle scene segmentation of the detection stream.
 
-The stream is cut into scenes, one per vehicle presence: the scene spans
-the vehicle's first to last detected frame, with short detection dropouts
-(up to the hangover) bridged rather than split. Co-present vehicles yield
-separate, overlapping scenes; a pedestrian sharing any frame makes the
-scene interactive.
+The stream is cut into scenes, one per vehicle pass: the scene spans the
+vehicle's first to last detected frame, and a dropout of up to `HANGOVER_S`
+seconds is bridged rather than split. The hangover is in seconds so that it
+means the same at every fps and stride; like `max_age` in SORT (Bewley et
+al. 2016), it keeps a vehicle the detector misses for a few steps in one
+scene, whose window then still holds its approach to the conflict point.
+Co-present vehicles yield separate, overlapping scenes; a pedestrian
+sharing any frame makes the scene interactive.
 
 The paper gates idle footage by frame differencing before this step. The
 pipeline's input is detections and no stage reads frames, so that gate is
@@ -21,24 +24,13 @@ from dataclasses import dataclass
 from .ingest import ObjectClass
 
 
-@dataclass(frozen=True)
-class MotionParams:
-    """Scene segmentation thresholds.
+# Longest detection dropout, in seconds, bridged inside one scene.
+HANGOVER_S = 1.0
 
-    hangover_frames: missing-detection frames bridged before a scene closes.
-    """
 
-    hangover_frames: int = 2
-
-    def __post_init__(self):
-        if self.hangover_frames < 0:
-            raise ValueError("hangover_frames must be >= 0")
-
-    @classmethod
-    def for_config(cls, config) -> "MotionParams":
-        """Defaults scaled to the spot's sampling stride: the hangover is
-        two sampled steps, whatever the stride."""
-        return cls(hangover_frames=2 * config.frame_skip)
+def hangover_frames_at(fps: float) -> int:
+    """`HANGOVER_S` as whole frames at `fps`, rounded down."""
+    return int(HANGOVER_S * fps)
 
 
 @dataclass(frozen=True)
@@ -59,34 +51,29 @@ class SceneSpan:
         return self.frame_start <= frame <= self.frame_end
 
 
-def segment_scenes(detections, params: MotionParams | None = None,
-                   ) -> list[SceneSpan]:
+def segment_scenes(detections, hangover_frames: int) -> list[SceneSpan]:
     """Cut a frame-ordered detection sequence into per-vehicle scenes.
 
     Vehicle identity is the detection id (detector outputs with stable ids,
-    and all synthetic corpora, carry one). A gap longer than the hangover
-    closes the scene and a reappearance opens a new one.
+    and all synthetic corpora, carry one). A run of more than
+    `hangover_frames` frames without the vehicle closes its scene, and a
+    reappearance opens a new one.
     """
-    params = params or MotionParams()
     vehicle_frames: dict[str, list[int]] = {}
-    order: list[str] = []
     ped_frames: set[int] = set()
     for rec in detections:
         if rec.object_class is ObjectClass.VEHICLE:
-            key = rec.detection_id
-            if key not in vehicle_frames:
-                vehicle_frames[key] = []
-                order.append(key)
-            vehicle_frames[key].append(rec.frame_index)
+            vehicle_frames.setdefault(rec.detection_id, []).append(
+                rec.frame_index)
         else:
             ped_frames.add(rec.frame_index)
 
     raw_spans: list[tuple[int, int, str]] = []
-    for key in order:
-        frames = sorted(set(vehicle_frames[key]))
+    for key, key_frames in vehicle_frames.items():
+        frames = sorted(set(key_frames))
         start = prev = frames[0]
         for f in frames[1:]:
-            if f - prev - 1 > params.hangover_frames:
+            if f - prev - 1 > hangover_frames:
                 raw_spans.append((start, prev, key))
                 start = f
             prev = f
@@ -94,8 +81,7 @@ def segment_scenes(detections, params: MotionParams | None = None,
 
     ped_sorted = sorted(ped_frames)
     spans = []
-    for n, (start, end, key) in enumerate(
-            sorted(raw_spans, key=lambda s: (s[0], s[1], s[2]))):
+    for n, (start, end, key) in enumerate(sorted(raw_spans)):
         # Interactive iff the first pedestrian frame at or after the span's
         # start lies inside it.
         k = bisect_left(ped_sorted, start)

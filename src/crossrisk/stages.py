@@ -48,7 +48,7 @@ from .ingest import (
     parse_spot_config,
     spot_config_to_dict,
 )
-from .motion_gate import MotionParams, SceneSpan
+from .motion_gate import SceneSpan
 from .tracker import TrackerParams, TrackPoint, Trajectory
 
 log = logging.getLogger(__name__)
@@ -76,6 +76,16 @@ def write_jsonl(path, schema_key: str, rows) -> None:
 # What reading a row of the wrong shape raises: a missing key, a list or
 # number where an object belongs, a value no enum or number accepts.
 _SHAPE_ERRORS = (LookupError, TypeError, ValueError, AttributeError)
+_NUMBER = (int, float)   # JSON's numbers; `type(v) in _NUMBER` leaves out bool
+_NUMBER_OR_NONE = (int, float, type(None))
+
+
+def _typed(value, types=_NUMBER):
+    """`value` if its type is one of `types`. Row readers check the values
+    a later stage sorts or sums, so a wrong one fails on its own line."""
+    if type(value) not in types:
+        raise TypeError(f"unexpected {type(value).__name__} {value!r}")
+    return value
 
 
 def read_jsonl(path, schema_key: str, row=lambda r: r) -> list:
@@ -217,7 +227,7 @@ def run_segment(cfg: PipelineConfig) -> None:
         config = load_spot_config(spot_dir)
         records = load_detections(spot_dir, config)
         spans = motion_gate.segment_scenes(
-            records, params=MotionParams.for_config(config))
+            records, motion_gate.hangover_frames_at(config.fps))
         write_jsonl(spot_dir / "scenes.jsonl", "scenes",
                     (_span_record(s) for s in spans))
         frames = sum((s.frame_end - s.frame_start) // config.frame_skip + 1
@@ -300,10 +310,11 @@ def read_trajectories(spot_dir: Path) -> dict[str, list[Trajectory]]:
     classes: dict[tuple[str, str], ObjectClass] = {}
 
     def add(r: dict) -> None:
-        pt = TrackPoint(frame=r["frame"], t=r["t"],
+        pt = TrackPoint(frame=_typed(r["frame"], (int,)), t=_typed(r["t"]),
                         raw_px=tuple(r["raw_px"]),
-                        smooth_px=tuple(r["smooth_px"]),
-                        world=tuple(r["world"]), detection_id=r["det"])
+                        smooth_px=tuple(map(_typed, r["smooth_px"])),
+                        world=tuple(map(_typed, r["world"])),
+                        detection_id=r["det"])
         by_scene.setdefault(r["scene_id"], {}).setdefault(
             r["object_id"], []).append(pt)
         classes[(r["scene_id"], r["object_id"])] = ObjectClass(r["class"])
@@ -374,13 +385,13 @@ def record_to_features(r: dict) -> SceneFeatures:
         frame_end=r["frame_end"],
         interactive=r["interactive"],
         vehicle_id=r["vehicle_id"],
-        vehicle_speeds_kmh=r["vehicle_speed_kmh"],
+        vehicle_speeds_kmh=[_typed(v) for v in r["vehicle_speed_kmh"]],
         vehicle_zones=[VehicleZone(z) for z in r["vehicle_position_list"]],
         vehicle_accelerations=r["vehicle_acceleration_list"],
         vehicle_acceleration_runs=r["vehicle_acceleration_runs"],
         crosswalk_distances_m=r["crosswalk_distance_m"],
         stopped=r["car_stop_before_crosswalk"] == "stop",
-        stop_distance_m=r["stop_distance_m"],
+        stop_distance_m=_typed(r["stop_distance_m"], _NUMBER_OR_NONE),
         pedestrian_speeds_kmh={
             pid: p["speed_kmh"] for pid, p in r["pedestrians"].items()
             if "speed_kmh" in p},
@@ -389,7 +400,7 @@ def record_to_features(r: dict) -> SceneFeatures:
             for pid, p in r["pedestrians"].items() if "position_list" in p},
         distances_m=r["vehicle_pedestrian_distance_m"],
         relative_positions=r["relative_position_list"],
-        psm_seconds=r["psm_seconds"],
+        psm_seconds=_typed(r["psm_seconds"], _NUMBER_OR_NONE),
         psm_seconds_refined=r["psm_seconds_refined"],
         ped_in_crossing_area=r["pedestrian_in_crossing_area"],
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .ingest import DetectionRecord, ObjectClass, SpotConfig
-from .motion_gate import MotionParams, SceneSpan, segment_scenes
+from .motion_gate import SceneSpan, hangover_frames_at, segment_scenes
 
 MPS_TO_KMH = 3.6
 
@@ -265,7 +265,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
 
     keyed.sort(key=lambda item: (item[0], item[1]))
     records = [item[2] for item in keyed]
-    spans = segment_scenes(records, params=MotionParams.for_config(config))
+    spans = segment_scenes(records, hangover_frames_at(fps))
 
     vehicles = [a for a in spec.agents if a.object_class is ObjectClass.VEHICLE]
     peds = [a for a in spec.agents if a.object_class is ObjectClass.PEDESTRIAN]

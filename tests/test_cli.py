@@ -52,14 +52,20 @@ def test_truncated_stage_file_is_data_error(tmp_path, capsys, stage, rel):
     ("track", "single_pass/scenes.jsonl", 1, "[1]"),
     ("report", "analysis.json", 1, "[1]"),
     ("report", "analysis.json", 1, json.dumps({"schema": SCHEMAS["analysis"]})),
+    ("extract", "single_pass/trajectories.jsonl", 2, {"frame": "x"}),
+    ("analyze", "single_pass/features.jsonl", 2, {"vehicle_speed_kmh": "abc"}),
 ])
 def test_misshapen_stage_row_is_data_error(tmp_path, capsys, stage, rel, line,
                                            text):
     # Valid JSON of the wrong shape: a row without its fields, a header or
-    # an analysis record that is not an object, a record without its tables.
+    # an analysis record that is not an object, a record without its tables,
+    # or (`text` a dict of fields to overwrite) a row with a value of the
+    # wrong type where a later stage sorts or sums it.
     assert _run("all", "--out-dir", str(tmp_path), "--spot", "single_pass") == 0
     path = tmp_path / rel
     lines = path.read_text().splitlines(keepends=True)
+    if isinstance(text, dict):
+        text = json.dumps({**json.loads(lines[line - 1]), **text})
     lines[line - 1] = text + "\n"
     path.write_text("".join(lines))
     capsys.readouterr()
@@ -109,11 +115,19 @@ def test_all_produces_reports(tmp_path):
 
 
 def test_scene_whose_vehicle_never_moved_is_skipped(tmp_path, caplog):
-    # With 30% of detections dropped on seed 2, one scene keeps too little
-    # of its vehicle for a heading; extract skips it and goes on.
+    # near_miss's vehicle is detected standing still at one pixel while the
+    # pedestrian crosses: the scene has no vehicle heading, so extract skips
+    # it and goes on.
     caplog.set_level(logging.INFO, logger="crossrisk.stages")
-    assert _run("all", "--out-dir", str(tmp_path), "--seed", "2",
-                "--drop-probability", "0.3") == 0
+    assert _run("synth", "--out-dir", str(tmp_path)) == 0
+    path = tmp_path / "near_miss" / "detections.jsonl"
+    header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+    vehicle = [r for r in rows if r["class"] == "vehicle"]
+    for r in vehicle:
+        r.update(x=vehicle[0]["x"], y=vehicle[0]["y"])
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *rows]))
+    for stage in ("segment", "track", "extract", "analyze", "report"):
+        assert _run(stage, "--out-dir", str(tmp_path)) == 0
     assert (tmp_path / "report" / "speed_stats.csv").exists()
     assert "and 1 whose vehicle never moved" in caplog.text
 
