@@ -119,6 +119,11 @@ def _parse_line(line: str, line_number: int, config: SpotConfig,
     if frame < previous_frame:
         raise NonMonotoneFrame(
             line_number, f"frame {frame} after frame {previous_frame}")
+    if frame % config.frame_skip:
+        # The tracker walks frames at this stride and would never see it.
+        raise MalformedRecord(
+            line_number,
+            f"frame {frame} is not a multiple of frame_skip {config.frame_skip}")
     return DetectionRecord(
         spot_id=config.spot_id,
         frame_index=frame,

@@ -7,10 +7,15 @@ one output directory with one subdirectory per camera spot:
     out/<spot>/detections.jsonl    detector output (or synthetic)
     out/<spot>/truth.json          ground-truth sidecar (synthetic only)
     out/<spot>/scenes.jsonl        per-vehicle scene index
-    out/<spot>/trajectories.jsonl  one line per tracked point
+    out/<spot>/trajectories.jsonl  one line per scene point
     out/<spot>/features.jsonl      one feature bundle per scene
     out/analysis.json              the report's tables as one record
     out/report/*.csv               that record rendered as CSV
+
+The track stage runs the tracker once per run of overlapping scene
+windows, not once per scene, so a detection in several windows is tracked
+once; each scene then holds the points of the run's tracks that lie in its
+window, one line each.
 
 Stage files are self-describing: the first line names the schema. All
 writers sort their output canonically so results are byte-identical
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -63,12 +69,13 @@ SCHEMAS = {
 }
 
 
-def write_jsonl(path, schema_key: str, rows) -> None:
+def write_jsonl(path, schema_key: str, lines) -> None:
+    """A stage file: the schema header, then one line per encoded row."""
     try:
         with open(path, "w") as fh:
             fh.write(dumps_sorted({"schema": SCHEMAS[schema_key]}) + "\n")
-            for row in rows:
-                fh.write(dumps_sorted(row) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -229,7 +236,7 @@ def run_segment(cfg: PipelineConfig) -> None:
         spans = motion_gate.segment_scenes(
             records, motion_gate.hangover_frames_at(config.fps))
         write_jsonl(spot_dir / "scenes.jsonl", "scenes",
-                    (_span_record(s) for s in spans))
+                    (dumps_sorted(_span_record(s)) for s in spans))
         frames = sum((s.frame_end - s.frame_start) // config.frame_skip + 1
                      for s in spans)
         inter = sum(1 for s in spans if s.interactive)
@@ -262,46 +269,85 @@ def read_scenes(spot_dir: Path) -> list[SceneSpan]:
 # --- track stage --------------------------------------------------------------
 
 
-def _track_scene_job(args):
-    span_id, records, config, calib, params = args
+def scene_runs(spans: list[SceneSpan]) -> list[list[SceneSpan]]:
+    """The scene windows in maximal chains, in frame order: each window
+    starts at or before the end of the chain so far, so every frame from
+    a chain's first to its last lies in one of its windows."""
+    runs: list[list[SceneSpan]] = []
+    end = 0
+    for span in sorted(spans, key=lambda s: (s.frame_start, s.frame_end)):
+        if runs and span.frame_start <= end:
+            runs[-1].append(span)
+            end = max(end, span.frame_end)
+        else:
+            runs.append([span])
+            end = span.frame_end
+    return runs
+
+
+def _row_halves(cls: str, object_id: str, p: TrackPoint) -> tuple[str, str]:
+    """A point's `trajectories.jsonl` text before and after its scene id.
+
+    Rows of one point differ only in `scene_id`, which sorts between
+    `raw_px` and `smooth_px`, so `head + dumps_sorted(scene_id) + tail` is
+    `dumps_sorted` of the whole row.
+    """
+    head = dumps_sorted({"class": cls, "det": p.detection_id,
+                         "frame": p.frame, "object_id": object_id,
+                         "raw_px": p.raw_px})
+    tail = dumps_sorted({"smooth_px": p.smooth_px, "t": p.t,
+                         "world": p.world})
+    return head[:-1] + ', "scene_id": ', ", " + tail[1:]
+
+
+def scene_lines(trajectories: list[Trajectory], scenes: list[SceneSpan]
+                ) -> list[tuple[str, list[str]]]:
+    """Each scene's `trajectories.jsonl` lines: the points of
+    `trajectories` (in object id order) whose frame lies in its window,
+    in (object id, frame) order. Each point is encoded once."""
+    out = [(s.scene_id, []) for s in scenes]
+    ids = [dumps_sorted(s.scene_id) for s in scenes]
+    for traj in trajectories:
+        frames = traj.frames
+        cls = traj.object_class.value
+        halves = [_row_halves(cls, traj.object_id, p) for p in traj.points]
+        for span, sid, (_, lines) in zip(scenes, ids, out):
+            if span.frame_start > frames[-1] or span.frame_end < frames[0]:
+                continue
+            lo = bisect_left(frames, span.frame_start)
+            hi = bisect_right(frames, span.frame_end)
+            lines.extend(head + sid + tail for head, tail in halves[lo:hi])
+    return out
+
+
+def _track_run_job(args):
+    scenes, records, config, calib, params = args
     trajectories = tracker.track_scene(records, params, calib,
                                        fps=config.fps,
                                        frame_stride=config.frame_skip)
-    rows = []
-    for traj in trajectories:
-        cls = traj.object_class.value
-        for p in traj.points:
-            rows.append({
-                "scene_id": span_id, "object_id": traj.object_id,
-                "class": cls, "frame": p.frame,
-                "t": p.t, "raw_px": list(p.raw_px),
-                "smooth_px": list(p.smooth_px), "world": list(p.world),
-                "det": p.detection_id,
-            })
-    return rows
+    return scene_lines(trajectories, scenes)
 
 
 def run_track(cfg: PipelineConfig) -> None:
-    from bisect import bisect_left, bisect_right
-
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
         calib = config.build_calibration()
         records = load_detections(spot_dir, config)
-        spans = read_scenes(spot_dir)
+        runs = scene_runs(read_scenes(spot_dir))
         frames = [r.frame_index for r in records]   # already frame-ordered
         jobs = []
-        for span in spans:
-            lo = bisect_left(frames, span.frame_start)
-            hi = bisect_right(frames, span.frame_end)
-            jobs.append((span.scene_id, records[lo:hi], config, calib,
-                         cfg.tracker))
-        results = _map_jobs(_track_scene_job, jobs, cfg.workers)
-        rows = [row for res in results for row in res]
-        rows.sort(key=lambda r: (r["scene_id"], r["object_id"], r["frame"]))
-        write_jsonl(spot_dir / "trajectories.jsonl", "trajectories", rows)
-        log.info("spot %s: tracked %d scenes, %d trajectory points",
-                 config.spot_id, len(spans), len(rows))
+        for run in runs:
+            lo = bisect_left(frames, run[0].frame_start)
+            hi = bisect_right(frames, max(s.frame_end for s in run))
+            jobs.append((run, records[lo:hi], config, calib, cfg.tracker))
+        results = _map_jobs(_track_run_job, jobs, cfg.workers)
+        per_scene = sorted((scene for res in results for scene in res),
+                           key=lambda scene: scene[0])
+        write_jsonl(spot_dir / "trajectories.jsonl", "trajectories",
+                    (line for _, lines in per_scene for line in lines))
+        log.info("spot %s: tracked %d scenes in %d runs, %d trajectory "
+                 "points", config.spot_id, len(per_scene), len(runs),
+                 sum(len(lines) for _, lines in per_scene))
 
 
 def read_trajectories(spot_dir: Path) -> dict[str, list[Trajectory]]:
@@ -451,7 +497,8 @@ def run_extract(cfg: PipelineConfig) -> None:
         results = _map_jobs(_extract_scene_job, jobs, cfg.workers)
         rows = sorted((r for r, _ in results if r is not None),
                       key=lambda r: r["scene_id"])
-        write_jsonl(spot_dir / "features.jsonl", "features", rows)
+        write_jsonl(spot_dir / "features.jsonl", "features",
+                    map(dumps_sorted, rows))
         skipped = Counter(why for _, why in results if why is not None)
         log.info("spot %s: extracted features for %d scenes, skipped %d "
                  "with no vehicle track and %d whose vehicle never moved",

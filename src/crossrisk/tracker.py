@@ -272,7 +272,8 @@ class TrackPoint:
 
 @dataclass
 class Trajectory:
-    """An indexed object's ordered track through one scene."""
+    """An indexed object's ordered track through a run of scenes, or
+    through one scene window as the extract stage reads it back."""
 
     object_id: str
     object_class: ObjectClass
@@ -294,13 +295,18 @@ class Trajectory:
 
 def track_scene(detections, params: TrackerParams, calib: Calibration,
                 fps: float, frame_stride: int = 1) -> list[Trajectory]:
-    """Run the full predict/assign/update loop over one scene.
+    """Run the full predict/assign/update loop over one run of scenes.
 
-    detections: frame-ordered DetectionRecord sequence (one scene's worth).
-    Frames are walked at the sampling stride from the first to the last
-    detected frame; a stride with no detections coasts every live track.
-    Returns one Trajectory per object identity, world-projected, with both
-    the raw contact points and the Kalman-smoothed ones.
+    detections: frame-ordered DetectionRecord sequence, the detections of
+    one run of overlapping scene windows (a single scene when its window
+    overlaps no other); the track stage cuts the tracks back to each
+    window. Frames are walked at the sampling stride from the first to the
+    last detected frame, so every frame must lie on that grid (ingest
+    rejects frames off it); a stride with no detections coasts every live
+    track.
+    Returns one Trajectory per object identity in object id order,
+    world-projected, with both the raw contact points and the
+    Kalman-smoothed ones.
     """
     records = list(detections)
     if not records:

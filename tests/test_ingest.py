@@ -81,15 +81,29 @@ def test_every_line_yields_a_record_or_a_diagnostic(config):
     lines = [
         '{"frame":0,"class":"vehicle","x":500,"y":500,"id":"a"}',
         'garbage',
-        '{"frame":1,"class":"pedestrian","x":600,"y":600,"id":"b"}',
-        '{"frame":1,"class":"vehicle","x":-5,"y":600,"id":"c"}',
-        '{"frame":2,"class":"vehicle","x":500,"y":500,"id":"d"}',
+        '{"frame":5,"class":"pedestrian","x":600,"y":600,"id":"b"}',
+        '{"frame":5,"class":"vehicle","x":-5,"y":600,"id":"c"}',
+        '{"frame":10,"class":"vehicle","x":500,"y":500,"id":"d"}',
     ]
     diagnostics = []
     records = parse_detections(lines, config, diagnostics=diagnostics)
     assert len(records) + len(diagnostics) == len(lines)
     assert [d.line_number for d in diagnostics] == [2, 4]
     assert [r.detection_id for r in records] == ["a", "b", "d"]
+
+
+def test_frame_off_the_sampling_grid_is_malformed(config):
+    # The tracker walks frames at the frame_skip stride (5 here), so a
+    # detection at frame 27 would never be tracked: it is a bad line.
+    lines = ['{"frame":25,"class":"vehicle","x":500,"y":500,"id":"a"}',
+             '{"frame":27,"class":"vehicle","x":510,"y":500,"id":"a"}',
+             '{"frame":30,"class":"vehicle","x":520,"y":500,"id":"a"}']
+    with pytest.raises(MalformedRecord, match="frame 27 is not a multiple"):
+        parse_detections(lines, config)
+    diagnostics = []
+    records = parse_detections(lines, config, diagnostics=diagnostics)
+    assert [r.frame_index for r in records] == [25, 30]
+    assert [d.line_number for d in diagnostics] == [2]
 
 
 def test_header_line_is_skipped(config):

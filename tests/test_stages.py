@@ -1,5 +1,6 @@
 import json
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,16 +21,26 @@ from crossrisk.features import (
 )
 from crossrisk.ingest import ObjectClass, dumps_sorted
 from crossrisk.motion_gate import SceneSpan
+from crossrisk import tracker
 from crossrisk.stages import (
+    PipelineConfig,
     _span_record,
     features_to_record,
+    load_detections,
+    load_spot_config,
     read_features,
     read_jsonl,
     read_scenes,
     record_to_features,
+    run_segment,
+    run_synth,
+    run_track,
+    scene_lines,
+    scene_runs,
     scene_vehicle,
     write_jsonl,
 )
+from crossrisk.tracker import TrackerParams, TrackPoint, Trajectory
 
 from oracles import make_traj
 
@@ -128,7 +139,7 @@ def _spans(draw):
 def test_scene_rows_round_trip_through_read_scenes(spans):
     with tempfile.TemporaryDirectory() as tmp:
         write_jsonl(Path(tmp) / "scenes.jsonl", "scenes",
-                    [_span_record(s) for s in spans])
+                    [dumps_sorted(_span_record(s)) for s in spans])
         assert read_scenes(Path(tmp)) == spans
 
 
@@ -153,7 +164,8 @@ def test_scene_type_proportions_replay_from_file(tmp_path):
     rows += [features_to_record(_bundle(scene_id=f"i{k:05d}", interactive=True))
              for k in range(1540)]
     spot_dir = tmp_path
-    write_jsonl(spot_dir / "features.jsonl", "features", rows)
+    write_jsonl(spot_dir / "features.jsonl", "features",
+                map(dumps_sorted, rows))
     bundles = read_features(spot_dir)
     stats = spot_speed_stats("A", bundles)
     assert stats.scenes_car_only == 2681
@@ -178,3 +190,110 @@ def test_scene_vehicle_prefers_hinted_track():
     # Unknown hint: fall back to the longest vehicle track.
     assert scene_vehicle([other, hinted, ped], "zz").object_id == "t0"
     assert scene_vehicle([ped], "v7") is None
+
+
+# Ids with JSON escapes and non-ASCII text; floats JSON writes unusually.
+_tricky_text = st.text(st.sampled_from('"\\/\n\t\x00aé漢😀'), max_size=5) \
+    | st.text(max_size=5)
+_tricky_floats = st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e300]) \
+    | st.floats()
+
+
+@st.composite
+def _runs(draw):
+    """Tracks and scene windows over frames 0..30, windows overlapping so
+    that a point may fall in none, one or several of them."""
+    point = st.tuples(_tricky_text, _tricky_floats, _tricky_floats,
+                      _tricky_floats, _tricky_floats, _tricky_floats)
+    tracks = []
+    for k, oid in enumerate(sorted(draw(st.sets(_tricky_text, max_size=4)))):
+        frames = sorted(draw(st.sets(st.integers(0, 30), min_size=1,
+                                     max_size=6)))
+        pts = [TrackPoint(frame=f, t=t, raw_px=(a, b), smooth_px=(c, d),
+                          world=(b, a), detection_id=det)
+               for f, (det, t, a, b, c, d) in zip(
+                   frames, draw(st.lists(point, min_size=len(frames),
+                                         max_size=len(frames))))]
+        tracks.append(Trajectory(oid, draw(st.sampled_from(ObjectClass)), pts))
+    scenes = []
+    for sid in draw(st.sets(_tricky_text, min_size=1, max_size=4)):
+        start = draw(st.integers(0, 30))
+        scenes.append(SceneSpan(sid, "v", start,
+                                start + draw(st.integers(0, 15)), False))
+    return tracks, scenes
+
+
+@given(_runs())
+def test_scene_lines_are_dumps_sorted_of_each_full_row(run):
+    tracks, scenes = run
+    expected = {
+        s.scene_id: [dumps_sorted({
+            "scene_id": s.scene_id, "object_id": t.object_id,
+            "class": t.object_class.value, "frame": p.frame, "t": p.t,
+            "raw_px": list(p.raw_px), "smooth_px": list(p.smooth_px),
+            "world": list(p.world), "det": p.detection_id})
+            for t in tracks for p in t.points
+            if s.frame_start <= p.frame <= s.frame_end]
+        for s in scenes}
+    assert dict(scene_lines(tracks, scenes)) == expected
+
+
+def _plain_rows(path):
+    """A stage file's rows read with plain json, apart from the stage
+    readers under test."""
+    with open(path) as fh:
+        fh.readline()
+        return [json.loads(line) for line in fh]
+
+
+def _tracked(tmp_path, **overrides):
+    cfg = PipelineConfig(out_dir=tmp_path, seed=3, **overrides)
+    run_synth(cfg)
+    run_segment(cfg)
+    run_track(cfg)
+    return cfg.spot_dirs()
+
+
+def test_each_scene_holds_each_detection_in_its_window_once(tmp_path):
+    # The oracle is detections.jsonl: tracking a run of overlapping windows
+    # once must still give every scene exactly the detections in its window.
+    spot_dirs = _tracked(tmp_path)
+    assert any(len(run) > 1 for d in spot_dirs
+               for run in scene_runs(read_scenes(d)))
+    for d in spot_dirs:
+        detections = _plain_rows(d / "detections.jsonl")
+        rows = _plain_rows(d / "trajectories.jsonl")
+        for scene in _plain_rows(d / "scenes.jsonl"):
+            lo, hi = scene["frame_start"], scene["frame_end"]
+            want = Counter((r["frame"], r["id"]) for r in detections
+                           if lo <= r["frame"] <= hi)
+            got = Counter((r["frame"], r["det"]) for r in rows
+                          if r["scene_id"] == scene["scene_id"])
+            assert got == want, (d.name, scene["scene_id"])
+            assert set(got.values()) == {1}
+
+
+def test_windows_that_overlap_no_other_are_tracked_alone(tmp_path):
+    # A run of one window is the window alone: its rows are those of the
+    # tracker run on that window's detections, as per-scene tracking gave.
+    (spot_dir,) = _tracked(tmp_path, corpus="bulk", bulk_scenes=12,
+                           noise_sigma=1.0)
+    spans = read_scenes(spot_dir)
+    assert [len(run) for run in scene_runs(spans)] == [1] * len(spans)
+    config = load_spot_config(spot_dir)
+    records = load_detections(spot_dir, config)
+    rows = []
+    for span in spans:
+        window = [r for r in records if span.contains(r.frame_index)]
+        for t in tracker.track_scene(window, TrackerParams(),
+                                     config.build_calibration(),
+                                     fps=config.fps,
+                                     frame_stride=config.frame_skip):
+            rows += [{"scene_id": span.scene_id, "object_id": t.object_id,
+                      "class": t.object_class.value, "frame": p.frame,
+                      "t": p.t, "raw_px": list(p.raw_px),
+                      "smooth_px": list(p.smooth_px), "world": list(p.world),
+                      "det": p.detection_id} for p in t.points]
+    rows.sort(key=lambda r: (r["scene_id"], r["object_id"], r["frame"]))
+    lines = (spot_dir / "trajectories.jsonl").read_text().splitlines()
+    assert lines[1:] == [dumps_sorted(r) for r in rows]
