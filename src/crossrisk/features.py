@@ -81,8 +81,6 @@ class PsmValue:
     seconds: float
     seconds_refined: float
     conflict_point: WorldPoint
-    ped_step_index: int
-    vehicle_step_index: int
 
 
 def speed_list(traj: Trajectory) -> list[float]:
@@ -408,8 +406,6 @@ def psm(vehicle: Trajectory, pedestrian: Trajectory) -> PsmValue:
                 seconds=float(vt[k] - pt[i]),
                 seconds_refined=t_veh - t_ped,
                 conflict_point=WorldPoint(x=x, y=y, t=t_ped),
-                ped_step_index=int(i),
-                vehicle_step_index=int(k),
             )
     raise NoConflict(
         f"{vehicle.object_id} and {pedestrian.object_id} paths do not conflict")

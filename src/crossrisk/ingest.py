@@ -41,7 +41,6 @@ class DetectionRecord:
     point (under the front bumper for vehicles, between the feet for
     pedestrians)."""
 
-    spot_id: str
     frame_index: int
     object_class: ObjectClass
     contact_point_px: tuple[float, float]
@@ -125,7 +124,6 @@ def _parse_line(line: str, line_number: int, config: SpotConfig,
             line_number,
             f"frame {frame} is not a multiple of frame_skip {config.frame_skip}")
     return DetectionRecord(
-        spot_id=config.spot_id,
         frame_index=frame,
         object_class=cls,
         contact_point_px=(float(x), float(y)),

@@ -7,7 +7,7 @@ one output directory with one subdirectory per camera spot:
     out/<spot>/detections.jsonl    detector output (or synthetic)
     out/<spot>/truth.json          ground-truth sidecar (synthetic only)
     out/<spot>/scenes.jsonl        per-vehicle scene index
-    out/<spot>/trajectories.jsonl  one line per scene point
+    out/<spot>/trajectories.jsonl  one line per scene point, point-major
     out/<spot>/features.jsonl      one feature bundle per scene
     out/analysis.json              the report's tables as one record
     out/report/*.csv               that record rendered as CSV
@@ -15,7 +15,10 @@ one output directory with one subdirectory per camera spot:
 The track stage runs the tracker once per run of overlapping scene
 windows, not once per scene, so a detection in several windows is tracked
 once; each scene then holds the points of the run's tracks that lie in its
-window, one line each.
+window, one line each. The runs are written in frame order and each run
+point by point: a point's lines for all the scenes that hold it follow
+one another and differ only in `scene_id`, so the extract stage decodes
+each point once and reuses it for the others.
 
 Stage files are self-describing: the first line names the schema. All
 writers sort their output canonically so results are byte-identical
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -95,14 +99,13 @@ def _typed(value, types=_NUMBER):
     return value
 
 
-def read_jsonl(path, schema_key: str, row=lambda r: r) -> list:
-    """The rows after a stage file's schema header, each passed through
-    `row`, which reads it into the stage's own type.
+def _read_lines(path, schema_key: str, decode) -> None:
+    """Pass each non-blank line after a stage file's schema header to
+    `decode`, which reads it into the stage's own type.
 
-    A wrong header, a line that is not JSON and a row that `row` cannot
+    A wrong header, a line that is not JSON and a row that `decode` cannot
     read all raise MalformedRecord with the line number.
     """
-    out = []
     n = 1
     try:
         with open(path) as fh:
@@ -114,8 +117,8 @@ def read_jsonl(path, schema_key: str, row=lambda r: r) -> list:
                     1, f"{path}: expected schema {SCHEMAS[schema_key]!r}, "
                     f"found {found!r}")
             for n, line in enumerate(fh, start=2):
-                if line.strip():
-                    out.append(row(json.loads(line)))
+                if not line.isspace():
+                    decode(line)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -124,6 +127,13 @@ def read_jsonl(path, schema_key: str, row=lambda r: r) -> list:
     except _SHAPE_ERRORS as exc:
         raise MalformedRecord(n, f"{path}: not a {schema_key} row "
                               f"({type(exc).__name__}: {exc})") from exc
+
+
+def read_jsonl(path, schema_key: str, row=lambda r: r) -> list:
+    """The rows after a stage file's schema header, each passed through
+    `row`; errors as `_read_lines` raises them."""
+    out = []
+    _read_lines(path, schema_key, lambda line: out.append(row(json.loads(line))))
     return out
 
 
@@ -301,23 +311,35 @@ def _row_halves(cls: str, object_id: str, p: TrackPoint) -> tuple[str, str]:
 
 
 def scene_lines(trajectories: list[Trajectory], scenes: list[SceneSpan]
-                ) -> list[tuple[str, list[str]]]:
-    """Each scene's `trajectories.jsonl` lines: the points of
-    `trajectories` (in object id order) whose frame lies in its window,
-    in (object id, frame) order. Each point is encoded once."""
-    out = [(s.scene_id, []) for s in scenes]
+                ) -> tuple[list[str], int]:
+    """A run's `trajectories.jsonl` lines, point-major, and the number of
+    distinct points they hold.
+
+    Tracks go in the order given (object id order) and points in frame
+    order. Right after each point come its rows for every scene whose
+    window holds its frame, in the order of `scenes`, so rows that differ
+    only in `scene_id` sit next to each other for `read_trajectories` to
+    reuse. Each point is encoded once; a point in no window is not written.
+    """
+    lines: list[str] = []
+    points = 0
     ids = [dumps_sorted(s.scene_id) for s in scenes]
     for traj in trajectories:
         frames = traj.frames
-        cls = traj.object_class.value
-        halves = [_row_halves(cls, traj.object_id, p) for p in traj.points]
-        for span, sid, (_, lines) in zip(scenes, ids, out):
+        in_scenes: list[list[str]] = [[] for _ in frames]
+        for span, sid in zip(scenes, ids):
             if span.frame_start > frames[-1] or span.frame_end < frames[0]:
                 continue
-            lo = bisect_left(frames, span.frame_start)
-            hi = bisect_right(frames, span.frame_end)
-            lines.extend(head + sid + tail for head, tail in halves[lo:hi])
-    return out
+            for i in range(bisect_left(frames, span.frame_start),
+                           bisect_right(frames, span.frame_end)):
+                in_scenes[i].append(sid)
+        cls = traj.object_class.value
+        for p, sids in zip(traj.points, in_scenes):
+            if sids:
+                head, tail = _row_halves(cls, traj.object_id, p)
+                lines += [head + sid + tail for sid in sids]
+                points += 1
+    return lines, points
 
 
 def _track_run_job(args):
@@ -341,39 +363,97 @@ def run_track(cfg: PipelineConfig) -> None:
             hi = bisect_right(frames, max(s.frame_end for s in run))
             jobs.append((run, records[lo:hi], config, calib, cfg.tracker))
         results = _map_jobs(_track_run_job, jobs, cfg.workers)
-        per_scene = sorted((scene for res in results for scene in res),
-                           key=lambda scene: scene[0])
         write_jsonl(spot_dir / "trajectories.jsonl", "trajectories",
-                    (line for _, lines in per_scene for line in lines))
-        log.info("spot %s: tracked %d scenes in %d runs, %d trajectory "
-                 "points", config.spot_id, len(per_scene), len(runs),
-                 sum(len(lines) for _, lines in per_scene))
+                    (line for lines, _ in results for line in lines))
+        log.info("spot %s: tracked %d scenes in %d runs, %d trajectory rows "
+                 "of %d distinct points", config.spot_id,
+                 sum(map(len, runs)), len(runs),
+                 sum(len(lines) for lines, _ in results),
+                 sum(points for _, points in results))
 
 
-def read_trajectories(spot_dir: Path) -> dict[str, list[Trajectory]]:
-    """Trajectories grouped by scene, rebuilt from the dump."""
-    by_scene: dict[str, dict[str, list[TrackPoint]]] = {}
-    classes: dict[tuple[str, str], ObjectClass] = {}
+_CLASSES = {c.value: c for c in ObjectClass}
+_NUMBERS = frozenset(_NUMBER)
+_SCENE_KEY = '"scene_id": "'
+# The text of a JSON string that holds no escape: no quote, backslash or
+# control character.
+_plain_string = re.compile(r'[^"\\\x00-\x1f]*').fullmatch
 
-    def add(r: dict) -> None:
-        pt = TrackPoint(frame=_typed(r["frame"], (int,)), t=_typed(r["t"]),
-                        raw_px=tuple(r["raw_px"]),
-                        smooth_px=tuple(map(_typed, r["smooth_px"])),
-                        world=tuple(map(_typed, r["world"])),
-                        detection_id=r["det"])
-        by_scene.setdefault(r["scene_id"], {}).setdefault(
-            r["object_id"], []).append(pt)
-        classes[(r["scene_id"], r["object_id"])] = ObjectClass(r["class"])
 
-    read_jsonl(spot_dir / "trajectories.jsonl", "trajectories", add)
-    out: dict[str, list[Trajectory]] = {}
+def read_trajectories(spot_dir: Path
+                      ) -> tuple[dict[str, list[Trajectory]], int, int]:
+    """Trajectories grouped by scene, rebuilt from the dump, with the
+    number of rows read and of rows decoded in full.
+
+    A point's rows for its several scenes sit next to each other and
+    differ only in `scene_id` (see `scene_lines`), so a row reuses the
+    point, object id and class of the previous fully decoded row when it
+    is that row with only its scene id's text changed:
+    - the previous row holds no backslash and the key `"scene_id"` once,
+      written `"scene_id": "`, with a plain string value equal to the
+      decoded scene id;
+    - the new row starts with the previous row's text up to that value
+      (head) and ends with the text from the value's closing quote on
+      (tail), and is at least as long as the two together;
+    - the text between them holds no quote, backslash or control
+      character, so plain `json` would read it as that very scene id.
+    Every other row is decoded in full and its values checked.
+    """
+    by_scene: dict[str, dict[str, Trajectory]] = {}
+    rows = decoded = 0
+    head = tail = None
+    cut = rest = 0
+    traj_id = cls = pt = None
+
+    def add(scene_id, object_id, object_class, point) -> None:
+        tracks = by_scene.get(scene_id)
+        if tracks is None:
+            tracks = by_scene[scene_id] = {}
+        traj = tracks.get(object_id)
+        if traj is None:
+            tracks[object_id] = Trajectory(object_id, object_class, [point])
+        else:
+            traj.object_class = object_class
+            traj.points.append(point)
+
+    def row(line: str) -> None:
+        nonlocal rows, decoded, head, tail, cut, rest, traj_id, cls, pt
+        rows += 1
+        if (head is not None and len(line) >= cut + rest
+                and line.startswith(head) and line.endswith(tail)):
+            scene_id = line[cut:len(line) - rest]
+            if _plain_string(scene_id):
+                add(scene_id, traj_id, cls, pt)
+                return
+        r = json.loads(line)
+        frame, t = r["frame"], r["t"]
+        smooth, world = tuple(r["smooth_px"]), tuple(r["world"])
+        if type(frame) is not int or not _NUMBERS.issuperset(
+                map(type, (t, *smooth, *world))):
+            raise TypeError(f"expected an integer frame and numbers in t, "
+                            f"smooth_px and world, got {frame!r}, {t!r}, "
+                            f"{list(smooth)!r}, {list(world)!r}")
+        scene_id, traj_id = r["scene_id"], r["object_id"]
+        cls = _CLASSES[r["class"]]
+        pt = TrackPoint(frame, t, tuple(r["raw_px"]), smooth, world, r["det"])
+        add(scene_id, traj_id, cls, pt)
+        decoded += 1
+        head = None
+        if (type(scene_id) is str and "\\" not in line
+                and line.count('"scene_id"') == 1):
+            start = line.find(_SCENE_KEY) + len(_SCENE_KEY)
+            end = line.find('"', start)
+            if start >= len(_SCENE_KEY) and line[start:end] == scene_id:
+                head, tail = line[:start], line[end:]
+                cut, rest = start, len(line) - end
+
+    _read_lines(spot_dir / "trajectories.jsonl", "trajectories", row)
+    out = {}
     for scene_id, tracks in by_scene.items():
-        out[scene_id] = [
-            Trajectory(object_id=oid, object_class=classes[(scene_id, oid)],
-                       points=sorted(pts, key=lambda p: p.frame))
-            for oid, pts in sorted(tracks.items())
-        ]
-    return out
+        for traj in tracks.values():
+            traj.points.sort(key=lambda p: p.frame)
+        out[scene_id] = [tracks[oid] for oid in sorted(tracks)]
+    return out, rows, decoded
 
 
 # --- extract stage --------------------------------------------------------------
@@ -491,19 +571,20 @@ def run_extract(cfg: PipelineConfig) -> None:
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
         calib = config.build_calibration()
-        per_scene = read_trajectories(spot_dir)
+        per_scene, rows, decoded = read_trajectories(spot_dir)
         jobs = [(span, per_scene.get(span.scene_id, []), config, calib,
                  cfg.features) for span in read_scenes(spot_dir)]
         results = _map_jobs(_extract_scene_job, jobs, cfg.workers)
-        rows = sorted((r for r, _ in results if r is not None),
-                      key=lambda r: r["scene_id"])
+        records = sorted((r for r, _ in results if r is not None),
+                         key=lambda r: r["scene_id"])
         write_jsonl(spot_dir / "features.jsonl", "features",
-                    map(dumps_sorted, rows))
+                    map(dumps_sorted, records))
         skipped = Counter(why for _, why in results if why is not None)
-        log.info("spot %s: extracted features for %d scenes, skipped %d "
-                 "with no vehicle track and %d whose vehicle never moved",
-                 config.spot_id, len(rows), skipped[_NO_VEHICLE],
-                 skipped[_NEVER_MOVED])
+        log.info("spot %s: read %d trajectory rows, %d decoded in full; "
+                 "extracted features for %d scenes, skipped %d with no "
+                 "vehicle track and %d whose vehicle never moved",
+                 config.spot_id, rows, decoded, len(records),
+                 skipped[_NO_VEHICLE], skipped[_NEVER_MOVED])
 
 
 def read_features(spot_dir: Path) -> list[SceneFeatures]:

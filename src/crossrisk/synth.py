@@ -256,7 +256,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
         for k in np.nonzero(visible)[0]:
             frame = int(frames[k])
             keyed.append((frame, agent.agent_id, DetectionRecord(
-                spot_id=config.spot_id, frame_index=frame,
+                frame_index=frame,
                 object_class=agent.object_class,
                 contact_point_px=(float(ex[k]), float(ey[k])),
                 detection_id=agent.agent_id)))

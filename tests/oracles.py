@@ -30,8 +30,8 @@ def make_traj(object_id, object_class, frames, world, fps=25.0,
     return Trajectory(object_id=object_id, object_class=object_class, points=pts)
 
 
-def make_detection(frame, cls, x, y, det_id, spot="t"):
-    return DetectionRecord(spot_id=spot, frame_index=frame, object_class=cls,
+def make_detection(frame, cls, x, y, det_id):
+    return DetectionRecord(frame_index=frame, object_class=cls,
                            contact_point_px=(float(x), float(y)),
                            detection_id=det_id)
 

@@ -96,9 +96,11 @@ def test_stage_files_are_self_describing(tmp_path):
     assert _run("synth", "--out-dir", str(tmp_path)) == 0
     assert _run("segment", "--out-dir", str(tmp_path)) == 0
     spot = tmp_path / "single_pass"
-    first = (spot / "detections.jsonl").open().readline()
+    with open(spot / "detections.jsonl") as fh:
+        first = fh.readline()
     assert json.loads(first)["schema"] == SCHEMAS["detections"]
-    first = (spot / "scenes.jsonl").open().readline()
+    with open(spot / "scenes.jsonl") as fh:
+        first = fh.readline()
     assert json.loads(first)["schema"] == SCHEMAS["scenes"]
 
 

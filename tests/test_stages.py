@@ -31,6 +31,7 @@ from crossrisk.stages import (
     read_features,
     read_jsonl,
     read_scenes,
+    read_trajectories,
     record_to_features,
     run_segment,
     run_synth,
@@ -223,19 +224,121 @@ def _runs(draw):
     return tracks, scenes
 
 
+def _full_row(scene, track, p):
+    return {"scene_id": scene.scene_id, "object_id": track.object_id,
+            "class": track.object_class.value, "frame": p.frame, "t": p.t,
+            "raw_px": list(p.raw_px), "smooth_px": list(p.smooth_px),
+            "world": list(p.world), "det": p.detection_id}
+
+
 @given(_runs())
 def test_scene_lines_are_dumps_sorted_of_each_full_row(run):
+    # Point-major: each point of each track, then its row for every scene
+    # whose window holds it. Each line is the full row's canonical text.
     tracks, scenes = run
-    expected = {
-        s.scene_id: [dumps_sorted({
-            "scene_id": s.scene_id, "object_id": t.object_id,
-            "class": t.object_class.value, "frame": p.frame, "t": p.t,
-            "raw_px": list(p.raw_px), "smooth_px": list(p.smooth_px),
-            "world": list(p.world), "det": p.detection_id})
-            for t in tracks for p in t.points
-            if s.frame_start <= p.frame <= s.frame_end]
-        for s in scenes}
-    assert dict(scene_lines(tracks, scenes)) == expected
+    expected = [dumps_sorted(_full_row(s, t, p))
+                for t in tracks for p in t.points for s in scenes
+                if s.frame_start <= p.frame <= s.frame_end]
+    points = sum(1 for t in tracks for p in t.points
+                 if any(s.frame_start <= p.frame <= s.frame_end
+                        for s in scenes))
+    assert scene_lines(tracks, scenes) == (expected, points)
+
+
+def _plain_id(text):
+    """Whether JSON writes `text` with no escape at all."""
+    return dumps_sorted(text) == f'"{text}"'
+
+
+@given(_runs())
+def test_trajectory_lines_read_back_as_each_scenes_cut_of_the_tracks(run):
+    tracks, scenes = run
+    expected = {}
+    for s in scenes:
+        cut = [Trajectory(t.object_id, t.object_class,
+                          [p for p in t.points
+                           if s.frame_start <= p.frame <= s.frame_end])
+               for t in tracks]
+        if cut := [t for t in cut if t.points]:
+            expected[s.scene_id] = cut
+    lines, points = scene_lines(tracks, scenes)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_jsonl(Path(tmp) / "trajectories.jsonl", "trajectories", lines)
+        per_scene, rows, decoded = read_trajectories(Path(tmp))
+    # repr tells -0.0 from 0.0 and matches NaN to NaN.
+    assert repr(sorted(per_scene.items())) == repr(sorted(expected.items()))
+    assert rows == len(lines) and points <= decoded <= rows
+    ids = [s.scene_id for s in scenes] + [t.object_id for t in tracks] \
+        + [p.detection_id for t in tracks for p in t.points]
+    if all(map(_plain_id, ids)):
+        # Nothing escaped: each point is decoded once, its other rows reused.
+        assert decoded == points
+
+
+def _json_reference(path):
+    """Trajectories per scene read with plain json alone."""
+    tracks = {}
+    for r in _plain_rows(path):
+        t = tracks.setdefault((r["scene_id"], r["object_id"]),
+                              Trajectory(r["object_id"], None, []))
+        t.object_class = ObjectClass(r["class"])
+        t.points.append(TrackPoint(r["frame"], r["t"], tuple(r["raw_px"]),
+                                   tuple(r["smooth_px"]), tuple(r["world"]),
+                                   r["det"]))
+    out = {}
+    for (scene_id, _), t in sorted(tracks.items()):
+        t.points.sort(key=lambda p: p.frame)
+        out.setdefault(scene_id, []).append(t)
+    return out
+
+
+def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
+    track = make_traj("t0", ObjectClass.VEHICLE, [0, 5, 10],
+                      [(1.5, 2.0), (3.0, -0.0), (4.25, 1e-300)],
+                      det_ids=["v0", "v0", "v0"])
+    p0, p1, p2 = track.points
+    row = lambda sid, p=p0: _full_row(SceneSpan(sid, "v0", 0, 0, False),
+                                      track, p)
+    canonical = dumps_sorted(row("s0001"))
+    escaped_det = dumps_sorted({**row("s11", p2), "det": "vé"})
+    lines = [
+        canonical,
+        dumps_sorted(row("s0002")),                    # reused
+        canonical.replace('"s0001"', '"s\\u0030"'),    # escaped id: "s0"
+        canonical,
+        canonical.replace('"s0001"', '"s\\"1"'),       # id holding a quote
+        canonical,
+        canonical.replace('"s0001"', '"s"'),           # shorter id, reused
+        canonical.replace('"s0001"', '""'),            # empty id, reused
+        canonical.replace('"s0001"', '"s3", "scene_id": "s4"'),  # duplicate
+        canonical.replace('"s0001"', '"s3", "scene_id": "s3"'),
+        canonical.replace('"s0001"', '"s5", "scene_id": "s3"'),
+        json.dumps(row("s6", p1)),                     # keys in another order
+        json.dumps({**row("s6", p2), "class": "pedestrian"}),   # last wins
+        json.dumps(row("s7", p1)).replace(": ", ":  "),    # extra spaces
+        json.dumps(row("s8", p1)).replace(": ", ":  "),
+        dumps_sorted(row("s9", p2)).replace("}", " }"),
+        dumps_sorted(row("s10", p2)),
+        escaped_det,                                   # a backslash elsewhere
+        escaped_det.replace('"s11"', '"s12"'),
+    ]
+    path = tmp_path / "trajectories.jsonl"
+    write_jsonl(path, "trajectories", lines)
+    per_scene, rows, decoded = read_trajectories(tmp_path)
+    assert per_scene == _json_reference(path)
+    assert set(per_scene) == {"s0001", "s0002", "s0", 's"1', "s", "", "s4",
+                              "s3", "s6", "s7", "s8", "s9", "s10", "s11",
+                              "s12"}
+    assert (rows, decoded) == (len(lines), len(lines) - 3)
+    # Not JSON, reused or not: a raw control character in the id, and a
+    # row where the previous row's head and tail overlap.
+    for bad in (canonical.replace('"s0001"', '"s\t1"'),
+                canonical.replace('"scene_id": "s0001"', '"scene_id": "')):
+        write_jsonl(path, "trajectories", [canonical, bad])
+        with pytest.raises(json.JSONDecodeError):
+            _json_reference(path)
+        with pytest.raises(MalformedRecord, match="^line 3: "):
+            read_trajectories(tmp_path)
 
 
 def _plain_rows(path):
