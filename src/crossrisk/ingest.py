@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import geometry
 from .errors import (
@@ -179,8 +179,21 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _flag(doc: dict, key: str) -> bool:
+    value = _require(doc, key)
+    if type(value) is not bool:
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def parse_spot_config(document: str | dict) -> SpotConfig:
-    """Parse and validate a spot configuration JSON document."""
+    """Parse and validate a spot configuration JSON document.
+
+    An absent field raises MissingField and unusable correspondences
+    DegenerateCalibration; text that is not JSON, or a value of the wrong
+    shape, raises what reading it raises, which `stages.load_spot_config`
+    reports as MalformedRecord.
+    """
     doc = json.loads(document) if isinstance(document, str) else document
     calibration = [
         ((float(c["pixel"][0]), float(c["pixel"][1])),
@@ -206,9 +219,9 @@ def parse_spot_config(document: str | dict) -> SpotConfig:
         spot_id=str(_require(doc, "spot_id")),
         crosswalk_length_m=crosswalk_length,
         lanes=int(_require(doc, "lanes")),
-        signalized=bool(_require(doc, "signalized")),
-        school_zone=bool(_require(doc, "school_zone")),
-        speed_camera=bool(_require(doc, "speed_camera")),
+        signalized=_flag(doc, "signalized"),
+        school_zone=_flag(doc, "school_zone"),
+        speed_camera=_flag(doc, "speed_camera"),
         speed_limit_kmh=float(_require(doc, "speed_limit_kmh")),
         frame_size=frame_size,
         fps=fps,
@@ -228,22 +241,5 @@ def parse_spot_config(document: str | dict) -> SpotConfig:
 
 def spot_config_to_dict(config: SpotConfig) -> dict:
     """Inverse of parse_spot_config, for dump/load round trips."""
-    return {
-        "spot_id": config.spot_id,
-        "crosswalk_length_m": config.crosswalk_length_m,
-        "lanes": config.lanes,
-        "signalized": config.signalized,
-        "school_zone": config.school_zone,
-        "speed_camera": config.speed_camera,
-        "speed_limit_kmh": config.speed_limit_kmh,
-        "frame_size": list(config.frame_size),
-        "fps": config.fps,
-        "frame_skip": config.frame_skip,
-        "calibration": [
-            {"pixel": list(px), "world": list(w)} for px, w in config.calibration],
-        "crosswalk_polygon_world": [list(p) for p in config.crosswalk_polygon_world],
-        "sidewalk_polygons_world": [
-            [list(p) for p in poly] for poly in config.sidewalk_polygons_world],
-        "approach_direction_world": list(config.approach_direction_world),
-        "cia_buffer_m": config.cia_buffer_m,
-    }
+    return {**asdict(config), "calibration": [
+        {"pixel": list(px), "world": list(w)} for px, w in config.calibration]}

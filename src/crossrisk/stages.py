@@ -165,11 +165,17 @@ class PipelineConfig:
 
 
 def load_spot_config(spot_dir: Path) -> SpotConfig:
+    path = spot_dir / "config.json"
     try:
-        text = (spot_dir / "config.json").read_text()
+        return parse_spot_config(path.read_text())
     except OSError as exc:
-        raise IoFailure(f"cannot read {spot_dir}/config.json: {exc}") from exc
-    return parse_spot_config(text)
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(exc.lineno,
+                              f"{path}: invalid JSON ({exc.msg})") from exc
+    except _SHAPE_ERRORS as exc:
+        raise MalformedRecord(1, f"{path}: not a spot config "
+                              f"({type(exc).__name__}: {exc})") from exc
 
 
 def load_detections(spot_dir: Path, config: SpotConfig):
@@ -220,13 +226,8 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
         spot_dir.mkdir(exist_ok=True)
         (spot_dir / "config.json").write_text(
             json.dumps(spot_config_to_dict(spec.config), sort_keys=True, indent=1))
-        try:
-            with open(spot_dir / "detections.jsonl", "w") as fh:
-                fh.write(dumps_sorted({"schema": SCHEMAS["detections"]}) + "\n")
-                for rec in records:
-                    fh.write(format_detection(rec) + "\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write detections: {exc}") from exc
+        write_jsonl(spot_dir / "detections.jsonl", "detections",
+                    map(format_detection, records))
         (spot_dir / "truth.json").write_text(
             json.dumps({"schema": SCHEMAS["truth"], **_truth_record(truth)},
                        sort_keys=True))
@@ -426,14 +427,15 @@ def read_trajectories(spot_dir: Path
                 add(scene_id, traj_id, cls, pt)
                 return
         r = json.loads(line)
-        frame, t = r["frame"], r["t"]
+        frame, t, traj_id = r["frame"], r["t"], r["object_id"]
         smooth, world = tuple(r["smooth_px"]), tuple(r["world"])
-        if type(frame) is not int or not _NUMBERS.issuperset(
-                map(type, (t, *smooth, *world))):
-            raise TypeError(f"expected an integer frame and numbers in t, "
-                            f"smooth_px and world, got {frame!r}, {t!r}, "
+        if (type(frame) is not int or type(traj_id) is not str
+                or not _NUMBERS.issuperset(map(type, (t, *smooth, *world)))):
+            raise TypeError(f"expected an integer frame, a string object_id "
+                            f"and numbers in t, smooth_px and world, got "
+                            f"{frame!r}, {traj_id!r}, {t!r}, "
                             f"{list(smooth)!r}, {list(world)!r}")
-        scene_id, traj_id = r["scene_id"], r["object_id"]
+        scene_id = r["scene_id"]
         cls = _CLASSES[r["class"]]
         pt = TrackPoint(frame, t, tuple(r["raw_px"]), smooth, world, r["det"])
         add(scene_id, traj_id, cls, pt)
@@ -459,6 +461,31 @@ def read_trajectories(spot_dir: Path
 # --- extract stage --------------------------------------------------------------
 
 
+# Each SceneFeatures attribute written unchanged, and its `features.jsonl`
+# key. The zone lists, the stop flag and the `pedestrians` map are encoded
+# by hand in `features_to_record` and `record_to_features`.
+_FEATURE_KEYS = {
+    "scene_id": "scene_id",
+    "spot_id": "spot_id",
+    "frame_start": "frame_start",
+    "frame_end": "frame_end",
+    "interactive": "interactive",
+    "vehicle_id": "vehicle_id",
+    "vehicle_speeds_kmh": "vehicle_speed_kmh",
+    "vehicle_accelerations": "vehicle_acceleration_list",
+    "vehicle_acceleration_runs": "vehicle_acceleration_runs",
+    "crosswalk_distances_m": "crosswalk_distance_m",
+    "stop_distance_m": "stop_distance_m",
+    "distances_m": "vehicle_pedestrian_distance_m",
+    "relative_positions": "relative_position_list",
+    "psm_seconds": "psm_seconds",
+    "psm_seconds_refined": "psm_seconds_refined",
+    "ped_in_crossing_area": "pedestrian_in_crossing_area",
+}
+_VEHICLE_ZONES = {z.value: z for z in VehicleZone}
+_PEDESTRIAN_ZONES = {z.value: z for z in PedestrianZone}
+
+
 def features_to_record(f: SceneFeatures) -> dict:
     """One `features.jsonl` record for a bundle.
 
@@ -467,31 +494,15 @@ def features_to_record(f: SceneFeatures) -> dict:
     speeds and `position_list` only when it has zones, so
     `record_to_features` gives back the same bundle.
     """
-    return {
-        "scene_id": f.scene_id,
-        "spot_id": f.spot_id,
-        "frame_start": f.frame_start,
-        "frame_end": f.frame_end,
-        "interactive": f.interactive,
-        "vehicle_id": f.vehicle_id,
-        "vehicle_speed_kmh": f.vehicle_speeds_kmh,
-        "vehicle_position_list": [z.value for z in f.vehicle_zones],
-        "vehicle_acceleration_list": f.vehicle_accelerations,
-        "vehicle_acceleration_runs": f.vehicle_acceleration_runs,
-        "crosswalk_distance_m": f.crosswalk_distances_m,
-        "car_stop_before_crosswalk": "stop" if f.stopped else "no stop",
-        "stop_distance_m": f.stop_distance_m,
-        "pedestrians": {
-            pid: _pedestrian_record(f, pid)
-            for pid in sorted(f.pedestrian_speeds_kmh.keys()
-                              | f.pedestrian_zones.keys())
-        },
-        "vehicle_pedestrian_distance_m": f.distances_m,
-        "relative_position_list": f.relative_positions,
-        "psm_seconds": f.psm_seconds,
-        "psm_seconds_refined": f.psm_seconds_refined,
-        "pedestrian_in_crossing_area": f.ped_in_crossing_area,
+    record = {key: getattr(f, attr) for attr, key in _FEATURE_KEYS.items()}
+    record["vehicle_position_list"] = [z.value for z in f.vehicle_zones]
+    record["car_stop_before_crosswalk"] = "stop" if f.stopped else "no stop"
+    record["pedestrians"] = {
+        pid: _pedestrian_record(f, pid)
+        for pid in sorted(f.pedestrian_speeds_kmh.keys()
+                          | f.pedestrian_zones.keys())
     }
+    return record
 
 
 def _pedestrian_record(f: SceneFeatures, pid: str) -> dict:
@@ -504,32 +515,22 @@ def _pedestrian_record(f: SceneFeatures, pid: str) -> dict:
 
 
 def record_to_features(r: dict) -> SceneFeatures:
-    return SceneFeatures(
-        scene_id=r["scene_id"],
-        spot_id=r["spot_id"],
-        frame_start=r["frame_start"],
-        frame_end=r["frame_end"],
-        interactive=r["interactive"],
-        vehicle_id=r["vehicle_id"],
-        vehicle_speeds_kmh=[_typed(v) for v in r["vehicle_speed_kmh"]],
-        vehicle_zones=[VehicleZone(z) for z in r["vehicle_position_list"]],
-        vehicle_accelerations=r["vehicle_acceleration_list"],
-        vehicle_acceleration_runs=r["vehicle_acceleration_runs"],
-        crosswalk_distances_m=r["crosswalk_distance_m"],
+    peds = r["pedestrians"]
+    f = SceneFeatures(
+        **{attr: r[key] for attr, key in _FEATURE_KEYS.items()},
+        vehicle_zones=[_VEHICLE_ZONES[z] for z in r["vehicle_position_list"]],
         stopped=r["car_stop_before_crosswalk"] == "stop",
-        stop_distance_m=_typed(r["stop_distance_m"], _NUMBER_OR_NONE),
         pedestrian_speeds_kmh={
-            pid: p["speed_kmh"] for pid, p in r["pedestrians"].items()
-            if "speed_kmh" in p},
+            pid: p["speed_kmh"] for pid, p in peds.items() if "speed_kmh" in p},
         pedestrian_zones={
-            pid: [PedestrianZone(z) for z in p["position_list"]]
-            for pid, p in r["pedestrians"].items() if "position_list" in p},
-        distances_m=r["vehicle_pedestrian_distance_m"],
-        relative_positions=r["relative_position_list"],
-        psm_seconds=_typed(r["psm_seconds"], _NUMBER_OR_NONE),
-        psm_seconds_refined=r["psm_seconds_refined"],
-        ped_in_crossing_area=r["pedestrian_in_crossing_area"],
+            pid: [_PEDESTRIAN_ZONES[z] for z in p["position_list"]]
+            for pid, p in peds.items() if "position_list" in p},
     )
+    for v in f.vehicle_speeds_kmh:
+        _typed(v)
+    _typed(f.stop_distance_m, _NUMBER_OR_NONE)
+    _typed(f.psm_seconds, _NUMBER_OR_NONE)
+    return f
 
 
 def scene_vehicle(trajectories: list[Trajectory], hint: str) -> Trajectory | None:

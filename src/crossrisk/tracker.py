@@ -180,16 +180,17 @@ class Assignment:
     unmatched_tracks: list[str]
 
 
-def _reference_point(track: TrackState, predicted: TrackState,
+def _reference_point(track: TrackState,
                      params: TrackerParams) -> tuple[float, float]:
-    if params.use_prediction:
-        return predicted.position
-    return track.points[-1][1] if track.points else track.position
+    return track.position if params.use_prediction else track.points[-1][1]
 
 
-def assign(tracks: dict[str, TrackState], predicted: dict[str, TrackState],
-           detections: list[DetectionRecord], params: TrackerParams) -> Assignment:
+def assign(tracks: dict[str, TrackState], detections: list[DetectionRecord],
+           params: TrackerParams) -> Assignment:
     """Match same-class detections to tracks by smallest gated distance.
+
+    `tracks` are the live tracks predicted to this frame; without
+    prediction each is matched from its last consumed point instead.
 
     Greedy mode sorts every in-gate (track, detection) pair by distance and
     consumes them first-come; ties break on detection id then track id so
@@ -205,7 +206,7 @@ def assign(tracks: dict[str, TrackState], predicted: dict[str, TrackState],
          else pedestrians).append(det)
     candidates = []
     for tid, track in tracks.items():
-        ref = _reference_point(track, predicted[tid], params)
+        ref = _reference_point(track, params)
         gate = params.gate_for(track.object_class)
         same_class = (vehicles if track.object_class is ObjectClass.VEHICLE
                       else pedestrians)
@@ -217,7 +218,7 @@ def assign(tracks: dict[str, TrackState], predicted: dict[str, TrackState],
     matches: dict[str, DetectionRecord] = {}
     used_dets: set[str] = set()
     if params.assignment == "optimal" and candidates:
-        matches = _optimal_matches(tracks, predicted, detections, params)
+        matches = _optimal_matches(tracks, detections, params)
         used_dets = {d.detection_id for d in matches.values()}
     else:
         for d, det_id, tid, det in sorted(
@@ -232,7 +233,7 @@ def assign(tracks: dict[str, TrackState], predicted: dict[str, TrackState],
     return Assignment(matches, unmatched_dets, unmatched_tracks)
 
 
-def _optimal_matches(tracks, predicted, detections, params):
+def _optimal_matches(tracks, detections, params):
     from scipy.optimize import linear_sum_assignment
 
     matches: dict[str, DetectionRecord] = {}
@@ -246,7 +247,7 @@ def _optimal_matches(tracks, predicted, detections, params):
         big = 1e9
         cost = np.full((len(tids), len(dets)), big)
         for i, tid in enumerate(tids):
-            ref = _reference_point(tracks[tid], predicted[tid], params)
+            ref = _reference_point(tracks[tid], params)
             for j, det in enumerate(dets):
                 d = math.dist(ref, det.contact_point_px)
                 if d <= gate:
@@ -324,12 +325,12 @@ def track_scene(detections, params: TrackerParams, calib: Calibration,
 
     for frame in range(first, last + 1, frame_stride):
         dets = sorted(by_frame.get(frame, ()), key=lambda d: d.detection_id)
-        predicted = {tid: kalman_predict(t, params.process_noise)
-                     for tid, t in live.items()}
-        result = assign(live, predicted, dets, params)
+        live = {tid: kalman_predict(t, params.process_noise)
+                for tid, t in live.items()}
+        result = assign(live, dets, params)
 
         for tid, det in result.matches.items():
-            state = kalman_update(predicted[tid], det.contact_point_px,
+            state = kalman_update(live[tid], det.contact_point_px,
                                   params.measurement_noise)
             state.misses = 0
             state.points.append((frame, det.contact_point_px))
@@ -338,13 +339,11 @@ def track_scene(detections, params: TrackerParams, calib: Calibration,
             live[tid] = state
 
         for tid in result.unmatched_tracks:
-            state = predicted[tid]
+            state = live[tid]
             state.misses += 1
             if state.misses > params.max_coast_frames:
                 finished.append(state)
                 del live[tid]
-            else:
-                live[tid] = state
 
         for det in result.unmatched_detections:
             tid = f"t{counter:04d}"

@@ -356,7 +356,8 @@ def test_emit_report_table_five_shape(tmp_path):
                                     _scene(scene_id="s1", speeds=[20.0],
                                            interactive=True)])]
     emit_report(tmp_path, analysis_record(stats, [], [], None))
-    rows = list(csv.DictReader(open(tmp_path / "speed_stats.csv")))
+    with open(tmp_path / "speed_stats.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["spot"] == "A"
     assert set(rows[0]) == {"spot", "max_kmh", "min_kmh", "mean_kmh",
                             "car_only_mean_kmh", "interactive_mean_kmh"}

@@ -92,6 +92,30 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, document, problem):
     assert err.startswith("crossrisk: error: ") and problem in err
 
 
+@pytest.mark.parametrize("key, value", [
+    (None, None),                                  # the file cut mid-object
+    ("calibration", [{"world": [0.0, 0.0]}]),      # an entry without "pixel"
+    ("fps", "fast"),
+    ("lanes", None),
+    ("signalized", "false"),
+])
+def test_bad_spot_config_is_data_error(tmp_path, capsys, key, value):
+    assert _run("synth", "--out-dir", str(tmp_path), "--seed", "3") == 0
+    path = tmp_path / "single_pass" / "config.json"
+    text = path.read_text()
+    if key is None:
+        text = text[:len(text) // 2]
+    else:
+        text = json.dumps({**json.loads(text), key: value})
+    path.write_text(text)
+    capsys.readouterr()
+    assert _run("segment", "--out-dir", str(tmp_path),
+                "--spot", "single_pass") == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert f"{path}: " in diagnostic["message"]
+
+
 def test_stage_files_are_self_describing(tmp_path):
     assert _run("synth", "--out-dir", str(tmp_path)) == 0
     assert _run("segment", "--out-dir", str(tmp_path)) == 0

@@ -341,6 +341,19 @@ def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
             read_trajectories(tmp_path)
 
 
+def test_trajectory_row_with_a_number_for_object_id_is_malformed(tmp_path):
+    # A scene whose object ids mix a string and a number could not be
+    # sorted; the row fails on its own line instead.
+    track = make_traj("t0", ObjectClass.VEHICLE, [0], [(1.5, 2.0)],
+                      det_ids=["v0"])
+    row = _full_row(SceneSpan("s0", "v0", 0, 0, False), track,
+                    track.points[0])
+    write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
+                [dumps_sorted(row), dumps_sorted({**row, "object_id": 5})])
+    with pytest.raises(MalformedRecord, match="^line 3: .*object_id"):
+        read_trajectories(tmp_path)
+
+
 def _plain_rows(path):
     """A stage file's rows read with plain json, apart from the stage
     readers under test."""

@@ -142,12 +142,12 @@ def test_assign_prefers_prediction_over_last_position():
     assert math.dist(a.points[-1][1], det_d.contact_point_px) < \
         math.dist(a.points[-1][1], det_c.contact_point_px)
 
-    result = assign(tracks, predicted, [det_c, det_d], PARAMS)
+    result = assign(predicted, [det_c, det_d], PARAMS)
     assert result.matches["a"].detection_id == "c"
     assert result.matches["b"].detection_id == "d"
 
     nn = TrackerParams(use_prediction=False)
-    swapped = assign(tracks, predicted, [det_c, det_d], nn)
+    swapped = assign(predicted, [det_c, det_d], nn)
     assert swapped.matches["a"].detection_id == "d"
 
 
@@ -155,7 +155,7 @@ def test_assign_single_in_gate_detection():
     a = _track_with_velocity("a", (100.0, 100.0), (0.0, 0.0))
     predicted = {"a": kalman_predict(a, 0.0)}
     det = make_detection(1, ObjectClass.VEHICLE, 110.0, 100.0, "d0")
-    result = assign({"a": a}, predicted, [det], PARAMS)
+    result = assign(predicted, [det], PARAMS)
     assert result.matches["a"].detection_id == "d0"
     assert not result.unmatched_detections
 
@@ -165,7 +165,7 @@ def test_assign_beyond_gate_spawns_new_track():
     predicted = {"a": kalman_predict(a, 0.0)}
     det = make_detection(1, ObjectClass.VEHICLE,
                          100.0 + PARAMS.gate_threshold_vehicle + 1.0, 100.0, "d0")
-    result = assign({"a": a}, predicted, [det], PARAMS)
+    result = assign(predicted, [det], PARAMS)
     assert not result.matches
     assert result.unmatched_detections == [det]
     assert result.unmatched_tracks == ["a"]
@@ -176,7 +176,7 @@ def test_assign_classes_never_mix():
                              cls=ObjectClass.PEDESTRIAN)
     predicted = {"a": kalman_predict(a, 0.0)}
     det = make_detection(1, ObjectClass.VEHICLE, 101.0, 100.0, "d0")
-    result = assign({"a": a}, predicted, [det], PARAMS)
+    result = assign(predicted, [det], PARAMS)
     assert not result.matches
 
 
@@ -192,10 +192,10 @@ def test_assignment_invariant_under_detection_permutation():
             predicted[t.object_id] = kalman_predict(t, 0.0)
         dets = [make_detection(1, ObjectClass.VEHICLE, *rng.uniform(0, 500, 2),
                                det_id=f"d{k}") for k in range(5)]
-        base = assign(tracks, predicted, dets, PARAMS)
+        base = assign(predicted, dets, PARAMS)
         perm = list(dets)
         rng.shuffle(perm)
-        again = assign(tracks, predicted, perm, PARAMS)
+        again = assign(predicted, perm, PARAMS)
         assert {t: d.detection_id for t, d in base.matches.items()} == \
             {t: d.detection_id for t, d in again.matches.items()}
         # No detection is consumed twice.
@@ -309,6 +309,6 @@ def test_optimal_assignment_mode():
     # (a->d1, b->d0) has lower total cost.
     d0 = make_detection(1, ObjectClass.VEHICLE, 12.0, 0.0, "d0")
     d1 = make_detection(1, ObjectClass.VEHICLE, 1.0, 0.0, "d1")
-    result = assign({"a": a, "b": b}, predicted, [d0, d1], params)
+    result = assign(predicted, [d0, d1], params)
     assert result.matches["a"].detection_id == "d1"
     assert result.matches["b"].detection_id == "d0"
