@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,11 +93,12 @@ def speed_list(traj: Trajectory) -> list[float]:
     """
     if len(traj) < 2:
         raise TooShort(f"trajectory {traj.object_id} has {len(traj)} points")
-    world = traj.world_array()
-    times = traj.times()
-    d = np.linalg.norm(np.diff(world, axis=0), axis=1)
-    dt = np.diff(times)
-    return [float(v) for v in d / dt * MPS_TO_KMH]
+    speeds = []
+    for a, b in zip(traj.points, traj.points[1:]):
+        dx = b.world[0] - a.world[0]
+        dy = b.world[1] - a.world[1]
+        speeds.append(math.sqrt(dx * dx + dy * dy) / (b.t - a.t) * MPS_TO_KMH)
+    return speeds
 
 
 def low_pass(values: list[float], alpha: float) -> list[float]:
@@ -154,38 +156,51 @@ def collapse_runs(states: list[str]) -> list[str]:
 # --- polygon helpers --------------------------------------------------------
 
 
-def point_in_polygon(point, polygon) -> bool:
-    """Ray-casting point-in-polygon test (even-odd rule)."""
-    x, y = point
+def _edges(polygon) -> list[tuple[float, float, float, float, float, float]]:
+    """Each edge (x1, y1) -> (x2, y2) of a polygon, closing edge included,
+    as (x1, y1, y2, x2 - x1, y2 - y1, squared length)."""
+    out = []
+    for (x1, y1), (x2, y2) in zip(polygon, [*polygon[1:], *polygon[:1]]):
+        dx, dy = x2 - x1, y2 - y1
+        out.append((x1, y1, y2, dx, dy, dx * dx + dy * dy))
+    return out
+
+
+def _inside(x: float, y: float, edges) -> bool:
+    """Ray-casting point-in-polygon test (even-odd rule) on `_edges`."""
     inside = False
-    n = len(polygon)
-    for i in range(n):
-        x1, y1 = polygon[i]
-        x2, y2 = polygon[(i + 1) % n]
-        if (y1 <= y) != (y2 <= y):
-            xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xi:
-                inside = not inside
+    for x1, y1, y2, dx, dy, _ in edges:
+        if (y1 <= y) != (y2 <= y) and x < x1 + (y - y1) * dx / dy:
+            inside = not inside
     return inside
 
 
-def _point_segment_distance(p, a, b) -> float:
-    px, py = p[0] - a[0], p[1] - a[1]
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    seg2 = dx * dx + dy * dy
-    if seg2 < 1e-18:
-        return math.hypot(px, py)
-    u = max(0.0, min(1.0, (px * dx + py * dy) / seg2))
-    return math.hypot(px - u * dx, py - u * dy)
+def _edge_distance(x: float, y: float, edges) -> float:
+    """Distance from (x, y) to the nearest of `_edges`."""
+    best = None
+    for x1, y1, _, dx, dy, seg2 in edges:
+        px, py = x - x1, y - y1
+        if seg2 < 1e-18:
+            d = math.hypot(px, py)
+        else:
+            u = max(0.0, min(1.0, (px * dx + py * dy) / seg2))
+            d = math.hypot(px - u * dx, py - u * dy)
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def point_in_polygon(point, polygon) -> bool:
+    """Ray-casting point-in-polygon test (even-odd rule)."""
+    return _inside(point[0], point[1], _edges(polygon))
 
 
 def distance_to_polygon(point, polygon) -> float:
     """Distance to the polygon boundary; zero for interior points."""
-    if point_in_polygon(point, polygon):
+    edges = _edges(polygon)
+    if _inside(point[0], point[1], edges):
         return 0.0
-    n = len(polygon)
-    return min(_point_segment_distance(point, polygon[i], polygon[(i + 1) % n])
-               for i in range(n))
+    return _edge_distance(point[0], point[1], edges)
 
 
 def _convex_hull(points):
@@ -228,46 +243,80 @@ def cia_polygon(config: SpotConfig) -> list[tuple[float, float]]:
     return _convex_hull(shifted)
 
 
-def classify_zones(traj: Trajectory, config: SpotConfig):
+class SpotZones:
+    """A spot's zone geometry, each part prepared on first use and kept:
+    the crosswalk's edges and centroid, the sidewalks' edges and the CIA
+    hull's edges. The extract stage makes one per spot."""
+
+    def __init__(self, config: SpotConfig):
+        self.config = config
+
+    @cached_property
+    def crosswalk(self):
+        polygon = self.config.crosswalk_polygon_world
+        if not polygon:
+            raise MissingPolygons(
+                f"spot {self.config.spot_id} has no crosswalk polygon")
+        centroid = (sum(p[0] for p in polygon) / len(polygon),
+                    sum(p[1] for p in polygon) / len(polygon))
+        return _edges(polygon), centroid
+
+    @cached_property
+    def sidewalks(self):
+        return [_edges(poly) for poly in self.config.sidewalk_polygons_world]
+
+    @cached_property
+    def cia(self):
+        return _edges(cia_polygon(self.config))
+
+
+def vehicle_zones(traj: Trajectory, zones: SpotZones
+                  ) -> tuple[list[VehicleZone], list[float]]:
+    """Zone label and distance to the crosswalk boundary per vehicle
+    point, from one inside test per point.
+
+    On the crosswalk polygon (distance 0), else before/after by the signed
+    position along the approach direction relative to the crosswalk
+    center.
+    """
+    crosswalk, (cx, cy) = zones.crosswalk
+    ax, ay = zones.config.approach_direction_world
+    labels = []
+    distances = []
+    for p in traj.points:
+        x, y = p.world
+        if _inside(x, y, crosswalk):
+            labels.append(VehicleZone.ON)
+            distances.append(0.0)
+        else:
+            ahead = (x - cx) * ax + (y - cy) * ay
+            labels.append(VehicleZone.BEFORE if ahead < 0 else VehicleZone.AFTER)
+            distances.append(_edge_distance(x, y, crosswalk))
+    return labels, distances
+
+
+def classify_zones(traj: Trajectory, zones: SpotZones):
     """Zone label per trajectory point.
 
-    Vehicles: on the crosswalk polygon, else before/after by the signed
-    position along the approach direction relative to the crosswalk center.
-    Pedestrians: crosswalk, then sidewalk, then the crosswalk influenced
-    area (CIA), then road.
+    Vehicles: as `vehicle_zones` labels them. Pedestrians: crosswalk, then
+    sidewalk, then the crosswalk influenced area (CIA), then road.
     """
-    if not config.crosswalk_polygon_world:
-        raise MissingPolygons(f"spot {config.spot_id} has no crosswalk polygon")
-    crosswalk = config.crosswalk_polygon_world
-    world = [p.world for p in traj.points]
-
     if traj.object_class is ObjectClass.VEHICLE:
-        cx = sum(p[0] for p in crosswalk) / len(crosswalk)
-        cy = sum(p[1] for p in crosswalk) / len(crosswalk)
-        ax, ay = config.approach_direction_world
-        zones = []
-        for x, y in world:
-            if point_in_polygon((x, y), crosswalk):
-                zones.append(VehicleZone.ON)
-            elif (x - cx) * ax + (y - cy) * ay < 0:
-                zones.append(VehicleZone.BEFORE)
-            else:
-                zones.append(VehicleZone.AFTER)
-        return zones
-
-    cia = cia_polygon(config)
-    zones = []
-    for x, y in world:
-        if point_in_polygon((x, y), crosswalk):
-            zones.append(PedestrianZone.CROSSWALK)
-        elif any(point_in_polygon((x, y), poly)
-                 for poly in config.sidewalk_polygons_world):
-            zones.append(PedestrianZone.SIDEWALK)
-        elif point_in_polygon((x, y), cia):
-            zones.append(PedestrianZone.CIA)
+        return vehicle_zones(traj, zones)[0]
+    crosswalk, _ = zones.crosswalk
+    sidewalks, cia = zones.sidewalks, zones.cia
+    labels = []
+    for p in traj.points:
+        x, y = p.world
+        if _inside(x, y, crosswalk):
+            labels.append(PedestrianZone.CROSSWALK)
+        elif any(_inside(x, y, s) for s in sidewalks):
+            labels.append(PedestrianZone.SIDEWALK)
+        elif _inside(x, y, cia):
+            labels.append(PedestrianZone.CIA)
         else:
-            zones.append(PedestrianZone.ROAD)
-    return zones
+            labels.append(PedestrianZone.ROAD)
+    return labels
 
 
 def stop_window(speeds: list[float], zones: list[VehicleZone],
@@ -292,14 +341,6 @@ def stop_window(speeds: list[float], zones: list[VehicleZone],
     return False, []
 
 
-def crosswalk_distances(traj: Trajectory, config: SpotConfig) -> list[float]:
-    """Per-frame distance from the vehicle to the crosswalk boundary."""
-    if not config.crosswalk_polygon_world:
-        raise MissingPolygons(f"spot {config.spot_id} has no crosswalk polygon")
-    return [distance_to_polygon(p.world, config.crosswalk_polygon_world)
-            for p in traj.points]
-
-
 def pairwise_distances(vehicle: Trajectory, pedestrian: Trajectory,
                        ) -> tuple[list[int], list[float]]:
     """Euclidean vehicle-pedestrian distance per shared frame."""
@@ -314,20 +355,20 @@ def pairwise_distances(vehicle: Trajectory, pedestrian: Trajectory,
 
 def _world_headings(traj: Trajectory, calib: Calibration | None) -> list[tuple[float, float]]:
     """Per-point heading from the smoothed path, carried through pauses."""
-    sm = np.array([p.smooth_px for p in traj.points])
     if calib is not None:
-        path = calib.to_world_many(sm)
+        path = calib.to_world_many(
+            np.array([p.smooth_px for p in traj.points])).tolist()
     else:
-        path = traj.world_array()
-    diffs = np.diff(path, axis=0)
-    headings: list[tuple[float, float] | None] = [None] * len(traj.points)
+        path = [p.world for p in traj.points]
+    steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(path, path[1:])]
+    # Point k takes step k; the last point takes the last step.
+    headings: list[tuple[float, float] | None] = []
     last = None
-    for k in range(len(traj.points)):
-        d = diffs[min(k, len(diffs) - 1)] if len(diffs) else np.zeros(2)
-        if np.hypot(d[0], d[1]) > 1e-9:
-            last = (float(d[0]), float(d[1]))
-        headings[k] = last
-    if headings[-1] is None:
+    for d in steps + steps[-1:]:
+        if math.hypot(d[0], d[1]) > 1e-9:
+            last = d
+        headings.append(last)
+    if last is None:
         raise ZeroHeading(f"vehicle {traj.object_id} never moved")
     # Backfill leading stationary points with the first known heading.
     first = next(h for h in headings if h is not None)
@@ -456,10 +497,11 @@ class SceneFeatures:
 
 
 def extract_scene_features(scene_id: str, vehicle: Trajectory,
-                           pedestrians: list[Trajectory], config: SpotConfig,
+                           pedestrians: list[Trajectory], spot: SpotZones,
                            calib: Calibration,
                            params: FeatureParams | None = None) -> SceneFeatures:
-    """Compute the whole feature bundle for one scene.
+    """Compute the whole feature bundle for one scene of the spot whose
+    zones `spot` holds.
 
     Vehicle-pedestrian lists run against the nearest pedestrian per frame;
     PSM runs against the overall nearest pedestrian and is None when their
@@ -468,11 +510,10 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
     params = params or FeatureParams()
 
     speeds = speed_list(vehicle) if len(vehicle) >= 2 else []
-    zones = classify_zones(vehicle, config)
+    zones, cw_dists = vehicle_zones(vehicle, spot)
     filtered = low_pass(speeds, params.alpha)
     accel = (acceleration_list(filtered, params.epsilon_kmh, zones=zones)
              if len(filtered) >= 2 else [])
-    cw_dists = crosswalk_distances(vehicle, config)
     stopped, window = stop_window(speeds, zones, params.stop_tolerance_kmh,
                                   params.stop_min_steps)
     stop_distance = min((cw_dists[j] for j in window), default=None)
@@ -486,7 +527,7 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
     for ped in pedestrians:
         by_id[ped.object_id] = ped
         ped_speeds[ped.object_id] = speed_list(ped) if len(ped) >= 2 else []
-        ped_zones[ped.object_id] = classify_zones(ped, config)
+        ped_zones[ped.object_id] = classify_zones(ped, spot)
         for p in ped.points:
             if p.frame in vw:
                 d = math.dist(vw[p.frame], p.world)
@@ -521,7 +562,7 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
     frames = vehicle.frames
     return SceneFeatures(
         scene_id=scene_id,
-        spot_id=config.spot_id,
+        spot_id=spot.config.spot_id,
         frame_start=frames[0],
         frame_end=frames[-1],
         interactive=bool(common),

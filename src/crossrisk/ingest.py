@@ -5,16 +5,19 @@ as line-delimited JSON records, one detected object per line:
 
     {"frame": 0, "class": "vehicle", "x": 512.0, "y": 400.0, "id": "d0"}
 
-A leading header line of the form {"schema": "..."} is accepted and skipped
-so stage files can be self-describing. Confidence scores, when present, are
-accepted and ignored.
+Stage files are self-describing, so the first line is skipped when it is
+a header: a JSON object whose only key is "schema", with a string value,
+e.g. {"schema": "crossrisk/detections/v1"}. Any other first line is read
+as a detection. Confidence scores, when present, are accepted and ignored.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import geometry
 from .errors import (
@@ -29,14 +32,49 @@ from .errors import (
 # builds a new JSONEncoder on every call. Same bytes as that call.
 dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def json_line(line: str):
+    """`json.loads(line)` for a line that holds one JSON value, read by the
+    decoder's C scanner without `json.loads`' Python layers.
+
+    The value must start the line and end it, before an optional final
+    newline; for any other line, and for text that is not JSON,
+    `json.loads` gives the result or raises its error.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        return json.loads(line)
+    if end != len(line) and line[end:] != "\n":
+        return json.loads(line)
+    return value
+
+
+# The pieces of a row template that writes what `dumps_sorted` writes:
+# strings escaped to ASCII, and numbers through `int.__repr__` and
+# `float.__repr__` rather than `repr`, so a numpy float64 reads like the
+# float it is.
+json_str = json.encoder.encode_basestring_ascii
+json_int = int.__repr__
+json_float = float.__repr__
+
+
+def json_nonfinite(text: str) -> str:
+    """`text`, `json_float` outputs between key text that holds no "n",
+    with NaN and the infinities spelt as `json` spells them."""
+    if "n" not in text:
+        return text
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
 
 class ObjectClass(enum.Enum):
     VEHICLE = "vehicle"
     PEDESTRIAN = "pedestrian"
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(NamedTuple):
     """One detected object in one frame, positioned by its ground contact
     point (under the front bumper for vehicles, between the feet for
     pedestrians)."""
@@ -87,48 +125,9 @@ _CLASS_NAMES = {
 }
 
 
-def _parse_line(line: str, line_number: int, config: SpotConfig,
-                previous_frame: int) -> DetectionRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(line_number, f"invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise MalformedRecord(line_number, "record is not an object")
-    try:
-        frame = obj["frame"]
-        cls_name = obj["class"]
-        x = obj["x"]
-        y = obj["y"]
-        det_id = obj["id"]
-    except KeyError as exc:
-        raise MalformedRecord(line_number, f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(frame, int) or isinstance(frame, bool) or frame < 0:
-        raise MalformedRecord(line_number, f"frame must be a non-negative integer, got {frame!r}")
-    cls = _CLASS_NAMES.get(str(cls_name).lower())
-    if cls is None:
-        raise MalformedRecord(line_number, f"unknown class {cls_name!r}")
-    if (not isinstance(x, (int, float)) or not isinstance(y, (int, float))
-            or isinstance(x, bool) or isinstance(y, bool)):
-        raise MalformedRecord(line_number, "x and y must be numbers")
-    w, h = config.frame_size
-    if not (0 <= x < w and 0 <= y < h):
-        raise OutOfBounds(
-            line_number, f"point ({x}, {y}) outside frame {w}x{h}")
-    if frame < previous_frame:
-        raise NonMonotoneFrame(
-            line_number, f"frame {frame} after frame {previous_frame}")
-    if frame % config.frame_skip:
-        # The tracker walks frames at this stride and would never see it.
-        raise MalformedRecord(
-            line_number,
-            f"frame {frame} is not a multiple of frame_skip {config.frame_skip}")
-    return DetectionRecord(
-        frame_index=frame,
-        object_class=cls,
-        contact_point_px=(float(x), float(y)),
-        detection_id=str(det_id),
-    )
+def _is_header(obj) -> bool:
+    return (type(obj) is dict and len(obj) == 1
+            and type(obj.get("schema")) is str)
 
 
 def parse_detections(stream, config: SpotConfig,
@@ -137,40 +136,83 @@ def parse_detections(stream, config: SpotConfig,
     """Parse line-delimited detection records in frame order.
 
     stream is an iterable of lines (an open text file works). Blank lines
-    and a leading schema header line are skipped. When diagnostics is None
-    the first bad line raises; when a list is supplied, each bad line
-    appends one ParseDiagnostic and parsing continues, so every data line
-    yields exactly one record or one diagnostic.
+    and a schema header on line 1 (see the module docstring) are skipped.
+    When diagnostics is None the first bad line raises; when a list is
+    supplied, each bad line appends one ParseDiagnostic and parsing
+    continues, so every data line yields exactly one record or one
+    diagnostic.
     """
     records: list[DetectionRecord] = []
+    w, h = config.frame_size
+    skip = config.frame_skip
     previous_frame = 0
     for line_number, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
-        if line_number == 1 and '"schema"' in line:
-            continue
         try:
-            rec = _parse_line(line, line_number, config, previous_frame)
+            try:
+                obj = json_line(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(
+                    line_number, f"invalid JSON ({exc.msg})") from exc
+            if line_number == 1 and _is_header(obj):
+                continue
+            if type(obj) is not dict:
+                raise MalformedRecord(line_number, "record is not an object")
+            try:
+                frame = obj["frame"]
+                cls_name = obj["class"]
+                x = obj["x"]
+                y = obj["y"]
+                det_id = obj["id"]
+            except KeyError as exc:
+                raise MalformedRecord(
+                    line_number, f"missing field {exc.args[0]!r}") from exc
+            if type(frame) is not int or frame < 0:
+                raise MalformedRecord(
+                    line_number,
+                    f"frame must be a non-negative integer, got {frame!r}")
+            cls = _CLASS_NAMES.get(str(cls_name).lower())
+            if cls is None:
+                raise MalformedRecord(line_number, f"unknown class {cls_name!r}")
+            # `type(v) in (int, float)` leaves out bool.
+            if type(x) not in (int, float) or type(y) not in (int, float):
+                raise MalformedRecord(line_number, "x and y must be numbers")
+            if not (0 <= x < w and 0 <= y < h):
+                raise OutOfBounds(
+                    line_number, f"point ({x}, {y}) outside frame {w}x{h}")
+            if frame < previous_frame:
+                raise NonMonotoneFrame(
+                    line_number, f"frame {frame} after frame {previous_frame}")
+            if frame % skip:
+                # The tracker walks frames at this stride and would never
+                # see it.
+                raise MalformedRecord(
+                    line_number,
+                    f"frame {frame} is not a multiple of frame_skip {skip}")
         except MalformedRecord as exc:
             if diagnostics is None:
                 raise
             diagnostics.append(ParseDiagnostic(exc.line_number, str(exc)))
             continue
-        previous_frame = rec.frame_index
-        records.append(rec)
+        previous_frame = frame
+        records.append(DetectionRecord(frame, cls, (float(x), float(y)),
+                                       str(det_id)))
     return records
 
 
 def format_detection(record: DetectionRecord) -> str:
-    """Serialize one record to the line format parse_detections reads."""
-    return dumps_sorted({
-        "frame": record.frame_index,
-        "class": record.object_class.value,
-        "x": record.contact_point_px[0],
-        "y": record.contact_point_px[1],
-        "id": record.detection_id,
-    })
+    """Serialize one record to the line format parse_detections reads.
+
+    The text is `dumps_sorted` of the record's row, written from that
+    layout's template: keys in sorted order, `json`'s separators and
+    escapes.
+    """
+    frame, cls, (x, y), det_id = record
+    return (f'{{"class": {json_str(cls.value)}, "frame": {json_int(frame)}, '
+            f'"id": {json_str(det_id)}, '
+            + json_nonfinite(f'"x": {json_float(x)}, "y": {json_float(y)}}}'))
 
 
 def _require(doc: dict, key: str):
@@ -186,18 +228,46 @@ def _flag(doc: dict, key: str) -> bool:
     return value
 
 
+def _real(value, what: str) -> float:
+    """A number as a float; an int is a number, a bool or text is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _pair(value, what: str, item=_real) -> tuple:
+    x, y = value
+    return (item(x, what), item(y, what))
+
+
+def _positive(value, what: str):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return value
+
+
 def parse_spot_config(document: str | dict) -> SpotConfig:
     """Parse and validate a spot configuration JSON document.
 
+    Numbers are checked, not coerced: a bool or text where a number
+    belongs, or a float in `lanes`, `frame_skip` or `frame_size`, raises
+    TypeError, and a value out of range (`fps`, `crosswalk_length_m`,
+    `lanes`, `frame_skip` or a `frame_size` side not above 0) ValueError.
     An absent field raises MissingField and unusable correspondences
-    DegenerateCalibration; text that is not JSON, or a value of the wrong
-    shape, raises what reading it raises, which `stages.load_spot_config`
-    reports as MalformedRecord.
+    DegenerateCalibration; text that is not JSON, a value of the wrong
+    shape or out of range raises what reading it raises, which
+    `stages.load_spot_config` reports as MalformedRecord.
     """
     doc = json.loads(document) if isinstance(document, str) else document
     calibration = [
-        ((float(c["pixel"][0]), float(c["pixel"][1])),
-         (float(c["world"][0]), float(c["world"][1])))
+        (_pair(c["pixel"], "calibration pixel"),
+         _pair(c["world"], "calibration world"))
         for c in _require(doc, "calibration")
     ]
     if len(calibration) < 4:
@@ -207,35 +277,36 @@ def parse_spot_config(document: str | dict) -> SpotConfig:
             [c[1] for c in calibration]):
         raise DegenerateCalibration("3 collinear world points among the 4 used")
 
-    frame_size = tuple(int(v) for v in _require(doc, "frame_size"))
-    fps = float(_require(doc, "fps"))
-    frame_skip = int(doc.get("frame_skip", 1))
-    crosswalk_length = float(_require(doc, "crosswalk_length_m"))
-    if fps <= 0 or frame_skip < 1 or crosswalk_length <= 0:
-        raise MissingField(
-            "fps must be > 0, frame_skip >= 1, crosswalk_length_m > 0")
+    frame_size = _pair(_require(doc, "frame_size"), "frame_size", _integer)
+    for side in frame_size:
+        _positive(side, "frame_size")
 
     return SpotConfig(
         spot_id=str(_require(doc, "spot_id")),
-        crosswalk_length_m=crosswalk_length,
-        lanes=int(_require(doc, "lanes")),
+        crosswalk_length_m=_positive(_real(
+            _require(doc, "crosswalk_length_m"), "crosswalk_length_m"),
+            "crosswalk_length_m"),
+        lanes=_positive(_integer(_require(doc, "lanes"), "lanes"), "lanes"),
         signalized=_flag(doc, "signalized"),
         school_zone=_flag(doc, "school_zone"),
         speed_camera=_flag(doc, "speed_camera"),
-        speed_limit_kmh=float(_require(doc, "speed_limit_kmh")),
+        speed_limit_kmh=_real(_require(doc, "speed_limit_kmh"),
+                              "speed_limit_kmh"),
         frame_size=frame_size,
-        fps=fps,
-        frame_skip=frame_skip,
+        fps=_positive(_real(_require(doc, "fps"), "fps"), "fps"),
+        frame_skip=_positive(_integer(doc.get("frame_skip", 1), "frame_skip"),
+                             "frame_skip"),
         calibration=calibration,
         crosswalk_polygon_world=[
-            (float(p[0]), float(p[1]))
+            _pair(p, "crosswalk_polygon_world")
             for p in _require(doc, "crosswalk_polygon_world")],
         sidewalk_polygons_world=[
-            [(float(p[0]), float(p[1])) for p in poly]
+            [_pair(p, "sidewalk_polygons_world") for p in poly]
             for poly in _require(doc, "sidewalk_polygons_world")],
-        approach_direction_world=tuple(
-            float(v) for v in _require(doc, "approach_direction_world")),
-        cia_buffer_m=float(doc.get("cia_buffer_m", 3.0)),
+        approach_direction_world=_pair(
+            _require(doc, "approach_direction_world"),
+            "approach_direction_world"),
+        cia_buffer_m=_real(doc.get("cia_buffer_m", 3.0), "cia_buffer_m"),
     )
 
 

@@ -54,6 +54,11 @@ from .ingest import (
     SpotConfig,
     dumps_sorted,
     format_detection,
+    json_float,
+    json_int,
+    json_line,
+    json_nonfinite,
+    json_str,
     parse_detections,
     parse_spot_config,
     spot_config_to_dict,
@@ -133,7 +138,7 @@ def read_jsonl(path, schema_key: str, row=lambda r: r) -> list:
     """The rows after a stage file's schema header, each passed through
     `row`; errors as `_read_lines` raises them."""
     out = []
-    _read_lines(path, schema_key, lambda line: out.append(row(json.loads(line))))
+    _read_lines(path, schema_key, lambda line: out.append(row(json_line(line))))
     return out
 
 
@@ -299,16 +304,21 @@ def scene_runs(spans: list[SceneSpan]) -> list[list[SceneSpan]]:
 def _row_halves(cls: str, object_id: str, p: TrackPoint) -> tuple[str, str]:
     """A point's `trajectories.jsonl` text before and after its scene id.
 
-    Rows of one point differ only in `scene_id`, which sorts between
-    `raw_px` and `smooth_px`, so `head + dumps_sorted(scene_id) + tail` is
+    The row's template is `dumps_sorted`'s layout of the whole row: keys
+    in sorted order, `json`'s separators, escapes and number text. Rows of
+    one point differ only in `scene_id`, which sorts between `raw_px` and
+    `smooth_px`, so `head + dumps_sorted(scene_id) + tail` is
     `dumps_sorted` of the whole row.
     """
-    head = dumps_sorted({"class": cls, "det": p.detection_id,
-                         "frame": p.frame, "object_id": object_id,
-                         "raw_px": p.raw_px})
-    tail = dumps_sorted({"smooth_px": p.smooth_px, "t": p.t,
-                         "world": p.world})
-    return head[:-1] + ', "scene_id": ', ", " + tail[1:]
+    frame, t, (rx, ry), (sx, sy), (wx, wy), det = p
+    raw = json_nonfinite(f"{json_float(rx)}, {json_float(ry)}")
+    head = (f'{{"class": {json_str(cls)}, "det": {json_str(det)}, '
+            f'"frame": {json_int(frame)}, "object_id": {json_str(object_id)}, '
+            f'"raw_px": [{raw}], "scene_id": ')
+    tail = json_nonfinite(
+        f', "smooth_px": [{json_float(sx)}, {json_float(sy)}], '
+        f'"t": {json_float(t)}, "world": [{json_float(wx)}, {json_float(wy)}]}}')
+    return head, tail
 
 
 def scene_lines(trajectories: list[Trajectory], scenes: list[SceneSpan]
@@ -426,7 +436,7 @@ def read_trajectories(spot_dir: Path
             if _plain_string(scene_id):
                 add(scene_id, traj_id, cls, pt)
                 return
-        r = json.loads(line)
+        r = json_line(line)
         frame, t, traj_id = r["frame"], r["t"], r["object_id"]
         smooth, world = tuple(r["smooth_px"]), tuple(r["world"])
         if (type(frame) is not int or type(traj_id) is not str
@@ -554,7 +564,7 @@ _NEVER_MOVED = "never_moved"
 
 def _extract_scene_job(args) -> tuple[dict | None, str | None]:
     """The scene's feature record, or None and the reason it was skipped."""
-    span, trajectories, config, calib, params = args
+    span, trajectories, spot, calib, params = args
     vehicle = scene_vehicle(trajectories, span.vehicle_track_hint)
     if vehicle is None:
         return None, _NO_VEHICLE
@@ -562,7 +572,7 @@ def _extract_scene_job(args) -> tuple[dict | None, str | None]:
             if t.object_class is ObjectClass.PEDESTRIAN and len(t) > 0]
     try:
         bundle = feat.extract_scene_features(
-            span.scene_id, vehicle, peds, config, calib, params)
+            span.scene_id, vehicle, peds, spot, calib, params)
     except ZeroHeading:
         return None, _NEVER_MOVED
     return features_to_record(bundle), None
@@ -572,8 +582,9 @@ def run_extract(cfg: PipelineConfig) -> None:
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
         calib = config.build_calibration()
+        spot = feat.SpotZones(config)
         per_scene, rows, decoded = read_trajectories(spot_dir)
-        jobs = [(span, per_scene.get(span.scene_id, []), config, calib,
+        jobs = [(span, per_scene.get(span.scene_id, []), spot, calib,
                  cfg.features) for span in read_scenes(spot_dir)]
         results = _map_jobs(_extract_scene_job, jobs, cfg.workers)
         records = sorted((r for r, _ in results if r is not None),

@@ -213,7 +213,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
     tracks: dict[str, TrueTrack] = {}
     provenance: dict[tuple[int, str], str] = {}
     emitted_frames: dict[str, list[int]] = {a.agent_id: [] for a in spec.agents}
-    keyed: list[tuple[int, str, DetectionRecord]] = []
+    records: list[DetectionRecord] = []
 
     for agent in sorted(spec.agents, key=lambda a: a.agent_id):
         first = int(math.ceil(agent.t_start * fps / skip)) * skip
@@ -237,7 +237,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
 
         tracks[agent.agent_id] = TrueTrack(
             agent_id=agent.agent_id, object_class=agent.object_class,
-            frames=[int(f) for f in frames],
+            frames=frames.tolist(),
             world=list(zip(wx.tolist(), wy.tolist())),
             pixel=list(zip(px.tolist(), py.tolist())))
 
@@ -253,18 +253,16 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
                          0.0, w - 1e-6)
             ey = np.clip(ey + rng.normal(0.0, spec.noise_sigma, len(frames)),
                          0.0, h - 1e-6)
-        for k in np.nonzero(visible)[0]:
-            frame = int(frames[k])
-            keyed.append((frame, agent.agent_id, DetectionRecord(
-                frame_index=frame,
-                object_class=agent.object_class,
-                contact_point_px=(float(ex[k]), float(ey[k])),
-                detection_id=agent.agent_id)))
-            provenance[(frame, agent.agent_id)] = agent.agent_id
-            emitted_frames[agent.agent_id].append(frame)
+        aid, cls = agent.agent_id, agent.object_class
+        emitted = emitted_frames[aid]
+        for frame, x, y, seen in zip(frames.tolist(), ex.tolist(), ey.tolist(),
+                                     visible.tolist()):
+            if seen:
+                records.append(DetectionRecord(frame, cls, (x, y), aid))
+                provenance[(frame, aid)] = aid
+                emitted.append(frame)
 
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    records = [item[2] for item in keyed]
+    records.sort(key=lambda r: (r.frame_index, r.detection_id))
     spans = segment_scenes(records, hangover_frames_at(fps))
 
     vehicles = [a for a in spec.agents if a.object_class is ObjectClass.VEHICLE]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,8 +260,7 @@ def _optimal_matches(tracks, detections, params):
     return matches
 
 
-@dataclass(frozen=True)
-class TrackPoint:
+class TrackPoint(NamedTuple):
     """One trajectory sample: raw and smoothed pixels plus world meters."""
 
     frame: int
@@ -357,20 +357,11 @@ def track_scene(detections, params: TrackerParams, calib: Calibration,
 
     trajectories = []
     for state in sorted(finished, key=lambda s: s.object_id):
-        raw = state.points
         tid = state.object_id
-        raw_arr = np.array([p for _, p in raw])
-        world = calib.to_world_many(raw_arr)
-        pts = []
-        for k, (frame, point) in enumerate(raw):
-            pts.append(TrackPoint(
-                frame=frame,
-                t=frame / fps,
-                raw_px=point,
-                smooth_px=smoothed[tid][k],
-                world=(float(world[k, 0]), float(world[k, 1])),
-                detection_id=consumed[tid][k],
-            ))
+        world = calib.to_world_many(np.array([p for _, p in state.points]))
+        pts = [TrackPoint(frame, frame / fps, point, smooth, tuple(w), det)
+               for (frame, point), smooth, w, det in zip(
+                   state.points, smoothed[tid], world.tolist(), consumed[tid])]
         trajectories.append(Trajectory(object_id=tid,
                                        object_class=state.object_class,
                                        points=pts))

@@ -20,6 +20,7 @@ from crossrisk.features import (
     BEHIND,
     FRONT,
     NC,
+    SpotZones,
     VehicleZone,
     acceleration_list,
     classify_zones,
@@ -97,7 +98,8 @@ def test_criterion_1_zero_noise_end_to_end_fidelity():
                            if t.object_class is ObjectClass.VEHICLE)
             peds = [t for t in trajs
                     if t.object_class is ObjectClass.PEDESTRIAN]
-            bundle = extract_scene_features("s", vehicle, peds, config, calib)
+            bundle = extract_scene_features("s", vehicle, peds,
+                                            SpotZones(config), calib)
             assert bundle.psm_seconds is not None, spec.name
             assert abs(bundle.psm_seconds - truth.psm_seconds) <= fstep, spec.name
 
@@ -241,12 +243,12 @@ def test_criterion_6_feature_invariants():
             points.append(p)
     base = classify_zones(make_traj("p", ObjectClass.PEDESTRIAN,
                                     [5 * k for k in range(len(points))],
-                                    points), config)
+                                    points), SpotZones(config))
     jitter = rng.uniform(-0.01, 0.01, (len(points), 2))
     moved = [(x + dx, y + dy) for (x, y), (dx, dy) in zip(points, jitter)]
     assert classify_zones(make_traj("p", ObjectClass.PEDESTRIAN,
                                     [5 * k for k in range(len(points))],
-                                    moved), config) == base
+                                    moved), SpotZones(config)) == base
 
     # Exactly one Front -> Behind transition on a pass-by.
     veh = make_traj("v", ObjectClass.VEHICLE, steps,

@@ -18,12 +18,12 @@ from crossrisk.features import (
     NC,
     FeatureParams,
     PedestrianZone,
+    SpotZones,
     VehicleZone,
     acceleration_list,
     cia_polygon,
     classify_zones,
     collapse_runs,
-    crosswalk_distances,
     distance_to_polygon,
     extract_scene_features,
     low_pass,
@@ -33,6 +33,7 @@ from crossrisk.features import (
     relative_positions,
     speed_list,
     stop_window,
+    vehicle_zones,
 )
 from crossrisk.ingest import ObjectClass
 from crossrisk.synth import synthetic_spot_config
@@ -159,7 +160,7 @@ def test_vehicle_zone_ordering(config):
     xs = [-10.0, -4.0, -1.0, 0.0, 1.0, 4.0, 10.0]
     traj = make_traj("v", ObjectClass.VEHICLE, _steps(len(xs)),
                      [(x, -3.5) for x in xs])
-    zones = classify_zones(traj, config)
+    zones = classify_zones(traj, SpotZones(config))
     assert zones == [VehicleZone.BEFORE, VehicleZone.BEFORE, VehicleZone.ON,
                      VehicleZone.ON, VehicleZone.ON, VehicleZone.AFTER,
                      VehicleZone.AFTER]
@@ -170,7 +171,7 @@ def test_pedestrian_zone_sequence(config):
     # road) -> road (past the 3 m buffer).
     pts = [(0.0, 9.0), (0.0, 5.0), (3.0, 0.0), (6.0, 0.0)]
     traj = make_traj("p", ObjectClass.PEDESTRIAN, _steps(len(pts)), pts)
-    zones = classify_zones(traj, config)
+    zones = classify_zones(traj, SpotZones(config))
     assert zones == [PedestrianZone.SIDEWALK, PedestrianZone.CROSSWALK,
                      PedestrianZone.CIA, PedestrianZone.ROAD]
 
@@ -178,7 +179,7 @@ def test_pedestrian_zone_sequence(config):
 def test_pedestrian_all_crosswalk(config):
     traj = make_traj("p", ObjectClass.PEDESTRIAN, _steps(3),
                      [(0.0, -5.0), (0.0, 0.0), (0.0, 5.0)])
-    assert classify_zones(traj, config) == [PedestrianZone.CROSSWALK] * 3
+    assert classify_zones(traj, SpotZones(config)) == [PedestrianZone.CROSSWALK] * 3
 
 
 def test_missing_polygons(config):
@@ -186,7 +187,7 @@ def test_missing_polygons(config):
     bare = replace(config, crosswalk_polygon_world=[])
     traj = make_traj("p", ObjectClass.PEDESTRIAN, _steps(2), [(0, 0), (1, 0)])
     with pytest.raises(MissingPolygons):
-        classify_zones(traj, bare)
+        classify_zones(traj, SpotZones(bare))
 
 
 def test_cia_polygon_extends_along_road(config):
@@ -220,13 +221,14 @@ def test_zone_stability_under_small_perturbation(config):
         if min(_boundary_distance(p, poly) for poly in polygons) >= 0.1:
             kept.append(p)
     base = classify_zones(
-        make_traj("p", ObjectClass.PEDESTRIAN, _steps(len(kept)), kept), config)
+        make_traj("p", ObjectClass.PEDESTRIAN, _steps(len(kept)), kept),
+        SpotZones(config))
     for _ in range(5):
         jitter = rng.uniform(-0.01, 0.01, (len(kept), 2))
         moved = [(x + dx, y + dy) for (x, y), (dx, dy) in zip(kept, jitter)]
         again = classify_zones(
             make_traj("p", ObjectClass.PEDESTRIAN, _steps(len(moved)), moved),
-            config)
+            SpotZones(config))
         assert again == base
 
 
@@ -292,7 +294,7 @@ def test_pairwise_distance_no_overlap():
 def test_crosswalk_distance(config):
     traj = make_traj("v", ObjectClass.VEHICLE, _steps(3),
                      [(-6.0, -3.5), (-4.0, -3.5), (0.0, -3.5)])
-    dists = crosswalk_distances(traj, config)
+    _, dists = vehicle_zones(traj, SpotZones(config))
     assert dists == pytest.approx([4.0, 2.0, 0.0])
 
 
@@ -438,7 +440,8 @@ def test_psm_matches_dense_oracle_on_random_crossings():
 def test_extract_car_only_scene(config, calibration):
     veh = make_traj("v", ObjectClass.VEHICLE, _steps(10),
                     [(-20.0 + 3.0 * k, -3.5) for k in range(10)])
-    bundle = extract_scene_features("s0", veh, [], config, calibration)
+    bundle = extract_scene_features("s0", veh, [], SpotZones(config),
+                                    calibration)
     assert not bundle.interactive
     assert bundle.pedestrian_zones == {}
     assert bundle.distances_m == []
@@ -454,7 +457,8 @@ def test_extract_interactive_scene_consistency(config, calibration):
                     [(-20.0 + 2.0 * k, -3.5) for k in range(n)])
     ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(n),
                     [(0.0, 8.0 - 0.8 * k) for k in range(n)])
-    bundle = extract_scene_features("s0", veh, [ped], config, calibration,
+    bundle = extract_scene_features("s0", veh, [ped], SpotZones(config),
+                                    calibration,
                                     FeatureParams())
     assert bundle.interactive
     assert len(bundle.vehicle_speeds_kmh) == n - 1
@@ -475,7 +479,8 @@ def test_extract_two_pedestrians_nearest_per_frame(config, calibration):
                      [(0.0, -1.0)] * n)
     far = make_traj("p1", ObjectClass.PEDESTRIAN, _steps(n),
                     [(0.0, 8.0)] * n)
-    bundle = extract_scene_features("s0", veh, [far, near], config, calibration)
+    bundle = extract_scene_features("s0", veh, [far, near],
+                                    SpotZones(config), calibration)
     # Brute-force nearest distance per frame.
     expected = []
     for k in range(n):
@@ -490,6 +495,7 @@ def test_extract_stop_metadata(config, calibration):
     xs = [-20.0, -15.0, -10.0, -6.0] + [-6.0] * 4 + [0.0, 6.0, 12.0]
     veh = make_traj("v", ObjectClass.VEHICLE, _steps(len(xs)),
                     [(x, -3.5) for x in xs])
-    bundle = extract_scene_features("s0", veh, [], config, calibration)
+    bundle = extract_scene_features("s0", veh, [], SpotZones(config),
+                                    calibration)
     assert bundle.stopped
     assert bundle.stop_distance_m == pytest.approx(4.0)

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from crossrisk.errors import (
     DegenerateCalibration,
@@ -10,7 +12,9 @@ from crossrisk.errors import (
     OutOfBounds,
 )
 from crossrisk.ingest import (
+    DetectionRecord,
     ObjectClass,
+    dumps_sorted,
     format_detection,
     parse_detections,
     parse_spot_config,
@@ -112,6 +116,29 @@ def test_header_line_is_skipped(config):
     assert len(parse_detections(lines, config)) == 1
 
 
+def test_first_detection_naming_schema_is_kept(config):
+    # Only a line 1 that is exactly {"schema": <string>} is a header.
+    lines = ['{"class": "vehicle", "frame": 0, "id": "schema", "x": 100.0, "y": 100.0}',
+             '{"frame":5,"class":"vehicle","x":500,"y":500,"id":"a"}']
+    assert [r.detection_id for r in parse_detections(lines, config)] \
+        == ["schema", "a"]
+
+
+@pytest.mark.parametrize("first", [
+    '{"schema": 1}',
+    '{"schema": "crossrisk/detections/v1", "frame": 0}',
+    'not json but "schema"',
+    '["schema"]',
+])
+def test_first_line_that_is_no_header_is_a_bad_line(config, first):
+    lines = [first, '{"frame":0,"class":"vehicle","x":500,"y":500,"id":"a"}']
+    with pytest.raises(MalformedRecord):
+        parse_detections(lines, config)
+    diagnostics = []
+    assert len(parse_detections(lines, config, diagnostics=diagnostics)) == 1
+    assert [d.line_number for d in diagnostics] == [1]
+
+
 def test_confidence_field_ignored(config):
     line = '{"frame":0,"class":"vehicle","x":500,"y":500,"id":"a","confidence":0.97}'
     assert len(parse_detections([line], config)) == 1
@@ -123,6 +150,25 @@ def test_round_trip(config):
     records = parse_detections(lines, config)
     again = parse_detections([format_detection(r) for r in records], config)
     assert again == records
+
+
+# Ids with JSON escapes and non-ASCII text; floats JSON writes unusually,
+# numpy's among them.
+_tricky_text = st.text(st.sampled_from('"\\/\n\t\x00\x1faé漢😀'), max_size=5) \
+    | st.text(max_size=5)
+_tricky_floats = st.sampled_from([
+    -0.0, 0.0, 5e-324, 2.2e-308, 1e308, -1e308, 1e16, 3.0, -7.0,
+    float("nan"), float("inf"), float("-inf")]) | st.floats() \
+    | st.integers(-2**53, 2**53).map(float) | st.floats().map(np.float64)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(ObjectClass), _tricky_floats,
+       _tricky_floats, _tricky_text)
+def test_format_detection_is_dumps_sorted_of_the_row(frame, cls, x, y, det):
+    record = DetectionRecord(frame_index=frame, object_class=cls,
+                             contact_point_px=(x, y), detection_id=det)
+    assert format_detection(record) == dumps_sorted(
+        {"frame": frame, "class": cls.value, "x": x, "y": y, "id": det})
 
 
 def _calibration_doc():
@@ -194,6 +240,32 @@ def test_degenerate_calibration_rejected():
 def test_config_round_trip():
     config = parse_spot_config(_minimal_config_doc())
     assert parse_spot_config(spot_config_to_dict(config)) == config
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("fps", True, TypeError),
+    ("fps", "25", TypeError),
+    ("fps", 0, ValueError),
+    ("fps", -11.0, ValueError),
+    ("lanes", 2.7, TypeError),
+    ("lanes", 2.0, TypeError),
+    ("lanes", True, TypeError),
+    ("lanes", 0, ValueError),
+    ("frame_skip", 1.9, TypeError),
+    ("frame_skip", 0, ValueError),
+    ("frame_size", [1920.7, 1080], TypeError),
+    ("frame_size", [1920, 0], ValueError),
+    ("frame_size", [1920, 1080, 3], ValueError),
+    ("crosswalk_length_m", False, TypeError),
+    ("crosswalk_length_m", 0.0, ValueError),
+    ("speed_limit_kmh", "30", TypeError),
+    ("approach_direction_world", [True, 0.0], TypeError),
+    ("calibration", [{"pixel": [0, True], "world": [0, 0]}]
+     + _calibration_doc()[1:], TypeError),
+])
+def test_spot_config_numbers_are_checked_not_coerced(key, value, error):
+    with pytest.raises(error):
+        parse_spot_config(_minimal_config_doc(**{key: value}))
 
 
 def test_defaults_for_optional_fields():

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,7 @@ from crossrisk.motion_gate import SceneSpan
 from crossrisk import tracker
 from crossrisk.stages import (
     PipelineConfig,
+    _row_halves,
     _span_record,
     features_to_record,
     load_detections,
@@ -243,6 +245,25 @@ def test_scene_lines_are_dumps_sorted_of_each_full_row(run):
                  if any(s.frame_start <= p.frame <= s.frame_end
                         for s in scenes))
     assert scene_lines(tracks, scenes) == (expected, points)
+
+
+_row_floats = _tricky_floats | st.sampled_from([
+    2.2e-308, 1e308, -1e308, 1e16, 3.0, -7.0,
+    float("nan"), float("inf"), float("-inf")]) \
+    | st.integers(-2**53, 2**53).map(float) | st.floats().map(np.float64)
+
+
+@given(st.sampled_from(ObjectClass), _tricky_text, _tricky_text, _tricky_text,
+       st.integers(0, 10**9), st.lists(_row_floats, min_size=7, max_size=7))
+def test_row_template_is_dumps_sorted_of_the_full_row(cls, object_id, scene_id,
+                                                      det, frame, v):
+    p = TrackPoint(frame=frame, t=v[0], raw_px=(v[1], v[2]),
+                   smooth_px=(v[3], v[4]), world=(v[5], v[6]),
+                   detection_id=det)
+    head, tail = _row_halves(cls.value, object_id, p)
+    track = Trajectory(object_id, cls, [p])
+    assert head + dumps_sorted(scene_id) + tail == dumps_sorted(
+        _full_row(SceneSpan(scene_id, "v", 0, 0, False), track, p))
 
 
 def _plain_id(text):

@@ -9,6 +9,7 @@ from crossrisk.geometry import Calibration
 from crossrisk.ingest import ObjectClass
 from crossrisk.tracker import (
     TrackerParams,
+    TrackPoint,
     Trajectory,
     assign,
     kalman_predict,
@@ -183,12 +184,10 @@ def test_assign_classes_never_mix():
 def test_assignment_invariant_under_detection_permutation():
     rng = np.random.default_rng(4)
     for _ in range(25):
-        tracks = {}
         predicted = {}
         for k in range(4):
             t = _track_with_velocity(f"t{k}", tuple(rng.uniform(0, 500, 2)),
                                      tuple(rng.uniform(-5, 5, 2)))
-            tracks[t.object_id] = t
             predicted[t.object_id] = kalman_predict(t, 0.0)
         dets = [make_detection(1, ObjectClass.VEHICLE, *rng.uniform(0, 500, 2),
                                det_id=f"d{k}") for k in range(5)]
@@ -201,6 +200,20 @@ def test_assignment_invariant_under_detection_permutation():
         # No detection is consumed twice.
         used = [d.detection_id for d in base.matches.values()]
         assert len(used) == len(set(used))
+
+
+def test_track_point_is_an_immutable_record_built_by_keyword():
+    p = TrackPoint(frame=5, t=0.2, raw_px=(1.0, 2.0), smooth_px=(1.5, 2.5),
+                   world=(-3.0, 4.0), detection_id="v0")
+    assert (p.frame, p.t, p.raw_px, p.smooth_px, p.world, p.detection_id) \
+        == (5, 0.2, (1.0, 2.0), (1.5, 2.5), (-3.0, 4.0), "v0")
+    assert p == TrackPoint(5, 0.2, (1.0, 2.0), (1.5, 2.5), (-3.0, 4.0), "v0")
+    with pytest.raises(AttributeError):
+        p.frame = 6
+    detection = make_detection(5, ObjectClass.VEHICLE, 1.0, 2.0, det_id="v0")
+    assert detection.contact_point_px == (1.0, 2.0)
+    with pytest.raises(AttributeError):
+        detection.detection_id = "v1"
 
 
 def test_track_scene_single_object():
