@@ -51,10 +51,6 @@ class MissingPolygons(PipelineError):
     """Spot config lacks the polygons needed for zone classification."""
 
 
-class NoOverlap(PipelineError):
-    """Two trajectories share no frames."""
-
-
 class ZeroHeading(PipelineError):
     """Vehicle never moved; no heading can be established."""
 

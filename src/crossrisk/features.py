@@ -27,12 +27,11 @@ import numpy as np
 from .errors import (
     MissingPolygons,
     NoConflict,
-    NoOverlap,
     TooShort,
     ZeroHeading,
 )
-from .geometry import Calibration, WorldPoint
-from .ingest import ObjectClass, SpotConfig
+from .geometry import Calibration
+from .ingest import SpotConfig
 from .tracker import Trajectory
 
 MPS_TO_KMH = 3.6
@@ -81,7 +80,6 @@ class PsmValue:
 
     seconds: float
     seconds_refined: float
-    conflict_point: WorldPoint
 
 
 def speed_list(traj: Trajectory) -> list[float]:
@@ -102,9 +100,8 @@ def speed_list(traj: Trajectory) -> list[float]:
 
 
 def low_pass(values: list[float], alpha: float) -> list[float]:
-    """Exponential smoothing: y[t] = alpha*x[t] + (1-alpha)*y[t-1]."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
+    """Exponential smoothing: y[t] = alpha*x[t] + (1-alpha)*y[t-1], with
+    alpha as `FeatureParams` checks it."""
     if not values:
         return []
     out = [float(values[0])]
@@ -114,20 +111,16 @@ def low_pass(values: list[float], alpha: float) -> list[float]:
 
 
 def acceleration_list(filtered: list[float], epsilon_kmh: float,
-                      zones: list[VehicleZone] | None = None) -> list[str]:
+                      zones: list[VehicleZone]) -> list[str]:
     """Classify per-step speed changes as acc/dec/nc with a dead-band.
 
     Only the approach counts: given the vehicle's zones (aligned to its
     trajectory points, one longer than the speed list), the speeds from the
-    first point on or after the crosswalk onwards are dropped. Without
-    zones every step is classified.
+    first point on or after the crosswalk onwards are dropped.
     """
-    speeds = list(filtered)
-    if zones is not None:
-        cut = next((i for i, z in enumerate(zones) if z is not VehicleZone.BEFORE),
-                   None)
-        if cut is not None:
-            speeds = speeds[:cut]
+    cut = next((i for i, z in enumerate(zones) if z is not VehicleZone.BEFORE),
+               None)
+    speeds = filtered[:cut]
     if len(speeds) < 2:
         if len(filtered) < 2:
             raise TooShort("need at least 2 speeds")
@@ -188,19 +181,6 @@ def _edge_distance(x: float, y: float, edges) -> float:
         if best is None or d < best:
             best = d
     return best
-
-
-def point_in_polygon(point, polygon) -> bool:
-    """Ray-casting point-in-polygon test (even-odd rule)."""
-    return _inside(point[0], point[1], _edges(polygon))
-
-
-def distance_to_polygon(point, polygon) -> float:
-    """Distance to the polygon boundary; zero for interior points."""
-    edges = _edges(polygon)
-    if _inside(point[0], point[1], edges):
-        return 0.0
-    return _edge_distance(point[0], point[1], edges)
 
 
 def _convex_hull(points):
@@ -295,14 +275,9 @@ def vehicle_zones(traj: Trajectory, zones: SpotZones
     return labels, distances
 
 
-def classify_zones(traj: Trajectory, zones: SpotZones):
-    """Zone label per trajectory point.
-
-    Vehicles: as `vehicle_zones` labels them. Pedestrians: crosswalk, then
-    sidewalk, then the crosswalk influenced area (CIA), then road.
-    """
-    if traj.object_class is ObjectClass.VEHICLE:
-        return vehicle_zones(traj, zones)[0]
+def classify_zones(traj: Trajectory, zones: SpotZones) -> list[PedestrianZone]:
+    """Zone label per pedestrian point: crosswalk, then sidewalk, then the
+    crosswalk influenced area (CIA), then road."""
     crosswalk, _ = zones.crosswalk
     sidewalks, cia = zones.sidewalks, zones.cia
     labels = []
@@ -341,25 +316,10 @@ def stop_window(speeds: list[float], zones: list[VehicleZone],
     return False, []
 
 
-def pairwise_distances(vehicle: Trajectory, pedestrian: Trajectory,
-                       ) -> tuple[list[int], list[float]]:
-    """Euclidean vehicle-pedestrian distance per shared frame."""
-    vw = {p.frame: p.world for p in vehicle.points}
-    pw = {p.frame: p.world for p in pedestrian.points}
-    common = sorted(set(vw) & set(pw))
-    if not common:
-        raise NoOverlap(
-            f"{vehicle.object_id} and {pedestrian.object_id} share no frames")
-    return common, [math.dist(vw[f], pw[f]) for f in common]
-
-
-def _world_headings(traj: Trajectory, calib: Calibration | None) -> list[tuple[float, float]]:
+def _world_headings(traj: Trajectory, calib: Calibration) -> list[tuple[float, float]]:
     """Per-point heading from the smoothed path, carried through pauses."""
-    if calib is not None:
-        path = calib.to_world_many(
-            np.array([p.smooth_px for p in traj.points])).tolist()
-    else:
-        path = [p.world for p in traj.points]
+    path = calib.to_world_many(
+        np.array([p.smooth_px for p in traj.points])).tolist()
     steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(path, path[1:])]
     # Point k takes step k; the last point takes the last step.
     headings: list[tuple[float, float] | None] = []
@@ -375,22 +335,11 @@ def _world_headings(traj: Trajectory, calib: Calibration | None) -> list[tuple[f
     return [h if h is not None else first for h in headings]
 
 
-def relative_positions(vehicle: Trajectory, pedestrian: Trajectory,
-                       calib: Calibration | None = None) -> list[str]:
-    """Front/Behind of the pedestrian relative to the vehicle per frame.
-
-    Front means the pedestrian lies in the half-plane ahead of the
-    vehicle's contact point along its heading.
-    """
-    common, _ = pairwise_distances(vehicle, pedestrian)
-    pw = {p.frame: p.world for p in pedestrian.points}
-    return _front_or_behind(vehicle, calib, [(f, pw[f]) for f in common])
-
-
-def _front_or_behind(vehicle: Trajectory, calib: Calibration | None,
+def _front_or_behind(vehicle: Trajectory, calib: Calibration,
                      pedestrian_at) -> list[str]:
     """FRONT/BEHIND for each (frame, pedestrian world point) pair; every
-    frame must be one of the vehicle's."""
+    frame must be one of the vehicle's. Front means the pedestrian lies in
+    the half-plane ahead of the vehicle's contact point along its heading."""
     headings = _world_headings(vehicle, calib)
     frame_index = {p.frame: k for k, p in enumerate(vehicle.points)}
     out = []
@@ -446,7 +395,6 @@ def psm(vehicle: Trajectory, pedestrian: Trajectory) -> PsmValue:
             return PsmValue(
                 seconds=float(vt[k] - pt[i]),
                 seconds_refined=t_veh - t_ped,
-                conflict_point=WorldPoint(x=x, y=y, t=t_ped),
             )
     raise NoConflict(
         f"{vehicle.object_id} and {pedestrian.object_id} paths do not conflict")
@@ -512,7 +460,7 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
     speeds = speed_list(vehicle) if len(vehicle) >= 2 else []
     zones, cw_dists = vehicle_zones(vehicle, spot)
     filtered = low_pass(speeds, params.alpha)
-    accel = (acceleration_list(filtered, params.epsilon_kmh, zones=zones)
+    accel = (acceleration_list(filtered, params.epsilon_kmh, zones)
              if len(filtered) >= 2 else [])
     stopped, window = stop_window(speeds, zones, params.stop_tolerance_kmh,
                                   params.stop_min_steps)

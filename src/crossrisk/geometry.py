@@ -21,15 +21,6 @@ _W_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class WorldPoint:
-    """A position on the ground plane in meters with its timestamp."""
-
-    x: float
-    y: float
-    t: float
-
-
-@dataclass(frozen=True)
 class Calibration:
     """Immutable pixel->world conversion for one camera spot.
 
@@ -53,18 +44,6 @@ class Calibration:
         if np.any(np.abs(w) < _W_EPS * np.abs(homog[:, :2]).max(initial=1.0)):
             raise PointAtInfinity("a point lies on the vanishing line")
         return homog[:, :2] / w[:, None]
-
-
-def apply_homography(h: np.ndarray, point) -> tuple[float, float]:
-    """Apply a 3x3 projective transform to one 2-D point."""
-    x, y = float(point[0]), float(point[1])
-    hx = h[0, 0] * x + h[0, 1] * y + h[0, 2]
-    hy = h[1, 0] * x + h[1, 1] * y + h[1, 2]
-    hw = h[2, 0] * x + h[2, 1] * y + h[2, 2]
-    scale = max(abs(hx), abs(hy), 1.0)
-    if abs(hw) < _W_EPS * scale:
-        raise PointAtInfinity(f"point ({x}, {y}) lies on the vanishing line")
-    return (hx / hw, hy / hw)
 
 
 def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,12 +81,12 @@ def has_collinear_triple(points) -> bool:
     return False
 
 
-def fit_homography(correspondences) -> tuple[np.ndarray, float]:
+def fit_homography(correspondences) -> np.ndarray:
     """Least-squares projective fit from pixel->world correspondences.
 
     correspondences: sequence of ((px, py), (wx, wy)) pairs, at least 4.
-    Returns (3x3 matrix normalized to h22 = 1, max reprojection error in
-    world units). Raises DegenerateCalibration when the configuration
+    Returns the 3x3 matrix normalized to h22 = 1. Raises
+    DegenerateCalibration when the configuration
     cannot pin down a homography (e.g. 3 collinear world points among a
     minimal set of 4).
     """
@@ -135,10 +114,4 @@ def fit_homography(correspondences) -> tuple[np.ndarray, float]:
     h = np.linalg.inv(t_dst) @ h_n @ t_src
     if abs(h[2, 2]) < 1e-12:
         raise DegenerateCalibration("fit produced a singular homography")
-    h = h / h[2, 2]
-
-    err = 0.0
-    for (px, py), (wx, wy) in pairs:
-        rx, ry = apply_homography(h, (px, py))
-        err = max(err, math.hypot(rx - wx, ry - wy))
-    return h, err
+    return h / h[2, 2]

@@ -107,7 +107,7 @@ class SpotConfig:
 
     def build_calibration(self) -> geometry.Calibration:
         """Fit the pixel->world homography from the correspondences."""
-        return geometry.Calibration(geometry.fit_homography(self.calibration)[0])
+        return geometry.Calibration(geometry.fit_homography(self.calibration))
 
 
 @dataclass
@@ -252,19 +252,18 @@ def _positive(value, what: str):
     return value
 
 
-def parse_spot_config(document: str | dict) -> SpotConfig:
-    """Parse and validate a spot configuration JSON document.
+def parse_spot_config(doc: dict) -> SpotConfig:
+    """Validate a decoded spot configuration JSON document.
 
     Numbers are checked, not coerced: a bool or text where a number
     belongs, or a float in `lanes`, `frame_skip` or `frame_size`, raises
     TypeError, and a value out of range (`fps`, `crosswalk_length_m`,
     `lanes`, `frame_skip` or a `frame_size` side not above 0) ValueError.
     An absent field raises MissingField and unusable correspondences
-    DegenerateCalibration; text that is not JSON, a value of the wrong
-    shape or out of range raises what reading it raises, which
-    `stages.load_spot_config` reports as MalformedRecord.
+    DegenerateCalibration; a value of the wrong shape or out of range
+    raises what reading it raises, which `stages.load_spot_config` reports
+    as MalformedRecord.
     """
-    doc = json.loads(document) if isinstance(document, str) else document
     calibration = [
         (_pair(c["pixel"], "calibration pixel"),
          _pair(c["world"], "calibration world"))

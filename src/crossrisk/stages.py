@@ -104,9 +104,10 @@ def _typed(value, types=_NUMBER):
     return value
 
 
-def _read_lines(path, schema_key: str, decode) -> None:
+def _read_lines(path, schema_key: str, decode) -> int:
     """Pass each non-blank line after a stage file's schema header to
-    `decode`, which reads it into the stage's own type.
+    `decode`, which reads it into the stage's own type, and return the
+    number of the file's last line.
 
     A wrong header, a line that is not JSON and a row that `decode` cannot
     read all raise MalformedRecord with the line number.
@@ -124,6 +125,7 @@ def _read_lines(path, schema_key: str, decode) -> None:
             for n, line in enumerate(fh, start=2):
                 if not line.isspace():
                     decode(line)
+        return n
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -134,7 +136,7 @@ def _read_lines(path, schema_key: str, decode) -> None:
                               f"({type(exc).__name__}: {exc})") from exc
 
 
-def read_jsonl(path, schema_key: str, row=lambda r: r) -> list:
+def read_jsonl(path, schema_key: str, row) -> list:
     """The rows after a stage file's schema header, each passed through
     `row`; errors as `_read_lines` raises them."""
     out = []
@@ -169,18 +171,30 @@ class PipelineConfig:
         return dirs
 
 
-def load_spot_config(spot_dir: Path) -> SpotConfig:
-    path = spot_dir / "config.json"
+def _read_document(path: Path, what: str, use):
+    """`use` applied to the JSON document that fills the file at `path`.
+
+    A file that cannot be read raises IoFailure, text that is not JSON
+    MalformedRecord at the line it breaks on, and a document that `use`
+    cannot read (not `what`) MalformedRecord at line 1.
+    """
     try:
-        return parse_spot_config(path.read_text())
+        data = path.read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        return use(json.loads(data))
     except json.JSONDecodeError as exc:
         raise MalformedRecord(exc.lineno,
                               f"{path}: invalid JSON ({exc.msg})") from exc
     except _SHAPE_ERRORS as exc:
-        raise MalformedRecord(1, f"{path}: not a spot config "
+        raise MalformedRecord(1, f"{path}: not {what} "
                               f"({type(exc).__name__}: {exc})") from exc
+
+
+def load_spot_config(spot_dir: Path) -> SpotConfig:
+    return _read_document(spot_dir / "config.json", "a spot config",
+                          parse_spot_config)
 
 
 def load_detections(spot_dir: Path, config: SpotConfig):
@@ -273,9 +287,11 @@ def _span_record(span: SceneSpan) -> dict:
 
 
 def _span_of(r: dict) -> SceneSpan:
-    return SceneSpan(scene_id=r["scene_id"], vehicle_track_hint=r["vehicle"],
-                     frame_start=r["frame_start"], frame_end=r["frame_end"],
-                     interactive=r["interactive"])
+    return SceneSpan(scene_id=_typed(r["scene_id"], (str,)),
+                     vehicle_track_hint=_typed(r["vehicle"], (str,)),
+                     frame_start=_typed(r["frame_start"], (int,)),
+                     frame_end=_typed(r["frame_end"], (int,)),
+                     interactive=_typed(r["interactive"], (bool,)))
 
 
 def read_scenes(spot_dir: Path) -> list[SceneSpan]:
@@ -396,6 +412,11 @@ def read_trajectories(spot_dir: Path
     """Trajectories grouped by scene, rebuilt from the dump, with the
     number of rows read and of rows decoded in full.
 
+    Each scene's tracks are sorted by frame, and their frames and times must
+    then strictly increase; a point repeated in a scene, or a time that does
+    not advance, raises MalformedRecord at the file's last line, since a
+    track's rows may come in any order.
+
     A point's rows for its several scenes sit next to each other and
     differ only in `scene_id` (see `scene_lines`), so a row reuses the
     point, object id and class of the previous fully decoded row when it
@@ -459,11 +480,20 @@ def read_trajectories(spot_dir: Path
                 head, tail = line[:start], line[end:]
                 cut, rest = start, len(line) - end
 
-    _read_lines(spot_dir / "trajectories.jsonl", "trajectories", row)
+    path = spot_dir / "trajectories.jsonl"
+    last = _read_lines(path, "trajectories", row)
     out = {}
     for scene_id, tracks in by_scene.items():
         for traj in tracks.values():
-            traj.points.sort(key=lambda p: p.frame)
+            points = traj.points
+            points.sort(key=lambda p: p.frame)
+            for a, b in zip(points, points[1:]):
+                if not (a.frame < b.frame and a.t < b.t):
+                    raise MalformedRecord(
+                        last, f"{path}: scene {scene_id!r}, object "
+                        f"{traj.object_id!r}: frame {b.frame} at t {b.t} "
+                        f"follows frame {a.frame} at t {a.t}; a track's "
+                        f"frames and times must strictly increase")
         out[scene_id] = [tracks[oid] for oid in sorted(tracks)]
     return out, rows, decoded
 
@@ -667,21 +697,14 @@ def run_analyze(cfg: PipelineConfig) -> Path:
 def run_report(cfg: PipelineConfig) -> list[Path]:
     """Render `analysis.json` as the report's CSV files."""
     path = Path(cfg.out_dir) / "analysis.json"
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(exc.lineno,
-                              f"{path}: invalid JSON ({exc.msg})") from exc
-    found = doc.get("schema") if isinstance(doc, dict) else doc
-    if found != SCHEMAS["analysis"]:
-        raise MalformedRecord(1, f"{path}: wrong schema {found!r}")
-    try:
+
+    def render(doc):
+        found = doc.get("schema") if isinstance(doc, dict) else doc
+        if found != SCHEMAS["analysis"]:
+            raise MalformedRecord(1, f"{path}: wrong schema {found!r}")
         return analytics.emit_report(Path(cfg.out_dir) / "report", doc)
-    except _SHAPE_ERRORS as exc:
-        raise MalformedRecord(1, f"{path}: not an analysis record "
-                              f"({type(exc).__name__}: {exc})") from exc
+
+    return _read_document(path, "an analysis record", render)
 
 
 # --- helpers --------------------------------------------------------------------

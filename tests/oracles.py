@@ -51,6 +51,21 @@ def segment_hit(a1, a2, b1, b2):
     return None
 
 
+def polygon_boundary_distance(point, polygon):
+    """Distance from `point` to the nearest edge of `polygon`, inside or
+    out, by checking every edge."""
+    best = math.inf
+    for i in range(len(polygon)):
+        a, b = polygon[i], polygon[(i + 1) % len(polygon)]
+        ax, ay = b[0] - a[0], b[1] - a[1]
+        seg2 = ax * ax + ay * ay
+        u = 0.0 if seg2 == 0 else max(0.0, min(1.0, (
+            (point[0] - a[0]) * ax + (point[1] - a[1]) * ay) / seg2))
+        best = min(best, math.hypot(point[0] - a[0] - u * ax,
+                                    point[1] - a[1] - u * ay))
+    return best
+
+
 def dense_psm_oracle(vehicle: Trajectory, pedestrian: Trajectory,
                      resolution: int = 1000):
     """Brute-force PSM: locate the geometric intersection of the two

@@ -54,6 +54,14 @@ def test_truncated_stage_file_is_data_error(tmp_path, capsys, stage, rel):
     ("report", "analysis.json", 1, json.dumps({"schema": SCHEMAS["analysis"]})),
     ("extract", "single_pass/trajectories.jsonl", 2, {"frame": "x"}),
     ("analyze", "single_pass/features.jsonl", 2, {"vehicle_speed_kmh": "abc"}),
+    ("track", "single_pass/scenes.jsonl", 2, {"frame_start": "0"}),
+    ("track", "single_pass/scenes.jsonl", 2, {"frame_start": "0",
+                                               "frame_end": "9"}),
+    ("track", "single_pass/scenes.jsonl", 2, {"frame_end": True}),
+    ("track", "single_pass/scenes.jsonl", 2, {"frame_end": 0.0}),
+    ("track", "single_pass/scenes.jsonl", 2, {"interactive": 1}),
+    ("track", "single_pass/scenes.jsonl", 2, {"scene_id": 7}),
+    ("track", "single_pass/scenes.jsonl", 2, {"vehicle": None}),
 ])
 def test_misshapen_stage_row_is_data_error(tmp_path, capsys, stage, rel, line,
                                            text):
@@ -73,6 +81,24 @@ def test_misshapen_stage_row_is_data_error(tmp_path, capsys, stage, rel, line,
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "MalformedRecord"
     assert diagnostic["message"].startswith(f"line {line}: ")
+
+
+def test_repeated_trajectory_point_is_data_error(tmp_path, capsys):
+    # A row given twice would divide a speed by zero; the other cases are
+    # in test_stages.test_repeated_point_in_a_scene_is_malformed.
+    assert _run("all", "--out-dir", str(tmp_path), "--spot", "single_pass") == 0
+    path = tmp_path / "single_pass" / "trajectories.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    third = json.loads(lines[2])
+    lines.insert(3, lines[2])
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert _run("extract", "--out-dir", str(tmp_path),
+                "--spot", "single_pass") == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert (f"{path}: scene {third['scene_id']!r}, object "
+            f"{third['object_id']!r}: ") in diagnostic["message"]
 
 
 @pytest.mark.parametrize("document, problem", [

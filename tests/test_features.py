@@ -6,7 +6,6 @@ import pytest
 from crossrisk.errors import (
     MissingPolygons,
     NoConflict,
-    NoOverlap,
     TooShort,
     ZeroHeading,
 )
@@ -24,29 +23,45 @@ from crossrisk.features import (
     cia_polygon,
     classify_zones,
     collapse_runs,
-    distance_to_polygon,
     extract_scene_features,
     low_pass,
-    pairwise_distances,
-    point_in_polygon,
     psm,
-    relative_positions,
     speed_list,
     stop_window,
     vehicle_zones,
 )
+from crossrisk.geometry import Calibration
 from crossrisk.ingest import ObjectClass
 from crossrisk.synth import synthetic_spot_config
 
-from oracles import dense_psm_oracle, make_traj, random_crossing_trajectories
+from oracles import (
+    dense_psm_oracle,
+    make_traj,
+    polygon_boundary_distance,
+    random_crossing_trajectories,
+)
 
 FPS = 25.0
 SKIP = 5
 F = SKIP / FPS  # 0.2 s per sampled step
 
+# `make_traj` gives each point its world position as its smoothed pixel,
+# so through the identity homography the headings follow the world path.
+IDENTITY = Calibration(np.eye(3))
+
 
 def _steps(n):
     return [k * SKIP for k in range(n)]
+
+
+def _approach(speeds):
+    """Vehicle zones that keep every speed: all points before the crosswalk."""
+    return [VehicleZone.BEFORE] * (len(speeds) + 1)
+
+
+def _pair_features(veh, ped, config):
+    """The scene features of one vehicle and one pedestrian."""
+    return extract_scene_features("s0", veh, [ped], SpotZones(config), IDENTITY)
 
 
 # --- speeds -------------------------------------------------------------------
@@ -107,23 +122,25 @@ def test_low_pass_impulse_decays_geometrically():
 
 
 def test_acceleration_rising_speeds():
-    states = acceleration_list([10.0, 12.0, 14.0, 16.0], epsilon_kmh=0.5)
+    speeds = [10.0, 12.0, 14.0, 16.0]
+    states = acceleration_list(speeds, 0.5, _approach(speeds))
     assert states == [ACC, ACC, ACC]
     assert collapse_runs(states) == [ACC]
 
 
 def test_acceleration_constant_is_nc():
-    assert acceleration_list([10.0] * 5, 0.5) == [NC] * 4
+    assert acceleration_list([10.0] * 5, 0.5, _approach([10.0] * 5)) == [NC] * 4
 
 
 def test_acceleration_dead_band():
     eps = 1.0
     speeds = [10.0, 10.5, 11.0, 11.5]     # steps of +0.5 * eps
-    assert acceleration_list(speeds, eps) == [NC, NC, NC]
+    assert acceleration_list(speeds, eps, _approach(speeds)) == [NC, NC, NC]
 
 
 def test_acceleration_run_collapse_shape():
-    states = acceleration_list([10.0, 12.0, 12.1, 14.0], epsilon_kmh=0.5)
+    speeds = [10.0, 12.0, 12.1, 14.0]
+    states = acceleration_list(speeds, 0.5, _approach(speeds))
     assert states == [ACC, NC, ACC]
     assert collapse_runs([ACC, ACC, NC, NC, ACC]) == [ACC, NC, ACC]
 
@@ -131,21 +148,23 @@ def test_acceleration_run_collapse_shape():
 def test_acceleration_restricted_to_before_crosswalk():
     speeds = [10.0, 12.0, 14.0, 16.0, 18.0]
     zones = [VehicleZone.BEFORE] * 3 + [VehicleZone.ON] * 2 + [VehicleZone.AFTER]
-    limited = acceleration_list(speeds, 0.5, zones=zones)
+    limited = acceleration_list(speeds, 0.5, zones)
     assert limited == [ACC, ACC]          # only the 3 approach speeds used
 
 
 def test_acceleration_shift_invariance():
     rng = np.random.default_rng(8)
     speeds = list(rng.uniform(5, 30, 15))
-    base = acceleration_list(low_pass(speeds, 0.3), 0.5)
-    shifted = acceleration_list(low_pass([s + 11.7 for s in speeds], 0.3), 0.5)
+    zones = _approach(speeds)
+    base = acceleration_list(low_pass(speeds, 0.3), 0.5, zones)
+    shifted = acceleration_list(low_pass([s + 11.7 for s in speeds], 0.3), 0.5,
+                                zones)
     assert base == shifted
 
 
 def test_acceleration_too_short():
     with pytest.raises(TooShort):
-        acceleration_list([10.0], 0.5)
+        acceleration_list([10.0], 0.5, _approach([10.0]))
 
 
 # --- zones ----------------------------------------------------------------------
@@ -160,7 +179,7 @@ def test_vehicle_zone_ordering(config):
     xs = [-10.0, -4.0, -1.0, 0.0, 1.0, 4.0, 10.0]
     traj = make_traj("v", ObjectClass.VEHICLE, _steps(len(xs)),
                      [(x, -3.5) for x in xs])
-    zones = classify_zones(traj, SpotZones(config))
+    zones, _ = vehicle_zones(traj, SpotZones(config))
     assert zones == [VehicleZone.BEFORE, VehicleZone.BEFORE, VehicleZone.ON,
                      VehicleZone.ON, VehicleZone.ON, VehicleZone.AFTER,
                      VehicleZone.AFTER]
@@ -191,24 +210,11 @@ def test_missing_polygons(config):
 
 
 def test_cia_polygon_extends_along_road(config):
-    cia = cia_polygon(config)
-    assert point_in_polygon((4.0, 0.0), cia)       # 2 m past the edge
-    assert not point_in_polygon((6.0, 0.0), cia)   # past the 3 m buffer
-
-
-def _boundary_distance(point, polygon):
-    # Edge distance regardless of inside/outside (test-local oracle).
-    n = len(polygon)
-    best = math.inf
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        ax, ay = b[0] - a[0], b[1] - a[1]
-        seg2 = ax * ax + ay * ay
-        u = 0.0 if seg2 == 0 else max(
-            0.0, min(1.0, ((point[0] - a[0]) * ax + (point[1] - a[1]) * ay) / seg2))
-        best = min(best, math.hypot(point[0] - a[0] - u * ax,
-                                    point[1] - a[1] - u * ay))
-    return best
+    # 2 m past the crosswalk edge, then past the 3 m buffer.
+    traj = make_traj("p", ObjectClass.PEDESTRIAN, _steps(2),
+                     [(4.0, 0.0), (6.0, 0.0)])
+    assert classify_zones(traj, SpotZones(config)) == [PedestrianZone.CIA,
+                                                       PedestrianZone.ROAD]
 
 
 def test_zone_stability_under_small_perturbation(config):
@@ -218,7 +224,7 @@ def test_zone_stability_under_small_perturbation(config):
     kept = []
     while len(kept) < 40:
         p = (rng.uniform(-25, 25), rng.uniform(-10.5, 10.5))
-        if min(_boundary_distance(p, poly) for poly in polygons) >= 0.1:
+        if min(polygon_boundary_distance(p, poly) for poly in polygons) >= 0.1:
             kept.append(p)
     base = classify_zones(
         make_traj("p", ObjectClass.PEDESTRIAN, _steps(len(kept)), kept),
@@ -261,34 +267,37 @@ def test_stop_after_crosswalk_does_not_count():
 # --- distances --------------------------------------------------------------------
 
 
-def test_pairwise_distance_three_four_five():
-    veh = make_traj("v", ObjectClass.VEHICLE, _steps(2), [(0, 0), (0, 0)])
-    ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(2), [(3, 4), (3, 4)])
-    _, dists = pairwise_distances(veh, ped)
+def test_pairwise_distance_three_four_five(config):
+    veh = make_traj("v", ObjectClass.VEHICLE, _steps(2), [(0, 0), (1, 0)])
+    ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(2), [(3, 4), (4, 4)])
+    dists = _pair_features(veh, ped, config).distances_m
     assert dists == pytest.approx([5.0, 5.0])
 
 
-def test_pairwise_distance_coincident():
-    veh = make_traj("v", ObjectClass.VEHICLE, _steps(2), [(1, 1), (1, 1)])
-    ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(2), [(1, 1), (1, 1)])
-    _, dists = pairwise_distances(veh, ped)
+def test_pairwise_distance_coincident(config):
+    veh = make_traj("v", ObjectClass.VEHICLE, _steps(2), [(1, 1), (2, 1)])
+    ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(2), [(1, 1), (2, 1)])
+    dists = _pair_features(veh, ped, config).distances_m
     assert dists == pytest.approx([0.0, 0.0])
 
 
-def test_pairwise_distance_monotone_approach():
+def test_pairwise_distance_monotone_approach(config):
     # Straight-line approach toward a standing pedestrian.
     veh = make_traj("v", ObjectClass.VEHICLE, _steps(8),
                     [(-20.0 + 2.0 * k, 0.0) for k in range(8)])
     ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(8), [(0.0, 1.0)] * 8)
-    _, dists = pairwise_distances(veh, ped)
+    dists = _pair_features(veh, ped, config).distances_m
     assert all(a > b for a, b in zip(dists, dists[1:]))
 
 
-def test_pairwise_distance_no_overlap():
+def test_pairwise_distance_no_overlap(config):
+    # Tracks that share no frame make a car-only scene.
     veh = make_traj("v", ObjectClass.VEHICLE, [0, 5], [(0, 0), (1, 0)])
     ped = make_traj("p", ObjectClass.PEDESTRIAN, [50, 55], [(0, 0), (1, 0)])
-    with pytest.raises(NoOverlap):
-        pairwise_distances(veh, ped)
+    bundle = _pair_features(veh, ped, config)
+    assert not bundle.interactive
+    assert bundle.distances_m == []
+    assert bundle.relative_positions == []
 
 
 def test_crosswalk_distance(config):
@@ -298,52 +307,48 @@ def test_crosswalk_distance(config):
     assert dists == pytest.approx([4.0, 2.0, 0.0])
 
 
-def test_distance_to_polygon_interior_is_zero(config):
-    assert distance_to_polygon((0.0, 0.0), config.crosswalk_polygon_world) == 0.0
-
-
 # --- relative positions --------------------------------------------------------------
 
 
-def test_pedestrian_along_heading_is_front():
+def test_pedestrian_along_heading_is_front(config):
     veh = make_traj("v", ObjectClass.VEHICLE, _steps(3),
                     [(0, 0), (1, 0), (2, 0)])
     ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(3),
                     [(10, 0), (10, 0), (10, 0)])
-    assert relative_positions(veh, ped) == [FRONT] * 3
+    assert _pair_features(veh, ped, config).relative_positions == [FRONT] * 3
 
 
-def test_pedestrian_opposite_heading_is_behind():
+def test_pedestrian_opposite_heading_is_behind(config):
     veh = make_traj("v", ObjectClass.VEHICLE, _steps(3),
                     [(0, 0), (1, 0), (2, 0)])
     ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(3),
                     [(-10, 0), (-10, 0), (-10, 0)])
-    assert relative_positions(veh, ped) == [BEHIND] * 3
+    assert _pair_features(veh, ped, config).relative_positions == [BEHIND] * 3
 
 
-def test_pass_by_single_front_to_behind_transition():
+def test_pass_by_single_front_to_behind_transition(config):
     n = 10
     veh = make_traj("v", ObjectClass.VEHICLE, _steps(n),
                     [(-8.0 + 2.0 * k, 0.0) for k in range(n)])
     ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(n), [(0.0, 1.0)] * n)
-    rel = relative_positions(veh, ped)
+    rel = _pair_features(veh, ped, config).relative_positions
     flips = sum(1 for a, b in zip(rel, rel[1:]) if a != b)
     assert flips == 1
     assert rel[0] == FRONT and rel[-1] == BEHIND
 
 
-def test_stationary_vehicle_carries_last_heading():
+def test_stationary_vehicle_carries_last_heading(config):
     world = [(0, 0), (1, 0), (2, 0), (2, 0), (2, 0)]
     veh = make_traj("v", ObjectClass.VEHICLE, _steps(5), world)
     ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(5), [(10, 0)] * 5)
-    assert relative_positions(veh, ped) == [FRONT] * 5
+    assert _pair_features(veh, ped, config).relative_positions == [FRONT] * 5
 
 
-def test_never_moving_vehicle_raises_zero_heading():
+def test_never_moving_vehicle_raises_zero_heading(config):
     veh = make_traj("v", ObjectClass.VEHICLE, _steps(3), [(0, 0)] * 3)
     ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(3), [(1, 0)] * 3)
     with pytest.raises(ZeroHeading):
-        relative_positions(veh, ped)
+        _pair_features(veh, ped, config)
 
 
 # --- PSM ------------------------------------------------------------------------------
@@ -370,8 +375,6 @@ def test_psm_pedestrian_first_positive():
     value = psm(veh, ped)
     assert value.seconds == pytest.approx(3.2)
     assert value.seconds_refined == pytest.approx(3.2)
-    assert value.conflict_point.x == pytest.approx(0.0, abs=1e-9)
-    assert value.conflict_point.y == pytest.approx(0.0, abs=1e-9)
 
 
 def test_psm_vehicle_first_negative():

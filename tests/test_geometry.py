@@ -4,21 +4,29 @@ import numpy as np
 import pytest
 
 from crossrisk.errors import DegenerateCalibration, PointAtInfinity
-from crossrisk.geometry import Calibration, apply_homography, fit_homography
+from crossrisk.geometry import Calibration, fit_homography
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
+def _reprojection_error(h, pairs):
+    """Largest distance between a pair's world point and its pixel point
+    projected through `h`."""
+    world = Calibration(h).to_world_many([px for px, _ in pairs])
+    return max(math.dist(w, expected) for w, (_, expected) in zip(world, pairs))
+
+
 def test_fit_identity_on_unit_square():
-    h, err = fit_homography([(p, p) for p in UNIT_SQUARE])
-    assert err < 1e-9
+    pairs = [(p, p) for p in UNIT_SQUARE]
+    h = fit_homography(pairs)
+    assert _reprojection_error(h, pairs) < 1e-9
     assert np.allclose(h / h[2, 2], np.eye(3), atol=1e-9)
 
 
 def test_fit_pure_translation():
     pairs = [(p, (p[0] + 5.0, p[1])) for p in UNIT_SQUARE]
-    h, err = fit_homography(pairs)
-    assert err < 1e-9
+    h = fit_homography(pairs)
+    assert _reprojection_error(h, pairs) < 1e-9
     expected = np.array([[1, 0, 5], [0, 1, 0], [0, 0, 1]], dtype=float)
     assert np.allclose(h / h[2, 2], expected, atol=1e-9)
 
@@ -41,14 +49,15 @@ def test_project_identity():
 
 
 def test_project_translation():
-    h, _ = fit_homography([(p, (p[0] + 5.0, p[1])) for p in UNIT_SQUARE])
-    assert apply_homography(h, (1.0, 1.0)) == pytest.approx((6.0, 1.0))
+    calib = Calibration(fit_homography(
+        [(p, (p[0] + 5.0, p[1])) for p in UNIT_SQUARE]))
+    assert calib.to_world_many([(1.0, 1.0)])[0] == pytest.approx((6.0, 1.0))
 
 
 def test_project_vanishing_line_point_at_infinity():
     h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     with pytest.raises(PointAtInfinity):
-        apply_homography(h, (-1.0, 0.5))
+        Calibration(h).to_world_many([(-1.0, 0.5)])
 
 
 def _oblique_pairs():
@@ -60,21 +69,17 @@ def _oblique_pairs():
 
 
 def test_round_trip_identity_within_1e9():
-    h, _ = fit_homography(_oblique_pairs())
-    h_inv = np.linalg.inv(h)
+    h = fit_homography(_oblique_pairs())
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        px = (rng.uniform(200, 1700), rng.uniform(300, 990))
-        world = apply_homography(h, px)
-        back = apply_homography(h_inv, world)
-        assert math.dist(px, back) < 1e-9
+    px = np.column_stack([rng.uniform(200, 1700, 200), rng.uniform(300, 990, 200)])
+    world = Calibration(h).to_world_many(px)
+    back = Calibration(np.linalg.inv(h)).to_world_many(world)
+    assert np.hypot(*(px - back).T).max() < 1e-9
 
 
 def test_exact_fit_reproduces_correspondences():
-    h, err = fit_homography(_oblique_pairs())
-    assert err < 1e-9
-    for px, world in _oblique_pairs():
-        assert math.dist(apply_homography(h, px), world) < 1e-9
+    pairs = _oblique_pairs()
+    assert _reprojection_error(fit_homography(pairs), pairs) < 1e-9
 
 
 def test_fronto_parallel_scalar_and_homography_agree():
@@ -83,12 +88,12 @@ def test_fronto_parallel_scalar_and_homography_agree():
     scale = 64.0
     pairs = [((x * scale, y * scale), (x, y))
              for x, y in [(0, 0), (10, 0), (10, 6), (0, 6), (4, 2)]]
-    h, _ = fit_homography(pairs)
+    calib = Calibration(fit_homography(pairs))
     rng = np.random.default_rng(6)
     for _ in range(50):
         a = rng.uniform(0, 600, 2)
         b = rng.uniform(0, 380, 2)
-        via_h = math.dist(apply_homography(h, a), apply_homography(h, b))
+        via_h = math.dist(*calib.to_world_many([a, b]))
         via_p = math.dist(a, b) / scale
         assert via_h == pytest.approx(via_p, rel=1e-9)
 

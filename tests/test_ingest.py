@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -202,7 +200,7 @@ def _minimal_config_doc(**overrides):
 def test_spot_h_fields():
     # Spot H: a 2-lane signalized school-zone crosswalk filmed at 11 FPS
     # in 1280x720.
-    config = parse_spot_config(json.dumps(_minimal_config_doc(spot_id="H")))
+    config = parse_spot_config(_minimal_config_doc(spot_id="H"))
     assert config.fps == 11
     assert config.frame_size == (1280, 720)
     assert config.lanes == 2

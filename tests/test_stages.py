@@ -31,7 +31,6 @@ from crossrisk.stages import (
     load_detections,
     load_spot_config,
     read_features,
-    read_jsonl,
     read_scenes,
     read_trajectories,
     record_to_features,
@@ -179,7 +178,7 @@ def test_read_jsonl_rejects_wrong_schema(tmp_path):
     path = tmp_path / "scenes.jsonl"
     path.write_text(json.dumps({"schema": "crossrisk/other/v9"}) + "\n")
     with pytest.raises(MalformedRecord):
-        read_jsonl(path, "scenes")
+        read_scenes(tmp_path)
 
 
 def test_scene_vehicle_prefers_hinted_track():
@@ -205,18 +204,22 @@ _tricky_floats = st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e300]) \
 @st.composite
 def _runs(draw):
     """Tracks and scene windows over frames 0..30, windows overlapping so
-    that a point may fall in none, one or several of them."""
+    that a point may fall in none, one or several of them. A track's
+    times, like its frames, strictly increase."""
     point = st.tuples(_tricky_text, _tricky_floats, _tricky_floats,
-                      _tricky_floats, _tricky_floats, _tricky_floats)
+                      _tricky_floats, _tricky_floats)
     tracks = []
     for k, oid in enumerate(sorted(draw(st.sets(_tricky_text, max_size=4)))):
         frames = sorted(draw(st.sets(st.integers(0, 30), min_size=1,
                                      max_size=6)))
+        times = sorted(draw(st.sets(_tricky_floats.filter(lambda t: t == t),
+                                    min_size=len(frames),
+                                    max_size=len(frames))))
         pts = [TrackPoint(frame=f, t=t, raw_px=(a, b), smooth_px=(c, d),
                           world=(b, a), detection_id=det)
-               for f, (det, t, a, b, c, d) in zip(
-                   frames, draw(st.lists(point, min_size=len(frames),
-                                         max_size=len(frames))))]
+               for f, t, (det, a, b, c, d) in zip(
+                   frames, times, draw(st.lists(point, min_size=len(frames),
+                                                max_size=len(frames))))]
         tracks.append(Trajectory(oid, draw(st.sampled_from(ObjectClass)), pts))
     scenes = []
     for sid in draw(st.sets(_tricky_text, min_size=1, max_size=4)):
@@ -322,18 +325,20 @@ def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
                                       track, p)
     canonical = dumps_sorted(row("s0001"))
     escaped_det = dumps_sorted({**row("s11", p2), "det": "vé"})
+    # Each scene holds the point p0 once: a scene with a point twice is
+    # malformed (see test_repeated_point_in_a_scene_is_malformed).
     lines = [
         canonical,
         dumps_sorted(row("s0002")),                    # reused
         canonical.replace('"s0001"', '"s\\u0030"'),    # escaped id: "s0"
-        canonical,
+        canonical.replace('"s0001"', '"s0003"'),
         canonical.replace('"s0001"', '"s\\"1"'),       # id holding a quote
-        canonical,
+        canonical.replace('"s0001"', '"s0004"'),
         canonical.replace('"s0001"', '"s"'),           # shorter id, reused
         canonical.replace('"s0001"', '""'),            # empty id, reused
         canonical.replace('"s0001"', '"s3", "scene_id": "s4"'),  # duplicate
         canonical.replace('"s0001"', '"s3", "scene_id": "s3"'),
-        canonical.replace('"s0001"', '"s5", "scene_id": "s3"'),
+        canonical.replace('"s0001"', '"s5", "scene_id": "s13"'),
         json.dumps(row("s6", p1)),                     # keys in another order
         json.dumps({**row("s6", p2), "class": "pedestrian"}),   # last wins
         json.dumps(row("s7", p1)).replace(": ", ":  "),    # extra spaces
@@ -347,9 +352,9 @@ def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
     write_jsonl(path, "trajectories", lines)
     per_scene, rows, decoded = read_trajectories(tmp_path)
     assert per_scene == _json_reference(path)
-    assert set(per_scene) == {"s0001", "s0002", "s0", 's"1', "s", "", "s4",
-                              "s3", "s6", "s7", "s8", "s9", "s10", "s11",
-                              "s12"}
+    assert set(per_scene) == {"s0001", "s0002", "s0", "s0003", 's"1', "s0004",
+                              "s", "", "s4", "s3", "s13", "s6", "s7", "s8",
+                              "s9", "s10", "s11", "s12"}
     assert (rows, decoded) == (len(lines), len(lines) - 3)
     # Not JSON, reused or not: a raw control character in the id, and a
     # row where the previous row's head and tail overlap.
@@ -360,6 +365,26 @@ def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
             _json_reference(path)
         with pytest.raises(MalformedRecord, match="^line 3: "):
             read_trajectories(tmp_path)
+
+
+@pytest.mark.parametrize("second", [
+    {},                          # the same row twice
+    {"frame": 5},                # a time that does not advance
+    {"frame": 5, "t": 0.5},      # a time that goes back
+])
+def test_repeated_point_in_a_scene_is_malformed(tmp_path, second):
+    # Speeds divide by the time between a track's points, so a scene's
+    # track must advance in both frame and time; the rows may come in
+    # any order.
+    track = make_traj("t0", ObjectClass.VEHICLE, [0, 10], [(1.5, 2.0), (3.0, 2.0)])
+    scene = SceneSpan("s0", "v0", 0, 10, False)
+    rows = [_full_row(scene, track, p) for p in track.points]
+    rows.insert(0, {**rows[1], **second})
+    write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
+                map(dumps_sorted, rows))
+    with pytest.raises(MalformedRecord,
+                       match="^line 4: .*scene 's0', object 't0'"):
+        read_trajectories(tmp_path)
 
 
 def test_trajectory_row_with_a_number_for_object_id_is_malformed(tmp_path):
