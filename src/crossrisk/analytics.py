@@ -1,9 +1,12 @@
-"""Corpus-level statistics over extracted scene features.
+"""Corpus-level statistics over extracted scene features, and the one
+policy that turns each spot's feature bundles into `analysis.json`.
 
 Covers the per-spot speed tables, PSM distributions by signalization,
 stopping percentages against a baseline distance, the size-balanced merge
 of per-spot PSM distributions, and the eight sign/quartile PSM ranges
-cross-tabulated with stopping behavior.
+cross-tabulated with stopping behavior. `analysis_record` decides which
+spots form which group, what gets merged and which shortfalls are only
+logged; `emit_report` renders its record as the report's files.
 """
 
 from __future__ import annotations
@@ -27,29 +30,15 @@ from .features import SceneFeatures
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class SpotStats:
-    """Speed statistics for one spot, split by scene type."""
-
-    spot_id: str
-    scenes_total: int
-    scenes_car_only: int
-    scenes_interactive: int
-    speed_max_kmh: float
-    speed_min_kmh: float
-    speed_mean_kmh: float
-    car_only_mean_kmh: float | None
-    interactive_mean_kmh: float | None
-
-
 def scene_speed_kmh(features: SceneFeatures) -> float | None:
     """A scene's speed: the mean of its speed list (None when empty)."""
     speeds = features.vehicle_speeds_kmh
     return float(np.mean(speeds)) if speeds else None
 
 
-def spot_speed_stats(spot_id: str, features: list[SceneFeatures]) -> SpotStats:
-    """Max/min/mean of per-scene speeds, overall and by scene type."""
+def spot_speed_stats(spot_id: str, features: list[SceneFeatures]) -> dict:
+    """The spot's `stats` row: scene counts by type and the max/min/mean of
+    per-scene speeds, overall and by scene type."""
     rows = [(f.interactive, scene_speed_kmh(f)) for f in features]
     speeds = [s for _, s in rows if s is not None]
     if not speeds:
@@ -57,17 +46,17 @@ def spot_speed_stats(spot_id: str, features: list[SceneFeatures]) -> SpotStats:
     car_only = [s for i, s in rows if s is not None and not i]
     inter = [s for i, s in rows if s is not None and i]
     interactive = sum(1 for f in features if f.interactive)
-    return SpotStats(
-        spot_id=spot_id,
-        scenes_total=len(features),
-        scenes_car_only=len(features) - interactive,
-        scenes_interactive=interactive,
-        speed_max_kmh=max(speeds),
-        speed_min_kmh=min(speeds),
-        speed_mean_kmh=float(np.mean(speeds)),
-        car_only_mean_kmh=float(np.mean(car_only)) if car_only else None,
-        interactive_mean_kmh=float(np.mean(inter)) if inter else None,
-    )
+    return {
+        "spot": spot_id,
+        "scenes": len(features),
+        "car_only": len(features) - interactive,
+        "interactive": interactive,
+        "max_kmh": max(speeds),
+        "min_kmh": min(speeds),
+        "mean_kmh": float(np.mean(speeds)),
+        "car_only_mean_kmh": float(np.mean(car_only)) if car_only else None,
+        "interactive_mean_kmh": float(np.mean(inter)) if inter else None,
+    }
 
 
 def qualifying_stop(features: SceneFeatures, baseline_m: float = 10.0) -> bool:
@@ -122,10 +111,6 @@ class PsmDistribution:
     spot_weights: dict[str, float] = field(default_factory=dict)
     degenerate: bool = False
 
-    def normalized_masses(self) -> np.ndarray:
-        total = self.masses.sum()
-        return self.masses / total if total > 0 else self.masses
-
 
 def _fd_bin_edges(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Freedman-Diaconis edges on the weighted sample.
@@ -153,9 +138,8 @@ def weighted_merge(samples_by_spot: dict[str, list[float]],
     """Merge per-spot PSM samples with size-balancing weights.
 
     Each spot's samples carry weight w_i = 1 - n_i/n so that high-traffic
-    spots do not drown out the others. Histogram masses stay unnormalized
-    (their sum is the weighted sample count); normalize for plotting with
-    normalized_masses().
+    spots do not drown out the others. Histogram masses stay unnormalized:
+    their sum is the weighted sample count.
     """
     filtered = {
         spot: [s for s in samples if s is not None
@@ -236,42 +220,24 @@ def psm_ranges(merged: PsmDistribution) -> PsmRanges:
     return PsmRanges(negative_quartiles=nq, positive_quartiles=pq)
 
 
-@dataclass
-class PsmRangeTable:
-    """Stopping percentage per (PSM range, spot); absent cells mean no
-    scene fell in that range for that spot."""
-
-    ranges: PsmRanges
-    cells: dict[tuple[int, str], float]
-    counts: dict[tuple[int, str], tuple[int, int]]   # (stopped, total)
-
-
 def stopping_by_psm_range(features_by_spot: dict[str, list[SceneFeatures]],
                           ranges: PsmRanges,
-                          signalized_by_spot: dict[str, bool],
-                          baseline_m: float = 10.0) -> PsmRangeTable:
-    """Cross-tab of stopping behavior against PSM range, unsignalized only.
-
-    Signalized spots are rejected: yielding there follows the signal, not
-    the pedestrian.
-    """
-    for spot in features_by_spot:
-        if signalized_by_spot.get(spot, False):
-            raise ValueError(f"spot {spot} is signalized; PSM-range analysis "
-                             "applies to unsignalized spots only")
-    cells: dict[tuple[int, str], float] = {}
-    counts: dict[tuple[int, str], tuple[int, int]] = {}
-    for spot in sorted(features_by_spot):
+                          baseline_m: float = 10.0) -> list[list]:
+    """Cross-tab of stopping behavior against PSM range: one sorted
+    `[range, spot, scenes, stopped, percentage]` row per (range, spot)
+    that holds a scene with a PSM."""
+    rows = []
+    for spot, scenes in features_by_spot.items():
         per_range: dict[int, list[SceneFeatures]] = {}
-        for f in features_by_spot[spot]:
-            if f.psm_seconds is None:
-                continue
-            per_range.setdefault(ranges.range_of(f.psm_seconds), []).append(f)
-        for r, scenes in per_range.items():
-            stopped = sum(1 for f in scenes if qualifying_stop(f, baseline_m))
-            cells[(r, spot)] = 100.0 * stopped / len(scenes)
-            counts[(r, spot)] = (stopped, len(scenes))
-    return PsmRangeTable(ranges=ranges, cells=cells, counts=counts)
+        for f in scenes:
+            if f.psm_seconds is not None:
+                per_range.setdefault(ranges.range_of(f.psm_seconds),
+                                     []).append(f)
+        for r, hits in per_range.items():
+            stopped = sum(1 for f in hits if qualifying_stop(f, baseline_m))
+            rows.append([r, spot, len(hits), stopped,
+                         100.0 * stopped / len(hits)])
+    return sorted(rows)
 
 
 # --- report files -------------------------------------------------------------
@@ -287,22 +253,57 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         raise IoFailure(f"cannot write report {path}: {exc}") from exc
 
 
-def analysis_record(stats: list[SpotStats],
-                    distributions: list[PsmDistribution],
-                    stopping_rows: list[tuple[str, float, int, int]],
-                    range_table: PsmRangeTable | None) -> dict:
-    """The `analysis.json` record, less its schema: every table of the
-    report, each list sorted, in the layout `emit_report` renders."""
+def analysis_record(spots: list[tuple[str, bool, list[SceneFeatures]]],
+                    baseline_m: float = 10.0) -> dict:
+    """The `analysis.json` record, less its schema, from each spot's
+    `(spot_id, signalized, bundles)`: every table of the report, each list
+    sorted, in the layout `emit_report` renders.
+
+    Signalized and unsignalized spots each merge their positive PSMs into
+    one distribution. The PSM ranges and the stopping table come from the
+    unsignalized spots alone, since yielding at a signal follows the
+    signal, not the pedestrian. A spot without speeds or without
+    qualifying scenes, and a one-sided PSM distribution, only leave their
+    rows out.
+    """
+    stats, stopping = [], []
+    psm_by_group: dict[str, dict[str, list[float]]] = {
+        "signalized": {}, "unsignalized": {}}
+    unsignalized = {}
+    for spot_id, signalized, bundles in spots:
+        try:
+            stats.append(spot_speed_stats(spot_id, bundles))
+        except EmptySpot:
+            log.warning("spot %s: no scenes with speeds", spot_id)
+        try:
+            stopping.append((spot_id, *stopping_percentage(bundles,
+                                                           baseline_m)))
+        except NoQualifyingScenes:
+            pass
+        group = "signalized" if signalized else "unsignalized"
+        psm_by_group[group][spot_id] = [
+            f.psm_seconds for f in bundles if f.psm_seconds is not None]
+        if not signalized:
+            unsignalized[spot_id] = bundles
+
+    distributions = [
+        weighted_merge(samples, group=f"{name}_positive", positive_only=True)
+        for name, samples in psm_by_group.items() if any(samples.values())]
+    ranges = table = None
+    if any(psm_by_group["unsignalized"].values()):
+        merged = weighted_merge(psm_by_group["unsignalized"],
+                                group="unsignalized_weighted")
+        distributions.append(merged)
+        try:
+            ranges = psm_ranges(merged)
+        except OneSidedDistribution:
+            log.warning("PSM range analysis skipped: one-sided distribution")
+        else:
+            table = stopping_by_psm_range(unsignalized, ranges, baseline_m)
+
     return {
-        "stats": [{
-            "spot": s.spot_id, "scenes": s.scenes_total,
-            "car_only": s.scenes_car_only, "interactive": s.scenes_interactive,
-            "max_kmh": s.speed_max_kmh, "min_kmh": s.speed_min_kmh,
-            "mean_kmh": s.speed_mean_kmh,
-            "car_only_mean_kmh": s.car_only_mean_kmh,
-            "interactive_mean_kmh": s.interactive_mean_kmh,
-        } for s in sorted(stats, key=lambda s: s.spot_id)],
-        "stopping": sorted(stopping_rows),
+        "stats": sorted(stats, key=lambda s: s["spot"]),
+        "stopping": sorted(stopping),
         "distributions": [{
             "group": d.group,
             "samples": d.samples.tolist(),
@@ -312,13 +313,10 @@ def analysis_record(stats: list[SpotStats],
             "spot_weights": d.spot_weights,
             "degenerate": d.degenerate,
         } for d in sorted(distributions, key=lambda d: d.group)],
-        "ranges": None if range_table is None else {
-            "negative": list(range_table.ranges.negative_quartiles),
-            "positive": list(range_table.ranges.positive_quartiles)},
-        "range_table": None if range_table is None else [
-            [r, spot, range_table.counts[(r, spot)][1],
-             range_table.counts[(r, spot)][0], pct]
-            for (r, spot), pct in sorted(range_table.cells.items())],
+        "ranges": None if ranges is None else {
+            "negative": list(ranges.negative_quartiles),
+            "positive": list(ranges.positive_quartiles)},
+        "range_table": table,
     }
 
 

@@ -43,10 +43,6 @@ class PointAtInfinity(PipelineError):
 
 # --- features -------------------------------------------------------------
 
-class TooShort(PipelineError):
-    """Trajectory or list too short for the requested computation."""
-
-
 class MissingPolygons(PipelineError):
     """Spot config lacks the polygons needed for zone classification."""
 

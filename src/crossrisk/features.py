@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     MissingPolygons,
     NoConflict,
-    TooShort,
     ZeroHeading,
 )
 from .geometry import Calibration
@@ -87,10 +86,8 @@ def speed_list(traj: Trajectory) -> list[float]:
 
     Positions are the trajectory's ground-plane meters; each step divides
     the distance by the actual time elapsed (the sampling interval, unless
-    detections were dropped).
+    detections were dropped). Shorter than 2 points, it has no steps.
     """
-    if len(traj) < 2:
-        raise TooShort(f"trajectory {traj.object_id} has {len(traj)} points")
     speeds = []
     for a, b in zip(traj.points, traj.points[1:]):
         dx = b.world[0] - a.world[0]
@@ -116,15 +113,12 @@ def acceleration_list(filtered: list[float], epsilon_kmh: float,
 
     Only the approach counts: given the vehicle's zones (aligned to its
     trajectory points, one longer than the speed list), the speeds from the
-    first point on or after the crosswalk onwards are dropped.
+    first point on or after the crosswalk onwards are dropped. Fewer than
+    2 approach speeds give no states.
     """
     cut = next((i for i, z in enumerate(zones) if z is not VehicleZone.BEFORE),
                None)
     speeds = filtered[:cut]
-    if len(speeds) < 2:
-        if len(filtered) < 2:
-            raise TooShort("need at least 2 speeds")
-        return []
     states = []
     for a, b in zip(speeds, speeds[1:]):
         delta = b - a
@@ -357,10 +351,12 @@ def psm(vehicle: Trajectory, pedestrian: Trajectory) -> PsmValue:
     Walks vehicle steps k in order and pedestrian steps i within each; the
     first pair where the vehicle step crosses the pedestrian step's line
     and the line intersection falls inside the pedestrian step wins.
-    Positive when the pedestrian reached the conflict point first.
+    Positive when the pedestrian reached the conflict point first. A
+    trajectory of fewer than 2 points has no step, so no conflict.
     """
     if len(vehicle) < 2 or len(pedestrian) < 2:
-        raise TooShort("both trajectories need at least 2 points")
+        raise NoConflict(f"{vehicle.object_id} or {pedestrian.object_id} "
+                         "has fewer than 2 points")
     vp = vehicle.world_array()
     pp = pedestrian.world_array()
     vt = vehicle.times()
@@ -457,11 +453,10 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
     """
     params = params or FeatureParams()
 
-    speeds = speed_list(vehicle) if len(vehicle) >= 2 else []
+    speeds = speed_list(vehicle)
     zones, cw_dists = vehicle_zones(vehicle, spot)
-    filtered = low_pass(speeds, params.alpha)
-    accel = (acceleration_list(filtered, params.epsilon_kmh, zones)
-             if len(filtered) >= 2 else [])
+    accel = acceleration_list(low_pass(speeds, params.alpha),
+                              params.epsilon_kmh, zones)
     stopped, window = stop_window(speeds, zones, params.stop_tolerance_kmh,
                                   params.stop_min_steps)
     stop_distance = min((cw_dists[j] for j in window), default=None)
@@ -469,39 +464,31 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
     ped_speeds = {}
     ped_zones = {}
     vw = {p.frame: p.world for p in vehicle.points}
-    per_frame: dict[int, list[tuple[float, str]]] = {}
-    nearest_overall: tuple[float, str] | None = None
+    # Per frame the nearest pedestrian: (distance, track id, world point).
+    nearest: dict[int, tuple[float, str, tuple[float, float]]] = {}
     by_id = {}
     for ped in pedestrians:
         by_id[ped.object_id] = ped
-        ped_speeds[ped.object_id] = speed_list(ped) if len(ped) >= 2 else []
+        ped_speeds[ped.object_id] = speed_list(ped)
         ped_zones[ped.object_id] = classify_zones(ped, spot)
         for p in ped.points:
             if p.frame in vw:
-                d = math.dist(vw[p.frame], p.world)
-                per_frame.setdefault(p.frame, []).append((d, ped.object_id))
-                cand = (d, ped.object_id)
-                if nearest_overall is None or cand < nearest_overall:
-                    nearest_overall = cand
+                cand = (math.dist(vw[p.frame], p.world), ped.object_id,
+                        p.world)
+                if p.frame not in nearest or cand < nearest[p.frame]:
+                    nearest[p.frame] = cand
 
-    common = sorted(per_frame)
-    distances = [min(per_frame[f])[0] for f in common]
-
+    common = sorted(nearest)
+    distances = [nearest[f][0] for f in common]
     rel_positions: list[str] = []
-    if common:
-        ped_world = {(ped.object_id, p.frame): p.world
-                     for ped in pedestrians for p in ped.points}
-        rel_positions = _front_or_behind(vehicle, calib, [
-            (f, ped_world[(min(per_frame[f])[1], f)]) for f in common])
-
     psm_value = None
-    if nearest_overall is not None:
-        target = by_id[nearest_overall[1]]
-        if len(target) >= 2 and len(vehicle) >= 2:
-            try:
-                psm_value = psm(vehicle, target)
-            except NoConflict:
-                psm_value = None
+    if common:
+        rel_positions = _front_or_behind(
+            vehicle, calib, [(f, nearest[f][2]) for f in common])
+        try:
+            psm_value = psm(vehicle, by_id[min(nearest.values())[1]])
+        except NoConflict:
+            pass
 
     in_crossing = any(
         z in (PedestrianZone.CROSSWALK, PedestrianZone.CIA)

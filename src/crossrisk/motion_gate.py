@@ -47,9 +47,6 @@ class SceneSpan:
         if self.frame_start > self.frame_end:
             raise ValueError("frame_start must be <= frame_end")
 
-    def contains(self, frame: int) -> bool:
-        return self.frame_start <= frame <= self.frame_end
-
 
 def segment_scenes(detections, hangover_frames: int) -> list[SceneSpan]:
     """Cut a frame-ordered detection sequence into per-vehicle scenes.

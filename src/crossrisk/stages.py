@@ -22,9 +22,11 @@ each point once and reuses it for the others.
 
 Stage files are self-describing: the first line names the schema. All
 writers sort their output canonically so results are byte-identical
-regardless of worker count. `analytics` owns the layout of
-`analysis.json`: `analysis_record` builds it and `emit_report` renders it,
-so the report stage can be rerun from that file alone.
+regardless of worker count. The analyze stage only reads each spot's
+config and features: `analytics` owns both the analysis policy and the
+layout of `analysis.json`. `analysis_record` builds that record and
+`emit_report` renders it, so the report stage can be rerun from that file
+alone.
 """
 
 from __future__ import annotations
@@ -40,11 +42,8 @@ from pathlib import Path
 
 from . import analytics, features as feat, motion_gate, synth, tracker
 from .errors import (
-    EmptySpot,
     IoFailure,
     MalformedRecord,
-    NoQualifyingScenes,
-    OneSidedDistribution,
     PipelineError,
     ZeroHeading,
 )
@@ -638,54 +637,15 @@ def read_features(spot_dir: Path) -> list[SceneFeatures]:
 
 
 def run_analyze(cfg: PipelineConfig) -> Path:
-    stats = []
-    stopping_rows = []
-    by_spot_features: dict[str, list[SceneFeatures]] = {}
-    signalized: dict[str, bool] = {}
+    """Write `analysis.json`: the record `analytics.analysis_record` builds
+    from every spot's feature bundles."""
+    spots = []
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
-        bundles = read_features(spot_dir)
-        by_spot_features[config.spot_id] = bundles
-        signalized[config.spot_id] = config.signalized
-        try:
-            stats.append(analytics.spot_speed_stats(config.spot_id, bundles))
-        except EmptySpot:
-            log.warning("spot %s: no scenes with speeds", config.spot_id)
-        try:
-            pct, stopped, total = analytics.stopping_percentage(
-                bundles, cfg.baseline_m)
-            stopping_rows.append((config.spot_id, pct, stopped, total))
-        except NoQualifyingScenes:
-            pass
-
-    psm_by_spot = {
-        spot: [f.psm_seconds for f in bundles if f.psm_seconds is not None]
-        for spot, bundles in by_spot_features.items()
-    }
-    groups = {
-        "signalized": {s: v for s, v in psm_by_spot.items() if signalized[s]},
-        "unsignalized": {s: v for s, v in psm_by_spot.items() if not signalized[s]},
-    }
-    distributions = []
-    for name, spots in groups.items():
-        if any(spots.values()):
-            distributions.append(analytics.weighted_merge(
-                spots, group=f"{name}_positive", positive_only=True))
-
-    table = None
-    unsig = groups["unsignalized"]
-    if any(unsig.values()):
-        merged = analytics.weighted_merge(unsig, group="unsignalized_weighted")
-        distributions.append(merged)
-        try:
-            table = analytics.stopping_by_psm_range(
-                {s: b for s, b in by_spot_features.items() if not signalized[s]},
-                analytics.psm_ranges(merged), signalized, cfg.baseline_m)
-        except OneSidedDistribution:
-            log.warning("PSM range analysis skipped: one-sided distribution")
-
-    doc = {"schema": SCHEMAS["analysis"], **analytics.analysis_record(
-        stats, distributions, stopping_rows, table)}
+        spots.append((config.spot_id, config.signalized,
+                      read_features(spot_dir)))
+    doc = {"schema": SCHEMAS["analysis"],
+           **analytics.analysis_record(spots, cfg.baseline_m)}
     path = Path(cfg.out_dir) / "analysis.json"
     path.write_text(json.dumps(doc, sort_keys=True))
     return path

@@ -58,11 +58,6 @@ class AgentScript:
                 return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
         return (wp[-1][1], wp[-1][2])
 
-    def visible(self, t: float) -> bool:
-        if not self.t_start <= t <= self.t_end:
-            return False
-        return not any(b0 <= t <= b1 for b0, b1 in self.blackouts)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:

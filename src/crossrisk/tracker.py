@@ -97,10 +97,6 @@ class TrackState:
         return (self.x, self.y)
 
     @property
-    def velocity(self) -> tuple[float, float]:
-        return (self.vx, self.vy)
-
-    @property
     def state_mean(self) -> np.ndarray:
         """(x, y, vx, vy)."""
         return np.array([self.x, self.y, self.vx, self.vy])

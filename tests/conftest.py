@@ -1,18 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from crossrisk.synth import synthetic_spot_config
-
-
-@pytest.fixture
-def spot_config():
-    return synthetic_spot_config()
-
-
-@pytest.fixture
-def calibration(spot_config):
-    return spot_config.build_calibration()

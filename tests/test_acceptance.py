@@ -3,7 +3,6 @@ PASS line with the measured values when it holds."""
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from crossrisk.analytics import (
 )
 from crossrisk.cli import main as cli_main
 from crossrisk.features import (
-    ACC,
     BEHIND,
     FRONT,
     NC,
@@ -173,7 +171,8 @@ def test_criterion_4_weighting():
     base = weighted_merge(samples)
     dup = weighted_merge({s: v * 4 for s, v in samples.items()})
     assert np.allclose(base.bin_edges, dup.bin_edges)
-    assert np.allclose(base.normalized_masses(), dup.normalized_masses())
+    assert np.allclose(base.masses / base.masses.sum(),
+                       dup.masses / dup.masses.sum())
     print("criterion 4 PASS: weights (8/9, 1/9) exact, equal spots equal, "
           "histogram duplication-invariant")
 
@@ -286,7 +285,7 @@ def test_criterion_7_kalman_numerics():
         state = kalman_predict(state, params.process_noise)
         state = kalman_update(state, (3.0 * k, -2.0 * k),
                               params.measurement_noise)
-    err = max(abs(state.velocity[0] - 3.0), abs(state.velocity[1] + 2.0))
+    err = max(abs(state.vx - 3.0), abs(state.vy + 2.0))
     assert err <= 1e-6
     print(f"criterion 7 PASS: min eigenvalue {min_eig:.2e} >= -1e-9, "
           f"velocity error {err:.2e} <= 1e-6 at step 20")

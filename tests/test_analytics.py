@@ -6,7 +6,6 @@ import pytest
 
 from crossrisk.analytics import (
     PsmDistribution,
-    PsmRanges,
     analysis_record,
     emit_report,
     psm_ranges,
@@ -49,9 +48,9 @@ def test_scene_type_proportions_replay():
     scenes = ([_scene(scene_id=f"c{k}") for k in range(2681)]
               + [_scene(scene_id=f"i{k}", interactive=True) for k in range(1540)])
     stats = spot_speed_stats("A", scenes)
-    assert stats.scenes_car_only == 2681
-    assert stats.scenes_interactive == 1540
-    assert stats.scenes_total == 4221
+    assert stats["car_only"] == 2681
+    assert stats["interactive"] == 1540
+    assert stats["scenes"] == 4221
 
 
 # --- speed statistics ------------------------------------------------------------
@@ -61,23 +60,23 @@ def test_spot_speed_stats_basic():
     scenes = [_scene(scene_id="a", speeds=[10.0, 10.0]),
               _scene(scene_id="b", speeds=[20.0, 20.0])]
     stats = spot_speed_stats("A", scenes)
-    assert stats.speed_mean_kmh == pytest.approx(15.0)
-    assert stats.speed_min_kmh == pytest.approx(10.0)
-    assert stats.speed_max_kmh == pytest.approx(20.0)
+    assert stats["mean_kmh"] == pytest.approx(15.0)
+    assert stats["min_kmh"] == pytest.approx(10.0)
+    assert stats["max_kmh"] == pytest.approx(20.0)
 
 
 def test_spot_speed_stats_single_scene():
     stats = spot_speed_stats("A", [_scene(speeds=[14.0, 14.0])])
-    assert stats.speed_min_kmh == stats.speed_max_kmh == stats.speed_mean_kmh
+    assert stats["min_kmh"] == stats["max_kmh"] == stats["mean_kmh"]
 
 
 def test_spot_speed_stats_split_by_type():
     scenes = [_scene(scene_id="a", speeds=[30.0]),
               _scene(scene_id="b", speeds=[10.0], interactive=True)]
     stats = spot_speed_stats("A", scenes)
-    assert stats.car_only_mean_kmh == pytest.approx(30.0)
-    assert stats.interactive_mean_kmh == pytest.approx(10.0)
-    assert stats.interactive_mean_kmh < stats.car_only_mean_kmh
+    assert stats["car_only_mean_kmh"] == pytest.approx(30.0)
+    assert stats["interactive_mean_kmh"] == pytest.approx(10.0)
+    assert stats["interactive_mean_kmh"] < stats["car_only_mean_kmh"]
 
 
 def test_empty_spot_raises():
@@ -171,9 +170,8 @@ def test_equal_spots_match_unweighted_shape():
     weighted = weighted_merge(samples)
     flat = np.concatenate([samples["A"], samples["B"]])
     masses, _ = np.histogram(flat, bins=weighted.bin_edges)
-    norm_w = weighted.normalized_masses()
-    norm_u = masses / masses.sum()
-    assert np.allclose(norm_w, norm_u)
+    assert np.allclose(weighted.masses / weighted.masses.sum(),
+                       masses / masses.sum())
 
 
 def test_normalized_histogram_invariant_under_duplication():
@@ -183,7 +181,8 @@ def test_normalized_histogram_invariant_under_duplication():
     base = weighted_merge(samples)
     tripled = weighted_merge({s: v * 3 for s, v in samples.items()})
     assert np.allclose(base.bin_edges, tripled.bin_edges)
-    assert np.allclose(base.normalized_masses(), tripled.normalized_masses())
+    assert np.allclose(base.masses / base.masses.sum(),
+                       tripled.masses / tripled.masses.sum())
     assert base.spot_weights == tripled.spot_weights
 
 
@@ -311,15 +310,8 @@ def test_stopping_by_range_single_cell():
     scenes = [_qualifying(f"s{k}", True) for k in range(4)]
     for s in scenes:
         s.psm_seconds = 0.5          # all land in range 5
-    table = stopping_by_psm_range({"D": scenes}, ranges, {"D": False})
-    assert table.cells == {(5, "D"): pytest.approx(100.0)}
-    assert table.counts[(5, "D")] == (4, 4)
-
-
-def test_stopping_by_range_rejects_signalized_spot():
-    ranges = psm_ranges(_paper_distribution())
-    with pytest.raises(ValueError):
-        stopping_by_psm_range({"A": []}, ranges, {"A": True})
+    assert stopping_by_psm_range({"D": scenes}, ranges) == [
+        [5, "D", 4, 4, 100.0]]
 
 
 def test_stopping_by_range_monotone_trend():
@@ -335,8 +327,9 @@ def test_stopping_by_range_monotone_trend():
             s.psm_seconds = mids[r]
             scenes.append(s)
             k += 1
-    table = stopping_by_psm_range({"D": scenes}, ranges, {"D": False})
-    pcts = [table.cells[(r, "D")] for r in (5, 6, 7, 8)]
+    table = stopping_by_psm_range({"D": scenes}, ranges)
+    assert [row[:2] for row in table] == [[r, "D"] for r in (5, 6, 7, 8)]
+    pcts = [row[4] for row in table]
     assert all(a > b for a, b in zip(pcts, pcts[1:]))
 
 
@@ -344,7 +337,7 @@ def test_stopping_by_range_monotone_trend():
 
 
 def test_emit_report_empty_corpus(tmp_path):
-    files = emit_report(tmp_path, analysis_record([], [], [], None))
+    files = emit_report(tmp_path, analysis_record([]))
     speed = (tmp_path / "speed_stats.csv").read_text().strip().splitlines()
     assert speed == ["spot,max_kmh,min_kmh,mean_kmh,car_only_mean_kmh,"
                      "interactive_mean_kmh"]
@@ -352,10 +345,9 @@ def test_emit_report_empty_corpus(tmp_path):
 
 
 def test_emit_report_table_five_shape(tmp_path):
-    stats = [spot_speed_stats("A", [_scene(speeds=[10.0]),
-                                    _scene(scene_id="s1", speeds=[20.0],
-                                           interactive=True)])]
-    emit_report(tmp_path, analysis_record(stats, [], [], None))
+    scenes = [_scene(speeds=[10.0]),
+              _scene(scene_id="s1", speeds=[20.0], interactive=True)]
+    emit_report(tmp_path, analysis_record([("A", False, scenes)]))
     with open(tmp_path / "speed_stats.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["spot"] == "A"
@@ -364,8 +356,45 @@ def test_emit_report_table_five_shape(tmp_path):
 
 
 def test_emit_report_histogram_rows_match_bins(tmp_path):
-    dist = weighted_merge({"A": [1.0, 2.0, 3.0], "B": [2.0, 4.0]},
-                          group="check")
-    emit_report(tmp_path, analysis_record([], [dist], [], None))
-    rows = (tmp_path / "psm_hist_check.csv").read_text().strip().splitlines()
-    assert len(rows) - 1 == len(dist.masses)
+    spots = [(spot, True, [_scene(scene_id=f"{spot}{k}", psm=v)
+                           for k, v in enumerate(psms)])
+             for spot, psms in (("A", [1.0, 2.0, 3.0]), ("B", [2.0, 4.0]))]
+    record = analysis_record(spots)
+    emit_report(tmp_path, record)
+    (dist,) = record["distributions"]
+    rows = (tmp_path / f"psm_hist_{dist['group']}.csv").read_text(
+    ).strip().splitlines()
+    assert len(rows) - 1 == len(dist["masses"])
+
+
+# --- the analysis policy --------------------------------------------------------
+
+
+def test_analysis_record_keeps_signalized_spots_out_of_the_range_table():
+    # Every spot holds scenes on both sides of zero; only the two
+    # unsignalized ones may reach the ranges and the stopping table.
+    def spot(name, psms):
+        return [_scene(scene_id=f"{name}{k}", spot=name, interactive=True,
+                       in_crossing=True, psm=v, stopped=k % 2 == 0,
+                       stop_distance=4.0 if k % 2 == 0 else None)
+                for k, v in enumerate(psms)]
+
+    signalized = spot("A", [-9.0, -5.0, 5.0, 9.0])
+    unsig = {"B": spot("B", [-3.0, -1.0, 1.0, 3.0]),
+             "C": spot("C", [-2.0, -0.5, 0.5, 2.0, 4.0])}
+    record = analysis_record([("A", True, signalized), ("B", False, unsig["B"]),
+                              ("C", False, unsig["C"])])
+
+    assert [d["group"] for d in record["distributions"]] == [
+        "signalized_positive", "unsignalized_positive",
+        "unsignalized_weighted"]
+    sig_positive, _, weighted = record["distributions"]
+    assert sig_positive["samples"] == [5.0, 9.0]
+    assert set(weighted["spot_weights"]) == {"B", "C"}
+    assert sorted(weighted["samples"]) == sorted(
+        f.psm_seconds for scenes in unsig.values() for f in scenes)
+
+    assert {row[1] for row in record["range_table"]} == {"B", "C"}
+    assert sum(row[2] for row in record["range_table"]) == 9
+    assert [s["spot"] for s in record["stats"]] == ["A", "B", "C"]
+    assert [row[0] for row in record["stopping"]] == ["A", "B", "C"]

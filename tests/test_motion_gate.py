@@ -88,7 +88,8 @@ def test_spans_cover_and_never_overlap():
                                hangover_frames=int(rng.integers(0, 5)))
         for a, b in zip(spans, spans[1:]):
             assert a.frame_end < b.frame_start
-        assert all(any(s.contains(f) for s in spans) for f in frames)
+        assert all(any(s.frame_start <= f <= s.frame_end for s in spans)
+                   for f in frames)
 
 
 def test_pedestrian_flips_only_interactive():
@@ -113,4 +114,5 @@ def test_interactive_iff_a_pedestrian_frame_lies_in_the_span():
         assert [(s.frame_start, s.frame_end) for s in spans] == \
             [(10, 19), (40, 49)]
         for s in spans:
-            assert s.interactive == any(s.contains(f) for f in ped_frames)
+            assert s.interactive == any(s.frame_start <= f <= s.frame_end
+                                         for f in ped_frames)

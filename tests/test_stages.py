@@ -170,8 +170,8 @@ def test_scene_type_proportions_replay_from_file(tmp_path):
                 map(dumps_sorted, rows))
     bundles = read_features(spot_dir)
     stats = spot_speed_stats("A", bundles)
-    assert stats.scenes_car_only == 2681
-    assert stats.scenes_interactive == 1540
+    assert stats["car_only"] == 2681
+    assert stats["interactive"] == 1540
 
 
 def test_read_jsonl_rejects_wrong_schema(tmp_path):
@@ -446,7 +446,8 @@ def test_windows_that_overlap_no_other_are_tracked_alone(tmp_path):
     records = load_detections(spot_dir, config)
     rows = []
     for span in spans:
-        window = [r for r in records if span.contains(r.frame_index)]
+        window = [r for r in records
+                  if span.frame_start <= r.frame_index <= span.frame_end]
         for t in tracker.track_scene(window, TrackerParams(),
                                      config.build_calibration(),
                                      fps=config.fps,

@@ -10,7 +10,6 @@ from crossrisk.ingest import ObjectClass
 from crossrisk.tracker import (
     TrackerParams,
     TrackPoint,
-    Trajectory,
     assign,
     kalman_predict,
     kalman_update,
@@ -78,7 +77,7 @@ def test_velocity_converges_on_clean_input():
     for k in range(1, 21):
         state = kalman_predict(state, PARAMS.process_noise)
         state = kalman_update(state, (3.0 * k, 2.0 * k), PARAMS.measurement_noise)
-    assert state.velocity == pytest.approx((3.0, 2.0), abs=1e-6)
+    assert (state.vx, state.vy) == pytest.approx((3.0, 2.0), abs=1e-6)
 
 
 # Entries of the 4x4 covariance that couple the x and y axes.
