@@ -345,6 +345,12 @@ def _front_or_behind(vehicle: Trajectory, calib: Calibration,
     return out
 
 
+# How far each path's bounding box is widened before the reject test. A
+# hit may lie up to 1e-9 of a step outside the pedestrian's step, so
+# boxes that only just miss may still hold one.
+_BOX_PAD_M = 1e-6
+
+
 def psm(vehicle: Trajectory, pedestrian: Trajectory) -> PsmValue:
     """Pedestrian safety margin via the sign-change conflict scan.
 
@@ -353,14 +359,21 @@ def psm(vehicle: Trajectory, pedestrian: Trajectory) -> PsmValue:
     and the line intersection falls inside the pedestrian step wins.
     Positive when the pedestrian reached the conflict point first. A
     trajectory of fewer than 2 points has no step, so no conflict.
+
+    A conflict point lies on both paths, so paths whose bounding boxes are
+    apart have none. Otherwise every sign-change candidate is tested at
+    once, with the arithmetic of a candidate-by-candidate scan, so the
+    first one that passes is the one such a scan would return.
     """
     if len(vehicle) < 2 or len(pedestrian) < 2:
         raise NoConflict(f"{vehicle.object_id} or {pedestrian.object_id} "
                          "has fewer than 2 points")
     vp = vehicle.world_array()
     pp = pedestrian.world_array()
-    vt = vehicle.times()
-    pt = pedestrian.times()
+    if ((vp.min(axis=0) > pp.max(axis=0) + _BOX_PAD_M).any()
+            or (pp.min(axis=0) > vp.max(axis=0) + _BOX_PAD_M).any()):
+        raise NoConflict(f"{vehicle.object_id} and {pedestrian.object_id} "
+                         "paths are apart")
 
     seg = np.diff(pp, axis=0)                       # pedestrian step vectors
     # f[i, k]: which side of pedestrian line i vehicle point k falls on
@@ -372,39 +385,37 @@ def psm(vehicle: Trajectory, pedestrian: Trajectory) -> PsmValue:
     before, after = f[:, :-1], f[:, 1:]
     sign_change = (before * after < 0) | ((before == 0) ^ (after == 0))
 
-    for k in range(sign_change.shape[1]):
-        for i in np.nonzero(sign_change[:, k])[0]:
-            hit = _line_intersection(pp[i], pp[i + 1], vp[k], vp[k + 1])
-            if hit is None:
-                continue
-            x, y = hit
-            du = pp[i + 1] - pp[i]
-            u = float(((x - pp[i][0]) * du[0] + (y - pp[i][1]) * du[1])
-                      / (du[0] ** 2 + du[1] ** 2))
-            if not -1e-9 <= u <= 1 + 1e-9:
-                continue
-            dv = vp[k + 1] - vp[k]
-            v = float(((x - vp[k][0]) * dv[0] + (y - vp[k][1]) * dv[1])
-                      / (dv[0] ** 2 + dv[1] ** 2))
-            t_ped = float(pt[i] + u * (pt[i + 1] - pt[i]))
-            t_veh = float(vt[k] + v * (vt[k + 1] - vt[k]))
-            return PsmValue(
-                seconds=float(vt[k] - pt[i]),
-                seconds_refined=t_veh - t_ped,
-            )
-    raise NoConflict(
-        f"{vehicle.object_id} and {pedestrian.object_id} paths do not conflict")
-
-
-def _line_intersection(a1, a2, b1, b2):
-    """Intersection of the supporting lines of segments a and b."""
-    da = (a2[0] - a1[0], a2[1] - a1[1])
-    db = (b2[0] - b1[0], b2[1] - b1[1])
-    denom = da[0] * db[1] - da[1] * db[0]
-    if abs(denom) < 1e-15:
-        return None
-    s = ((b1[0] - a1[0]) * db[1] - (b1[1] - a1[1]) * db[0]) / denom
-    return (float(a1[0] + s * da[0]), float(a1[1] + s * da[1]))
+    # Candidates in scan order: by vehicle step k, then pedestrian step i.
+    cand_k, cand_i = np.nonzero(sign_change.T)
+    a1, da = pp[cand_i], seg[cand_i]
+    b1 = vp[cand_k]
+    db = vp[cand_k + 1] - b1
+    # The intersection of the two lines, as a point on the pedestrian's.
+    denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
+    with np.errstate(all="ignore"):          # masked by the test below
+        s = ((b1[:, 0] - a1[:, 0]) * db[:, 1]
+             - (b1[:, 1] - a1[:, 1]) * db[:, 0]) / denom
+        x = a1[:, 0] + s * da[:, 0]
+        y = a1[:, 1] + s * da[:, 1]
+        # Squares as a scalar scan takes them, by `**` on floats (libm's
+        # pow), which can differ from numpy's x * x in the last place.
+        u = ((x - a1[:, 0]) * da[:, 0] + (y - a1[:, 1]) * da[:, 1]) / np.array(
+            [dx ** 2 + dy ** 2 for dx, dy in da.tolist()])
+    hits = np.flatnonzero((np.abs(denom) >= 1e-15)
+                          & (u >= -1e-9) & (u <= 1 + 1e-9))
+    if not len(hits):
+        raise NoConflict(f"{vehicle.object_id} and {pedestrian.object_id} "
+                         "paths do not conflict")
+    j = hits[0]
+    k, i = cand_k[j], cand_i[j]
+    vt = vehicle.times()
+    pt = pedestrian.times()
+    dv = db[j]
+    v = float(((x[j] - vp[k][0]) * dv[0] + (y[j] - vp[k][1]) * dv[1])
+              / (dv[0] ** 2 + dv[1] ** 2))
+    t_ped = float(pt[i] + u[j] * (pt[i + 1] - pt[i]))
+    t_veh = float(vt[k] + v * (vt[k + 1] - vt[k]))
+    return PsmValue(seconds=float(vt[k] - pt[i]), seconds_refined=t_veh - t_ped)
 
 
 @dataclass

@@ -5,7 +5,7 @@ one output directory with one subdirectory per camera spot:
 
     out/<spot>/config.json         spot metadata and calibration
     out/<spot>/detections.jsonl    detector output (or synthetic)
-    out/<spot>/truth.json          ground-truth sidecar (synthetic only)
+    out/<spot>/truth.json          ground truth of a synthetic spot
     out/<spot>/scenes.jsonl        per-vehicle scene index
     out/<spot>/trajectories.jsonl  one line per scene point, point-major
     out/<spot>/features.jsonl      one feature bundle per scene
@@ -19,6 +19,13 @@ window, one line each. The runs are written in frame order and each run
 point by point: a point's lines for all the scenes that hold it follow
 one another and differ only in `scene_id`, so the extract stage decodes
 each point once and reuses it for the others.
+
+A synthetic spot's `truth.json` holds the frame rate, the analytic PSM
+and stop flag of the scenario's first vehicle, the frames at which each
+agent was emitted (synthetic detection ids are agent ids, so these give
+every detection's provenance) and the scene spans of the emitted stream.
+It holds no sampled positions: they follow from the scenario's scripts,
+and `synth.generate` gives them again for the same spec.
 
 Stage files are self-describing: the first line names the schema. All
 writers sort their output canonically so results are byte-identical
@@ -36,8 +43,8 @@ import logging
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from . import analytics, features as feat, motion_gate, synth, tracker
@@ -212,13 +219,6 @@ def _truth_record(truth: synth.GroundTruth) -> dict:
         "fps": truth.fps,
         "psm_seconds": truth.psm_seconds,
         "stopped": truth.stopped,
-        "tracks": {
-            aid: {
-                "class": t.object_class.value,
-                "frames": t.frames,
-                "world": [list(p) for p in t.world],
-            } for aid, t in sorted(truth.tracks.items())
-        },
         "emitted_frames": {k: v for k, v in sorted(truth.emitted_frames.items())},
         "spans": [_span_record(s) for s in truth.spans],
     }
@@ -377,25 +377,40 @@ def _track_run_job(args):
 
 
 def run_track(cfg: PipelineConfig) -> None:
-    for spot_dir in cfg.spot_dirs():
-        config = load_spot_config(spot_dir)
-        calib = config.build_calibration()
-        records = load_detections(spot_dir, config)
-        runs = scene_runs(read_scenes(spot_dir))
-        frames = [r.frame_index for r in records]   # already frame-ordered
-        jobs = []
-        for run in runs:
-            lo = bisect_left(frames, run[0].frame_start)
-            hi = bisect_right(frames, max(s.frame_end for s in run))
-            jobs.append((run, records[lo:hi], config, calib, cfg.tracker))
-        results = _map_jobs(_track_run_job, jobs, cfg.workers)
+    """Track every run of scene windows, the runs of all spots in one
+    `_map_jobs` call, and write each spot's `trajectories.jsonl` in spot
+    order as its runs' results arrive. With one worker a spot's detections
+    are read when its first run is tracked, and one run's lines are held
+    at a time."""
+    spots = [(spot_dir, load_spot_config(spot_dir),
+              scene_runs(read_scenes(spot_dir))) for spot_dir in cfg.spot_dirs()]
+
+    def jobs():
+        for spot_dir, config, runs in spots:
+            calib = config.build_calibration()
+            records = load_detections(spot_dir, config)
+            frames = [r.frame_index for r in records]   # already frame-ordered
+            for run in runs:
+                lo = bisect_left(frames, run[0].frame_start)
+                hi = bisect_right(frames, max(s.frame_end for s in run))
+                yield run, records[lo:hi], config, calib, cfg.tracker
+
+    results = _map_jobs(_track_run_job, jobs(), cfg.workers)
+    for spot_dir, config, runs in spots:
+        rows = points = 0
+
+        def lines(n_runs: int):
+            nonlocal rows, points
+            for run_lines, run_points in islice(results, n_runs):
+                rows += len(run_lines)
+                points += run_points
+                yield from run_lines
+
         write_jsonl(spot_dir / "trajectories.jsonl", "trajectories",
-                    (line for lines, _ in results for line in lines))
+                    lines(len(runs)))
         log.info("spot %s: tracked %d scenes in %d runs, %d trajectory rows "
                  "of %d distinct points", config.spot_id,
-                 sum(map(len, runs)), len(runs),
-                 sum(len(lines) for lines, _ in results),
-                 sum(points for _, points in results))
+                 sum(map(len, runs)), len(runs), rows, points)
 
 
 _CLASSES = {c.value: c for c in ObjectClass}
@@ -615,7 +630,7 @@ def run_extract(cfg: PipelineConfig) -> None:
         per_scene, rows, decoded = read_trajectories(spot_dir)
         jobs = [(span, per_scene.get(span.scene_id, []), spot, calib,
                  cfg.features) for span in read_scenes(spot_dir)]
-        results = _map_jobs(_extract_scene_job, jobs, cfg.workers)
+        results = list(_map_jobs(_extract_scene_job, jobs, cfg.workers))
         records = sorted((r for r, _ in results if r is not None),
                          key=lambda r: r["scene_id"])
         write_jsonl(spot_dir / "features.jsonl", "features",
@@ -671,10 +686,23 @@ def run_report(cfg: PipelineConfig) -> list[Path]:
 
 
 def _map_jobs(fn, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
+    """An iterator of `fn` over `jobs`, in order. One worker runs each job
+    in this process when its result is taken; more map them over a pool of
+    processes, which is imported only then, since every run pays for the
+    import."""
+    if workers <= 1:
+        return map(fn, jobs)
+    jobs = list(jobs)
+    if len(jobs) <= 1:
+        return map(fn, jobs)
+    return _pool_map(fn, jobs, workers)
+
+
+def _pool_map(fn, jobs: list, workers: int):
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        yield from pool.map(fn, jobs,
+                            chunksize=max(1, len(jobs) // (4 * workers)))
 
 
 def run_all(cfg: PipelineConfig) -> None:

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 
+from crossrisk.errors import NoConflict
+from crossrisk.features import PsmValue
 from crossrisk.ingest import DetectionRecord, ObjectClass
+from crossrisk.synth import AgentScript, ScenarioSpec, synthetic_spot_config
 from crossrisk.tracker import TrackPoint, Trajectory
 
 
@@ -157,3 +160,135 @@ def random_crossing_trajectories(rng, fps=25.0, skip=5):
     veh = make_traj("v", ObjectClass.VEHICLE, vf, vxy, fps)
     ped = make_traj("p", ObjectClass.PEDESTRIAN, pf, pxy, fps)
     return veh, ped, F
+
+
+def random_crossing_spec(index: int, seed: int,
+                         noise_sigma: float = 2.0) -> ScenarioSpec:
+    """A randomized two-vehicle crossing scene for tracker stress tests.
+
+    The paths cross near the road center with a small arrival offset, so
+    at the pass the objects are closer than one step's travel; keeping
+    identities straight then hinges on motion prediction.
+    """
+    rng = np.random.default_rng((seed, index))
+    speed = rng.uniform(7.0, 11.0)
+    half_angle = rng.uniform(0.08, 0.22)           # radians off the road axis
+    cross_x = rng.uniform(-6.0, 6.0)
+    # Arrival gap under one sampling step: at the pass the other vehicle is
+    # nearer than one step's travel, which is what defeats memoryless
+    # nearest-neighbor association.
+    offset = rng.uniform(0.05, 0.22)
+    span = 22.0
+
+    dy = math.tan(half_angle) * span
+    cy = rng.uniform(-1.5, 1.5)
+    t_cross = span / speed
+    a0 = AgentScript("v0", ObjectClass.VEHICLE, (
+        (0.0, cross_x - span, cy - dy), (2 * t_cross, cross_x + span, cy + dy)))
+    a1 = AgentScript("v1", ObjectClass.VEHICLE, (
+        (offset, cross_x - span, cy + dy),
+        (offset + 2 * t_cross, cross_x + span, cy - dy)))
+    return ScenarioSpec(
+        name=f"crossing{index:04d}",
+        config=synthetic_spot_config(spot_id=f"crossing{index:04d}"),
+        agents=(a0, a1),
+        noise_sigma=noise_sigma,
+        drop_probability=0.0,
+        seed=seed * 100003 + index,
+    )
+
+
+def emitted_detections(spec: ScenarioSpec):
+    """Reference detection stream of `synth.generate`, built one detection
+    at a time: (records, emitted frames per agent, provenance).
+
+    Draws the same random numbers in the same order: per agent in id
+    order, the drop draws, then x noise, then y noise.
+    """
+    config = spec.config
+    inv_h = np.linalg.inv(config.build_calibration().homography)
+    w, h = config.frame_size
+    fps, skip = config.fps, config.frame_skip
+    rng = np.random.default_rng(spec.seed)
+    records, provenance = [], {}
+    emitted = {a.agent_id: [] for a in spec.agents}
+    for agent in sorted(spec.agents, key=lambda a: a.agent_id):
+        first = int(math.ceil(agent.t_start * fps / skip)) * skip
+        last = int(math.floor(agent.t_end * fps / skip)) * skip
+        if last < first:
+            continue
+        frames = np.arange(first, last + 1, skip)
+        t = frames / fps
+        wp_t = np.array([p[0] for p in agent.waypoints])
+        wx = np.interp(t, wp_t, [p[1] for p in agent.waypoints])
+        wy = np.interp(t, wp_t, [p[2] for p in agent.waypoints])
+        homog = np.column_stack([wx, wy, np.ones_like(wx)]) @ inv_h.T
+        px, py = homog[:, 0] / homog[:, 2], homog[:, 1] / homog[:, 2]
+        dropped = (rng.random(len(frames)) < spec.drop_probability
+                   if spec.drop_probability > 0 else np.zeros(len(frames), bool))
+        if spec.noise_sigma > 0:
+            px = np.clip(px + rng.normal(0.0, spec.noise_sigma, len(frames)),
+                         0.0, w - 1e-6)
+            py = np.clip(py + rng.normal(0.0, spec.noise_sigma, len(frames)),
+                         0.0, h - 1e-6)
+        for n, frame in enumerate(frames.tolist()):
+            when = frame / fps
+            if dropped[n] or any(b0 <= when <= b1 for b0, b1 in agent.blackouts):
+                continue
+            records.append(DetectionRecord(frame, agent.object_class,
+                                           (float(px[n]), float(py[n])),
+                                           agent.agent_id))
+            provenance[(frame, agent.agent_id)] = agent.agent_id
+            emitted[agent.agent_id].append(frame)
+    records.sort(key=lambda r: (r.frame_index, r.detection_id))
+    return records, emitted, provenance
+
+
+def scan_psm(vehicle: Trajectory, pedestrian: Trajectory) -> PsmValue:
+    """Reference PSM: the sign-change scan one candidate at a time, vehicle
+    step k in order and pedestrian step i within each; the first candidate
+    whose line intersection lies within the pedestrian step wins."""
+    if len(vehicle) < 2 or len(pedestrian) < 2:
+        raise NoConflict("fewer than 2 points")
+    vp = vehicle.world_array()
+    pp = pedestrian.world_array()
+    vt = vehicle.times()
+    pt = pedestrian.times()
+
+    seg = np.diff(pp, axis=0)
+    fx = vp[None, :, 0] - pp[:-1, 0][:, None]
+    fy = vp[None, :, 1] - pp[:-1, 1][:, None]
+    f = seg[:, 0][:, None] * fy - seg[:, 1][:, None] * fx
+    before, after = f[:, :-1], f[:, 1:]
+    sign_change = (before * after < 0) | ((before == 0) ^ (after == 0))
+
+    for k in range(sign_change.shape[1]):
+        for i in np.nonzero(sign_change[:, k])[0]:
+            hit = _line_intersection(pp[i], pp[i + 1], vp[k], vp[k + 1])
+            if hit is None:
+                continue
+            x, y = hit
+            du = pp[i + 1] - pp[i]
+            u = float(((x - pp[i][0]) * du[0] + (y - pp[i][1]) * du[1])
+                      / (du[0] ** 2 + du[1] ** 2))
+            if not -1e-9 <= u <= 1 + 1e-9:
+                continue
+            dv = vp[k + 1] - vp[k]
+            v = float(((x - vp[k][0]) * dv[0] + (y - vp[k][1]) * dv[1])
+                      / (dv[0] ** 2 + dv[1] ** 2))
+            t_ped = float(pt[i] + u * (pt[i + 1] - pt[i]))
+            t_veh = float(vt[k] + v * (vt[k + 1] - vt[k]))
+            return PsmValue(seconds=float(vt[k] - pt[i]),
+                            seconds_refined=t_veh - t_ped)
+    raise NoConflict("paths do not conflict")
+
+
+def _line_intersection(a1, a2, b1, b2):
+    """Intersection of the supporting lines of segments a and b."""
+    da = (a2[0] - a1[0], a2[1] - a1[1])
+    db = (b2[0] - b1[0], b2[1] - b1[1])
+    denom = da[0] * db[1] - da[1] * db[0]
+    if abs(denom) < 1e-15:
+        return None
+    s = ((b1[0] - a1[0]) * db[1] - (b1[1] - a1[1]) * db[0]) / denom
+    return (float(a1[0] + s * da[0]), float(a1[1] + s * da[1]))

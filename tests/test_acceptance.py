@@ -45,6 +45,7 @@ from oracles import (
     dense_psm_oracle,
     make_traj,
     polygon_boundary_distance,
+    random_crossing_spec,
     random_crossing_trajectories,
 )
 
@@ -135,7 +136,7 @@ def test_criterion_3_prediction_beats_nearest_neighbor():
     n = 200
     kalman_score = nn_score = 0
     for i in range(n):
-        spec = synth.random_crossing_spec(i, seed=42, noise_sigma=2.0)
+        spec = random_crossing_spec(i, seed=42, noise_sigma=2.0)
         records, truth = synth.generate(spec)
         calib = spec.config.build_calibration()
         stride = spec.config.frame_skip

@@ -37,6 +37,7 @@ from oracles import (
     make_traj,
     polygon_boundary_distance,
     random_crossing_trajectories,
+    scan_psm,
 )
 
 FPS = 25.0
@@ -431,6 +432,68 @@ def test_psm_matches_dense_oracle_on_random_crossings():
         assert oracle is not None
         value = psm(veh, ped)
         assert abs(value.seconds - oracle) <= step + 1e-9
+
+
+def _psm_or_none(scan, veh, ped):
+    try:
+        return scan(veh, ped)
+    except NoConflict:
+        return None
+
+
+def _wander(rng, object_id, object_class, n, step_m, start):
+    """A random walk of n samples: a path that turns, so a vehicle step
+    may cross the lines of many of its steps."""
+    xy = start + np.cumsum(rng.normal(0.0, step_m, (n, 2)), axis=0)
+    first = int(rng.integers(0, 20)) * 5
+    return make_traj(object_id, object_class, first + 5 * np.arange(n), xy)
+
+
+def test_psm_equals_the_scalar_scan_bit_for_bit():
+    rng = np.random.default_rng(24)
+    found = 0
+    for _ in range(200):
+        veh, ped, _ = random_crossing_trajectories(rng)
+        assert psm(veh, ped) == scan_psm(veh, ped)
+        veh = _wander(rng, "v", ObjectClass.VEHICLE, int(rng.integers(2, 40)),
+                      1.5, rng.uniform(-3, 3, 2))
+        ped = _wander(rng, "p", ObjectClass.PEDESTRIAN,
+                      int(rng.integers(2, 60)), 0.4, rng.uniform(-3, 3, 2))
+        expected = _psm_or_none(scan_psm, veh, ped)
+        assert _psm_or_none(psm, veh, ped) == expected
+        found += expected is not None
+    assert 20 < found < 180
+
+
+def _line(object_id, object_class, points):
+    return make_traj(object_id, object_class, _steps(len(points)), points)
+
+
+@pytest.mark.parametrize("vehicle, pedestrian, conflict", [
+    # A vehicle sample exactly on the pedestrian's line.
+    ([(-2.0, 1.0), (0.0, 1.0), (2.0, 1.0)], [(0.0, 3.0), (0.0, 0.0),
+                                             (0.0, -3.0)], True),
+    # Collinear steps: the vehicle drives along the pedestrian's line.
+    ([(0.0, 4.0), (0.0, 1.0), (0.0, -2.0)], [(0.0, 3.0), (0.0, 0.0),
+                                             (0.0, -3.0)], False),
+    # Collinear, then leaving the line on the other side of its end.
+    ([(0.0, 4.0), (0.0, 3.5), (1.0, 3.5)], [(0.0, 3.0), (0.0, 0.0),
+                                            (0.0, -3.0)], False),
+    # Boxes that touch at one point: the vehicle stops where the
+    # pedestrian sets out.
+    ([(-4.0, 0.0), (-2.0, 0.0), (0.0, 0.0)], [(0.0, 0.0), (0.0, -1.5),
+                                              (0.0, -3.0)], True),
+    # Boxes apart by less than the pad: the hit lies within the scan's
+    # 1e-9 tolerance past the pedestrian's last step.
+    ([(-4.0, -3.0 - 1e-9), (4.0, -3.0 - 1e-9)], [(0.0, 3.0), (0.0, 0.0),
+                                                 (0.0, -3.0)], True),
+])
+def test_psm_edge_cases_equal_the_scalar_scan(vehicle, pedestrian, conflict):
+    veh = _line("v", ObjectClass.VEHICLE, vehicle)
+    ped = _line("p", ObjectClass.PEDESTRIAN, pedestrian)
+    expected = _psm_or_none(scan_psm, veh, ped)
+    assert (expected is not None) == conflict
+    assert _psm_or_none(psm, veh, ped) == expected
 
 
 # --- the full bundle --------------------------------------------------------------------

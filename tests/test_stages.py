@@ -22,7 +22,7 @@ from crossrisk.features import (
 )
 from crossrisk.ingest import ObjectClass, dumps_sorted
 from crossrisk.motion_gate import SceneSpan
-from crossrisk import tracker
+from crossrisk import stages, tracker
 from crossrisk.stages import (
     PipelineConfig,
     _row_halves,
@@ -460,3 +460,39 @@ def test_windows_that_overlap_no_other_are_tracked_alone(tmp_path):
     rows.sort(key=lambda r: (r["scene_id"], r["object_id"], r["frame"]))
     lines = (spot_dir / "trajectories.jsonl").read_text().splitlines()
     assert lines[1:] == [dumps_sorted(r) for r in rows]
+
+
+def test_truth_sidecar_holds_no_sampled_positions(tmp_path):
+    cfg = PipelineConfig(out_dir=tmp_path, seed=3)
+    run_synth(cfg)
+    for d in cfg.spot_dirs():
+        truth = json.loads((d / "truth.json").read_text())
+        assert set(truth) == {"schema", "fps", "psm_seconds", "stopped",
+                              "emitted_frames", "spans"}, d.name
+
+
+def test_track_maps_the_runs_of_every_spot_at_once(tmp_path, monkeypatch):
+    cfg = PipelineConfig(out_dir=tmp_path, corpus="bulk", bulk_scenes=6,
+                         noise_sigma=1.0, workers=2)
+    run_synth(cfg)
+    second = tmp_path / "bulk2"
+    second.mkdir()
+    for name in ("config.json", "detections.jsonl"):
+        (second / name).write_bytes((tmp_path / "bulk" / name).read_bytes())
+    run_segment(cfg)
+    calls = []
+    map_jobs = stages._map_jobs
+
+    def recording(fn, jobs, workers):
+        jobs = list(jobs)
+        calls.append((fn, len(jobs), workers))
+        return map_jobs(fn, jobs, workers)
+
+    monkeypatch.setattr(stages, "_map_jobs", recording)
+    run_track(cfg)
+    runs = [len(scene_runs(read_scenes(d))) for d in cfg.spot_dirs()]
+    assert len(runs) == 2 and min(runs) > 0
+    assert calls == [(stages._track_run_job, sum(runs), 2)]
+    first, copy = ((d / "trajectories.jsonl").read_bytes()
+                   for d in cfg.spot_dirs())
+    assert first == copy

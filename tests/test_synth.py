@@ -10,12 +10,13 @@ from crossrisk.synth import (
     ScenarioSpec,
     analytic_psm,
     generate,
-    random_crossing_spec,
     standard_corpus,
     synthetic_spot_config,
     traffic_spec,
 )
 from crossrisk.tracker import TrackerParams, track_scene
+
+from oracles import emitted_detections, random_crossing_spec
 
 
 def _single_agent_spec(noise=0.0, drops=0.0, seed=0):
@@ -53,6 +54,35 @@ def test_drops_remove_detections_but_not_truth():
     dropped, truth = generate(_single_agent_spec(drops=0.3, seed=5))
     assert len(dropped) < len(full)
     assert len(truth.tracks["v0"].frames) == len(full)
+
+
+@pytest.mark.parametrize("spec", [
+    _single_agent_spec(noise=2.0, seed=3),
+    _single_agent_spec(noise=1.0, drops=0.3, seed=5),
+    *(spec for spec, _ in standard_corpus(noise_sigma=1.5,
+                                          drop_probability=0.2, seed=4)
+      if spec.name in ("occlusion_gap", "multi_pedestrian")),
+    traffic_spec(12, seed=2),
+], ids=lambda spec: spec.name)
+def test_generate_equals_per_detection_reference(spec):
+    """Noise, drops and blackouts (occlusion_gap): the same records, frames
+    and provenance as emitting one detection at a time."""
+    records, truth = generate(spec)
+    expected, emitted, provenance = emitted_detections(spec)
+    assert records == expected
+    assert truth.emitted_frames == emitted
+    assert truth.provenance == provenance
+    assert truth.provenance is truth.provenance     # derived once
+
+
+def test_blackouts_and_drops_thin_the_emitted_frames():
+    spec = next(spec for spec, _ in standard_corpus(drop_probability=0.2)
+                if spec.name == "occlusion_gap")
+    _, truth = generate(spec)
+    fps = spec.config.fps
+    emitted = truth.emitted_frames["v0"]
+    assert not any(2.8 <= f / fps <= 3.9 for f in emitted)
+    assert 0 < len(emitted) < len(truth.tracks["v0"].frames)
 
 
 def test_analytic_psm_crossing_example():

@@ -24,6 +24,7 @@ from oracles import (
     dense_kalman_update,
     make_detection,
     make_traj,
+    random_crossing_spec,
 )
 
 PARAMS = TrackerParams()
@@ -256,7 +257,7 @@ def test_track_scene_splits_after_max_coast():
 def test_crossing_scene_prediction_beats_nearest_neighbor():
     # One randomized noisy crossing where memoryless nearest-neighbor
     # provably swaps identities and prediction does not.
-    spec = synth.random_crossing_spec(0, seed=42, noise_sigma=2.0)
+    spec = random_crossing_spec(0, seed=42, noise_sigma=2.0)
     records, truth = synth.generate(spec)
     calib = spec.config.build_calibration()
     stride = spec.config.frame_skip
