@@ -5,6 +5,17 @@ Each stage reads the previous stage's files from the output directory and
 writes its own; any stage can be re-run in isolation. Exit codes: 0 on
 success, 1 on a data error (a machine-readable diagnostic goes to
 stderr), 2 on usage errors.
+
+Every subcommand takes --out-dir and -v. Beyond those, each takes only
+the flags its stage reads, and a flag it does not read is a usage error:
+
+    synth    --seed --corpus --scenes --noise-sigma --drop-probability
+    segment  --spot
+    track    --spot --workers --config
+    extract  --spot --workers --alpha --epsilon-kmh --config
+    analyze  --spot --baseline-m
+    report   (none)
+    all      every flag above
 """
 
 from __future__ import annotations
@@ -43,6 +54,33 @@ STAGES = {
 }
 
 
+# Every stage flag: the stages besides `all` that read it, then its argparse
+# options. A flag not given keeps the default of the field named by its dest.
+_FLAGS = (
+    ("--seed", ("synth",),
+     dict(type=int, help="seed fixing all randomness end to end")),
+    ("--corpus", ("synth",), dict(choices=["standard", "bulk"])),
+    ("--scenes", ("synth",), dict(type=int, dest="bulk_scenes", metavar="N",
+                                  help="scene count for the bulk corpus")),
+    ("--noise-sigma", ("synth",),
+     dict(type=float, help="detection pixel noise")),
+    ("--drop-probability", ("synth",),
+     dict(type=float, help="missed-detection probability")),
+    ("--spot", ("segment", "track", "extract", "analyze"),
+     dict(help="restrict the stage to one spot")),
+    ("--workers", ("track", "extract"),
+     dict(type=int, help="parallel workers for scene stages")),
+    ("--config", ("track", "extract"),
+     dict(help="JSON file with parameter overrides")),
+    ("--alpha", ("extract",),
+     dict(type=float, help="low-pass smoothing factor")),
+    ("--epsilon-kmh", ("extract",),
+     dict(type=float, help="acceleration dead-band per step")),
+    ("--baseline-m", ("analyze",),
+     dict(type=float, help="stop-distance baseline in meters")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossrisk",
@@ -50,33 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "features, and pedestrian safety margins.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in STAGES:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument("--out-dir", default="out",
+        p = sub.add_parser(name, help=f"run the {name} stage",
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--out-dir", type=Path, default=Path("out"),
                        help="pipeline directory (default: ./out)")
-        p.add_argument("--config", default=None,
-                       help="JSON file with parameter overrides")
-        p.add_argument("--spot", default=None,
-                       help="restrict the stage to one spot")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed fixing all randomness end to end")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for scene stages")
-        p.add_argument("--baseline-m", type=float, default=10.0,
-                       help="stop-distance baseline in meters")
-        p.add_argument("--epsilon-kmh", type=float, default=0.5,
-                       help="acceleration dead-band per step")
-        p.add_argument("--alpha", type=float, default=0.3,
-                       help="low-pass smoothing factor")
-        p.add_argument("-v", "--verbose", action="store_true")
-        if name in ("synth", "all"):
-            p.add_argument("--corpus", choices=["standard", "bulk"],
-                           default="standard")
-            p.add_argument("--scenes", type=int, default=400,
-                           help="scene count for the bulk corpus")
-            p.add_argument("--noise-sigma", type=float, default=0.0,
-                           help="detection pixel noise")
-            p.add_argument("--drop-probability", type=float, default=0.0,
-                           help="missed-detection probability")
+        for flag, stages, options in _FLAGS:
+            if name == "all" or name in stages:
+                p.add_argument(flag, **options)
+        p.add_argument("-v", "--verbose", action="store_true", default=False)
     return parser
 
 
@@ -107,23 +126,17 @@ def _load_overrides(path: str) -> dict:
 
 
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = _load_overrides(args.config) if args.config else {}
-    tracker_params = TrackerParams(**overrides.get("tracker", {}))
-    feature_params = FeatureParams(
-        alpha=args.alpha, epsilon_kmh=args.epsilon_kmh,
-        **overrides.get("features", {}))
+    """The PipelineConfig of the flags given; a flag not given keeps the
+    default of its PipelineConfig or FeatureParams field."""
+    given = vars(args)
+    overrides = _load_overrides(given["config"]) if given.get("config") else {}
     return PipelineConfig(
-        out_dir=Path(args.out_dir),
-        seed=args.seed,
-        workers=args.workers,
-        corpus=getattr(args, "corpus", "standard"),
-        bulk_scenes=getattr(args, "scenes", 400),
-        noise_sigma=getattr(args, "noise_sigma", 0.0),
-        drop_probability=getattr(args, "drop_probability", 0.0),
-        spot=args.spot,
-        baseline_m=args.baseline_m,
-        tracker=tracker_params,
-        features=feature_params,
+        **{f.name: given[f.name] for f in fields(PipelineConfig)
+           if f.name in given},
+        tracker=TrackerParams(**overrides.get("tracker", {})),
+        features=FeatureParams(
+            **{name: given[name] for name in _FLAGGED if name in given},
+            **overrides.get("features", {})),
     )
 
 

@@ -9,6 +9,11 @@ Stage files are self-describing, so the first line is skipped when it is
 a header: a JSON object whose only key is "schema", with a string value,
 e.g. {"schema": "crossrisk/detections/v1"}. Any other first line is read
 as a detection. Confidence scores, when present, are accepted and ignored.
+
+The parse is strict: the first bad line raises a line-numbered
+MalformedRecord (or one of its subclasses), and nothing is skipped or
+repaired. An id is a string or an integer (not a bool); an integer id
+becomes its decimal text. Ids are unique within a frame.
 """
 
 from __future__ import annotations
@@ -110,14 +115,6 @@ class SpotConfig:
         return geometry.Calibration(geometry.fit_homography(self.calibration))
 
 
-@dataclass
-class ParseDiagnostic:
-    """One skipped input line with the reason it was rejected."""
-
-    line_number: int
-    message: str
-
-
 _CLASS_NAMES = {
     "vehicle": ObjectClass.VEHICLE,
     "car": ObjectClass.VEHICLE,
@@ -130,58 +127,59 @@ def _is_header(obj) -> bool:
             and type(obj.get("schema")) is str)
 
 
-def parse_detections(stream, config: SpotConfig,
-                     diagnostics: list[ParseDiagnostic] | None = None,
-                     ) -> list[DetectionRecord]:
+def parse_detections(stream, config: SpotConfig) -> list[DetectionRecord]:
     """Parse line-delimited detection records in frame order.
 
     stream is an iterable of lines (an open text file works). Blank lines
-    and a schema header on line 1 (see the module docstring) are skipped.
-    When diagnostics is None the first bad line raises; when a list is
-    supplied, each bad line appends one ParseDiagnostic and parsing
-    continues, so every data line yields exactly one record or one
-    diagnostic.
+    and a schema header on line 1 (see the module docstring) are skipped;
+    the first bad line raises.
     """
     records: list[DetectionRecord] = []
     w, h = config.frame_size
     skip = config.frame_skip
     previous_frame = 0
+    frame_ids: set[str] = set()
     for line_number, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            try:
-                obj = json_line(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    line_number, f"invalid JSON ({exc.msg})") from exc
-            if line_number == 1 and _is_header(obj):
-                continue
-            if type(obj) is not dict:
-                raise MalformedRecord(line_number, "record is not an object")
-            try:
-                frame = obj["frame"]
-                cls_name = obj["class"]
-                x = obj["x"]
-                y = obj["y"]
-                det_id = obj["id"]
-            except KeyError as exc:
-                raise MalformedRecord(
-                    line_number, f"missing field {exc.args[0]!r}") from exc
-            if type(frame) is not int or frame < 0:
-                raise MalformedRecord(
-                    line_number,
-                    f"frame must be a non-negative integer, got {frame!r}")
-            cls = _CLASS_NAMES.get(str(cls_name).lower())
-            if cls is None:
-                raise MalformedRecord(line_number, f"unknown class {cls_name!r}")
-            # `type(v) in (int, float)` leaves out bool.
-            if type(x) not in (int, float) or type(y) not in (int, float):
-                raise MalformedRecord(line_number, "x and y must be numbers")
-            if not (0 <= x < w and 0 <= y < h):
-                raise OutOfBounds(
-                    line_number, f"point ({x}, {y}) outside frame {w}x{h}")
+            obj = json_line(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(
+                line_number, f"invalid JSON ({exc.msg})") from exc
+        if line_number == 1 and _is_header(obj):
+            continue
+        if type(obj) is not dict:
+            raise MalformedRecord(line_number, "record is not an object")
+        try:
+            frame = obj["frame"]
+            cls_name = obj["class"]
+            x = obj["x"]
+            y = obj["y"]
+            det_id = obj["id"]
+        except KeyError as exc:
+            raise MalformedRecord(
+                line_number, f"missing field {exc.args[0]!r}") from exc
+        if type(frame) is not int or frame < 0:
+            raise MalformedRecord(
+                line_number,
+                f"frame must be a non-negative integer, got {frame!r}")
+        cls = _CLASS_NAMES.get(str(cls_name).lower())
+        if cls is None:
+            raise MalformedRecord(line_number, f"unknown class {cls_name!r}")
+        # `type(v) in (int, float)` leaves out bool.
+        if type(x) not in (int, float) or type(y) not in (int, float):
+            raise MalformedRecord(line_number, "x and y must be numbers")
+        if not (0 <= x < w and 0 <= y < h):
+            raise OutOfBounds(
+                line_number, f"point ({x}, {y}) outside frame {w}x{h}")
+        if type(det_id) is int:
+            det_id = str(det_id)
+        elif type(det_id) is not str:
+            raise MalformedRecord(
+                line_number, f"id must be a string or integer, got {det_id!r}")
+        if frame != previous_frame:
             if frame < previous_frame:
                 raise NonMonotoneFrame(
                     line_number, f"frame {frame} after frame {previous_frame}")
@@ -191,14 +189,14 @@ def parse_detections(stream, config: SpotConfig,
                 raise MalformedRecord(
                     line_number,
                     f"frame {frame} is not a multiple of frame_skip {skip}")
-        except MalformedRecord as exc:
-            if diagnostics is None:
-                raise
-            diagnostics.append(ParseDiagnostic(exc.line_number, str(exc)))
-            continue
-        previous_frame = frame
+            previous_frame = frame
+            frame_ids.clear()
+        elif det_id in frame_ids:
+            raise MalformedRecord(
+                line_number, f"id {det_id!r} repeated in frame {frame}")
+        frame_ids.add(det_id)
         records.append(DetectionRecord(frame, cls, (float(x), float(y)),
-                                       str(det_id)))
+                                       det_id))
     return records
 
 

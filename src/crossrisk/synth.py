@@ -4,7 +4,7 @@ Scenarios script agents as piecewise-linear world paths with timestamps.
 Generation projects the scripted positions through a genuinely oblique
 camera (so the rectification path is always exercised), samples them at
 the spot's stride, adds Gaussian pixel noise, and applies dropouts. The
-ground truth keeps the exact sampled positions, the frames at which each
+ground truth keeps the exact sampled world positions, the frames at which each
 agent was emitted (and from them the provenance of every detection), and
 analytic values (speeds, arrival-time PSM, stop flags) computed straight
 from the scripts, independent of any pipeline code path.
@@ -50,17 +50,6 @@ class AgentScript:
     def t_end(self) -> float:
         return self.waypoints[-1][0]
 
-    def position(self, t: float) -> tuple[float, float]:
-        """Linear interpolation along the timed polyline."""
-        wp = self.waypoints
-        if not wp[0][0] <= t <= wp[-1][0]:
-            raise InvalidSpec(f"agent {self.agent_id}: t={t} outside script")
-        for (t0, x0, y0), (t1, x1, y1) in zip(wp, wp[1:]):
-            if t <= t1:
-                u = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-                return (x0 + u * (x1 - x0), y0 + u * (y1 - y0))
-        return (wp[-1][1], wp[-1][2])
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -74,13 +63,10 @@ class ScenarioSpec:
 
 @dataclass
 class TrueTrack:
-    """Exact sampled positions of one agent, before noise and drops."""
+    """Exact sampled world positions of one agent, before noise and drops."""
 
-    agent_id: str
-    object_class: ObjectClass
     frames: list[int]
     world: list[tuple[float, float]]
-    pixel: list[tuple[float, float]]
 
     def world_at(self, frame: int) -> tuple[float, float]:
         return self.world[self.frames.index(frame)]
@@ -241,10 +227,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
                 f"frame at t={t[bad]:.2f} ({px[bad]:.0f}, {py[bad]:.0f})")
 
         tracks[agent.agent_id] = TrueTrack(
-            agent_id=agent.agent_id, object_class=agent.object_class,
-            frames=frames.tolist(),
-            world=list(zip(wx.tolist(), wy.tolist())),
-            pixel=list(zip(px.tolist(), py.tolist())))
+            frames.tolist(), list(zip(wx.tolist(), wy.tolist())))
 
         visible = np.ones(len(frames), dtype=bool)
         for b0, b1 in agent.blackouts:

@@ -1,10 +1,11 @@
 """Kalman-filter object tracking, indexing, and trajectory validation.
 
 Each object keeps a constant-velocity filter over its pixel contact point.
-Per frame the tracker predicts every live track one step ahead, then pairs
-predictions with same-class detections greedily by smallest distance,
-discarding pairs beyond a per-class pixel gate. Unmatched detections spawn
-tracks; unmatched tracks coast a few steps before closing.
+Per frame the tracker predicts every live track one step ahead, then
+`assign` returns the matches {track id: detection}, pairing predictions
+with same-class detections greedily by smallest distance and discarding
+pairs beyond a per-class pixel gate. Unmatched detections spawn tracks;
+unmatched tracks coast a few steps before closing.
 
 Association against the prediction (rather than the last seen position) is
 what keeps identities apart when paths cross: the prediction carries the
@@ -63,14 +64,11 @@ class TrackerParams:
         if self.assignment not in ("greedy", "optimal"):
             raise ValueError(f"unknown assignment mode {self.assignment!r}")
 
-    def gate_for(self, cls: ObjectClass) -> float:
-        return (self.gate_threshold_vehicle if cls is ObjectClass.VEHICLE
-                else self.gate_threshold_pedestrian)
-
 
 @dataclass(slots=True)
 class TrackState:
-    """One live track: filter state plus the points it has consumed.
+    """One live track: filter state plus the points it has consumed, each
+    as (frame, raw pixel, smoothed pixel, detection id).
 
     The filter state is the position (x, y) and velocity (vx, vy), in
     pixels and px/step, and one symmetric 2x2 covariance (pp, pv, vv) of
@@ -89,12 +87,8 @@ class TrackState:
     pp: float
     pv: float
     vv: float
-    points: list[tuple[int, tuple[float, float]]] = field(default_factory=list)
+    points: list[tuple] = field(default_factory=list)
     misses: int = 0
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
     @property
     def state_mean(self) -> np.ndarray:
@@ -111,12 +105,13 @@ class TrackState:
                          [0.0, pv, 0.0, vv]])
 
 
-def new_track(object_id: str, cls: ObjectClass, frame: int,
-              point: tuple[float, float], params: TrackerParams) -> TrackState:
-    x, y = float(point[0]), float(point[1])
-    return TrackState(object_id, cls, x, y, 0.0, 0.0,
+def new_track(object_id: str, detection: DetectionRecord,
+              params: TrackerParams) -> TrackState:
+    """A track started at `detection`, its first raw and smoothed point."""
+    frame, cls, point, det_id = detection
+    return TrackState(object_id, cls, point[0], point[1], 0.0, 0.0,
                       float(params.measurement_noise), 0.0,
-                      _INITIAL_VELOCITY_VAR, [(frame, (x, y))])
+                      _INITIAL_VELOCITY_VAR, [(frame, point, point, det_id)])
 
 
 def kalman_predict(state: TrackState, process_noise: float = 1.0) -> TrackState:
@@ -168,31 +163,19 @@ def kalman_update(state: TrackState, measurement: tuple[float, float],
                       state.points, state.misses)
 
 
-@dataclass
-class Assignment:
-    """Result of matching one frame's detections to live tracks."""
-
-    matches: dict[str, DetectionRecord]     # track id -> detection
-    unmatched_detections: list[DetectionRecord]
-    unmatched_tracks: list[str]
-
-
-def _reference_point(track: TrackState,
-                     params: TrackerParams) -> tuple[float, float]:
-    return track.position if params.use_prediction else track.points[-1][1]
-
-
 def assign(tracks: dict[str, TrackState], detections: list[DetectionRecord],
-           params: TrackerParams) -> Assignment:
-    """Match same-class detections to tracks by smallest gated distance.
+           params: TrackerParams) -> dict[str, DetectionRecord]:
+    """Match same-class detections to tracks by smallest gated distance and
+    return the matches as {track id: detection}.
 
     `tracks` are the live tracks predicted to this frame; without
     prediction each is matched from its last consumed point instead.
+    Detection ids are unique within the frame.
 
     Greedy mode sorts every in-gate (track, detection) pair by distance and
     consumes them first-come; ties break on detection id then track id so
     the result is independent of input order. Optimal mode solves the
-    assignment problem per class instead.
+    assignment problem per class over the same in-gate pairs instead.
     """
     # Bucket by class once. Two lists picked by identity: hashing an enum
     # member runs Python code and costs more than the pair test it saves.
@@ -203,36 +186,36 @@ def assign(tracks: dict[str, TrackState], detections: list[DetectionRecord],
          else pedestrians).append(det)
     candidates = []
     for tid, track in tracks.items():
-        ref = _reference_point(track, params)
-        gate = params.gate_for(track.object_class)
-        same_class = (vehicles if track.object_class is ObjectClass.VEHICLE
-                      else pedestrians)
+        ref = ((track.x, track.y) if params.use_prediction
+               else track.points[-1][1])
+        if track.object_class is ObjectClass.VEHICLE:
+            gate, same_class = params.gate_threshold_vehicle, vehicles
+        else:
+            gate, same_class = params.gate_threshold_pedestrian, pedestrians
         for det in same_class:
             d = math.dist(ref, det.contact_point_px)
             if d <= gate:
                 candidates.append((d, det.detection_id, tid, det))
 
+    if params.assignment == "optimal":
+        return _optimal_matches(tracks, detections, candidates)
     matches: dict[str, DetectionRecord] = {}
     used_dets: set[str] = set()
-    if params.assignment == "optimal" and candidates:
-        matches = _optimal_matches(tracks, detections, params)
-        used_dets = {d.detection_id for d in matches.values()}
-    else:
-        for d, det_id, tid, det in sorted(
-                candidates, key=lambda c: (c[0], c[1], c[2])):
-            if tid in matches or det_id in used_dets:
-                continue
-            matches[tid] = det
-            used_dets.add(det_id)
-
-    unmatched_dets = [d for d in detections if d.detection_id not in used_dets]
-    unmatched_tracks = [tid for tid in tracks if tid not in matches]
-    return Assignment(matches, unmatched_dets, unmatched_tracks)
+    for d, det_id, tid, det in sorted(
+            candidates, key=lambda c: (c[0], c[1], c[2])):
+        if tid in matches or det_id in used_dets:
+            continue
+        matches[tid] = det
+        used_dets.add(det_id)
+    return matches
 
 
-def _optimal_matches(tracks, detections, params):
+def _optimal_matches(tracks, detections, candidates):
+    """Per class, the minimum-cost matching of the in-gate `candidates`;
+    every other (track, detection) pair costs too much to take."""
     from scipy.optimize import linear_sum_assignment
 
+    big = 1e9
     matches: dict[str, DetectionRecord] = {}
     for cls in ObjectClass:
         tids = sorted(t for t, tr in tracks.items() if tr.object_class is cls)
@@ -240,15 +223,12 @@ def _optimal_matches(tracks, detections, params):
                       key=lambda d: d.detection_id)
         if not tids or not dets:
             continue
-        gate = params.gate_for(cls)
-        big = 1e9
+        row_of = {tid: i for i, tid in enumerate(tids)}
+        col_of = {det.detection_id: j for j, det in enumerate(dets)}
         cost = np.full((len(tids), len(dets)), big)
-        for i, tid in enumerate(tids):
-            ref = _reference_point(tracks[tid], params)
-            for j, det in enumerate(dets):
-                d = math.dist(ref, det.contact_point_px)
-                if d <= gate:
-                    cost[i, j] = d
+        for d, det_id, tid, _ in candidates:
+            if tid in row_of:
+                cost[row_of[tid], col_of[det_id]] = d
         rows, cols = linear_sum_assignment(cost)
         for i, j in zip(rows, cols):
             if cost[i, j] < big:
@@ -296,11 +276,11 @@ def track_scene(detections, params: TrackerParams, calib: Calibration,
 
     detections: frame-ordered DetectionRecord sequence, the detections of
     one run of overlapping scene windows (a single scene when its window
-    overlaps no other); the track stage cuts the tracks back to each
-    window. Frames are walked at the sampling stride from the first to the
-    last detected frame, so every frame must lie on that grid (ingest
-    rejects frames off it); a stride with no detections coasts every live
-    track.
+    overlaps no other), with ids unique within each frame (ingest rejects
+    a repeat); the track stage cuts the tracks back to each window. Frames
+    are walked at the sampling stride from the first to the last detected
+    frame, so every frame must lie on that grid (ingest rejects frames off
+    it); a stride with no detections coasts every live track.
     Returns one Trajectory per object identity in object id order,
     world-projected, with both the raw contact points and the
     Kalman-smoothed ones.
@@ -315,52 +295,48 @@ def track_scene(detections, params: TrackerParams, calib: Calibration,
 
     live: dict[str, TrackState] = {}
     finished: list[TrackState] = []
-    smoothed: dict[str, list[tuple[float, float]]] = {}
-    consumed: dict[str, list[str]] = {}
     counter = 0
 
     for frame in range(first, last + 1, frame_stride):
         dets = sorted(by_frame.get(frame, ()), key=lambda d: d.detection_id)
-        live = {tid: kalman_predict(t, params.process_noise)
-                for tid, t in live.items()}
-        result = assign(live, dets, params)
+        predicted = {tid: kalman_predict(t, params.process_noise)
+                     for tid, t in live.items()}
+        matches = assign(predicted, dets, params)
 
-        for tid, det in result.matches.items():
-            state = kalman_update(live[tid], det.contact_point_px,
-                                  params.measurement_noise)
-            state.misses = 0
-            state.points.append((frame, det.contact_point_px))
-            smoothed[tid].append((state.x, state.y))
-            consumed[tid].append(det.detection_id)
+        live = {}
+        taken = set()
+        for tid, state in predicted.items():
+            det = matches.get(tid)
+            if det is not None:
+                state = kalman_update(state, det.contact_point_px,
+                                      params.measurement_noise)
+                state.misses = 0
+                state.points.append((frame, det.contact_point_px,
+                                     (state.x, state.y), det.detection_id))
+                taken.add(det.detection_id)
+            else:
+                state.misses += 1
+                if state.misses > params.max_coast_frames:
+                    finished.append(state)
+                    continue
             live[tid] = state
 
-        for tid in result.unmatched_tracks:
-            state = live[tid]
-            state.misses += 1
-            if state.misses > params.max_coast_frames:
-                finished.append(state)
-                del live[tid]
-
-        for det in result.unmatched_detections:
-            tid = f"t{counter:04d}"
-            counter += 1
-            live[tid] = new_track(tid, det.object_class, frame,
-                                  det.contact_point_px, params)
-            smoothed[tid] = [det.contact_point_px]
-            consumed[tid] = [det.detection_id]
+        for det in dets:
+            if det.detection_id not in taken:
+                tid = f"t{counter:04d}"
+                counter += 1
+                live[tid] = new_track(tid, det, params)
 
     finished.extend(live.values())
 
     trajectories = []
     for state in sorted(finished, key=lambda s: s.object_id):
-        tid = state.object_id
-        world = calib.to_world_many(np.array([p for _, p in state.points]))
-        pts = [TrackPoint(frame, frame / fps, point, smooth, tuple(w), det)
-               for (frame, point), smooth, w, det in zip(
-                   state.points, smoothed[tid], world.tolist(), consumed[tid])]
-        trajectories.append(Trajectory(object_id=tid,
-                                       object_class=state.object_class,
-                                       points=pts))
+        world = calib.to_world_many(np.array([p[1] for p in state.points]))
+        pts = [TrackPoint(frame, frame / fps, raw, smooth, tuple(w), det_id)
+               for (frame, raw, smooth, det_id), w in zip(
+                   state.points, world.tolist())]
+        trajectories.append(Trajectory(state.object_id, state.object_class,
+                                       pts))
     return trajectories
 
 

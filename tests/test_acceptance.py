@@ -43,6 +43,7 @@ from crossrisk.tracker import (
 
 from oracles import (
     dense_psm_oracle,
+    make_detection,
     make_traj,
     polygon_boundary_distance,
     random_crossing_spec,
@@ -268,7 +269,8 @@ def test_criterion_6_feature_invariants():
 def test_criterion_7_kalman_numerics():
     rng = np.random.default_rng(99)
     params = TrackerParams()
-    state = new_track("t", ObjectClass.VEHICLE, 0, (0.0, 0.0), params)
+    start = make_detection(0, ObjectClass.VEHICLE, 0.0, 0.0, "d0")
+    state = new_track("t", start, params)
     min_eig = math.inf
     for _ in range(10000):
         state = kalman_predict(state, float(rng.uniform(0.1, 5.0)))
@@ -281,7 +283,7 @@ def test_criterion_7_kalman_numerics():
         min_eig = min(min_eig, float(np.linalg.eigvalsh(cov).min()))
     assert min_eig >= -1e-9
 
-    state = new_track("t", ObjectClass.VEHICLE, 0, (0.0, 0.0), params)
+    state = new_track("t", start, params)
     for k in range(1, 21):
         state = kalman_predict(state, params.process_noise)
         state = kalman_update(state, (3.0 * k, -2.0 * k),

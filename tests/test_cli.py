@@ -11,6 +11,13 @@ def _run(*argv):
     return main(list(argv))
 
 
+def _run_single_pass(stage, out_dir):
+    """Run `stage` on the single_pass spot; report takes no --spot and
+    renders every spot."""
+    spot = () if stage == "report" else ("--spot", "single_pass")
+    return _run(stage, "--out-dir", str(out_dir), *spot)
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         _run("frobnicate")
@@ -38,7 +45,7 @@ def test_truncated_stage_file_is_data_error(tmp_path, capsys, stage, rel):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
     capsys.readouterr()
-    assert _run(stage, "--out-dir", str(tmp_path), "--spot", "single_pass") == 1
+    assert _run_single_pass(stage, tmp_path) == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "MalformedRecord"
     assert diagnostic["message"].startswith(f"line {len(lines)}: ")
@@ -76,7 +83,7 @@ def test_misshapen_stage_row_is_data_error(tmp_path, capsys, stage, rel, line,
     lines[line - 1] = text + "\n"
     path.write_text("".join(lines))
     capsys.readouterr()
-    assert _run(stage, "--out-dir", str(tmp_path), "--spot", "single_pass") == 1
+    assert _run_single_pass(stage, tmp_path) == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "MalformedRecord"
     assert diagnostic["message"].startswith(f"line {line}: ")
@@ -111,10 +118,69 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, document, problem):
     config = tmp_path / "params.json"
     config.write_text(document)
     with pytest.raises(SystemExit) as exc:
-        _run("analyze", "--out-dir", str(tmp_path), "--config", str(config))
+        _run("track", "--out-dir", str(tmp_path), "--config", str(config))
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err.startswith("crossrisk: error: ") and problem in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--alpha", "0.9"],
+    ["report", "--seed", "7"],
+    ["report", "--workers", "3"],
+    ["report", "--epsilon-kmh", "5"],
+    ["segment", "--config", "/nonexistent"],
+    ["segment", "--workers", "2"],
+    ["synth", "--spot", "single_pass"],
+    ["track", "--alpha", "0.5"],
+    ["track", "--seed", "3"],
+    ["extract", "--baseline-m", "5"],
+    ["analyze", "--workers", "2"],
+    ["analyze", "--config", "params.json"],
+], ids=" ".join)
+def test_flag_the_stage_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "--out-dir", str(tmp_path))
+    assert exc.value.code == 2
+    flag = argv[1]
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_all_takes_every_stage_flag(tmp_path):
+    from crossrisk.cli import build_parser, config_from_args
+    args = build_parser().parse_args([
+        "all", "--out-dir", str(tmp_path), "--seed", "4", "--corpus", "bulk",
+        "--scenes", "12", "--noise-sigma", "1.5", "--drop-probability", "0.1",
+        "--spot", "bulk", "--workers", "2", "--alpha", "0.5",
+        "--epsilon-kmh", "1.0", "--baseline-m", "12.0", "-v"])
+    cfg = config_from_args(args)
+    assert (cfg.out_dir, cfg.seed, cfg.corpus, cfg.bulk_scenes,
+            cfg.noise_sigma, cfg.drop_probability, cfg.spot, cfg.workers,
+            cfg.baseline_m, cfg.features.alpha, cfg.features.epsilon_kmh) == (
+        tmp_path, 4, "bulk", 12, 1.5, 0.1, "bulk", 2, 12.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("edit", ["repeat", "null", "float"])
+def test_bad_detection_id_is_data_error(tmp_path, capsys, edit):
+    # A detection repeated within its frame, or an id that is neither a
+    # string nor an integer, stops segment at that line.
+    assert _run("synth", "--out-dir", str(tmp_path)) == 0
+    path = tmp_path / "single_pass" / "detections.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    if edit == "repeat":
+        lines.insert(3, lines[2])
+    else:
+        row = json.loads(lines[2])
+        row["id"] = None if edit == "null" else 5.5
+        lines[2] = json.dumps(row) + "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert _run("segment", "--out-dir", str(tmp_path),
+                "--spot", "single_pass") == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    line = 4 if edit == "repeat" else 3
+    assert diagnostic["message"].startswith(f"line {line}: id ")
 
 
 @pytest.mark.parametrize("key, value", [

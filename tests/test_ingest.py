@@ -67,9 +67,6 @@ def test_malformed_lines(config, line):
 def test_boolean_coordinate_is_malformed(config, line):
     with pytest.raises(MalformedRecord, match="x and y must be numbers"):
         parse_detections([line], config)
-    diagnostics = []
-    assert parse_detections([line], config, diagnostics=diagnostics) == []
-    assert [d.line_number for d in diagnostics] == [1]
 
 
 def test_non_monotone_frame(config):
@@ -79,19 +76,61 @@ def test_non_monotone_frame(config):
         parse_detections(lines, config)
 
 
-def test_every_line_yields_a_record_or_a_diagnostic(config):
+def test_first_bad_line_raises_with_its_number(config):
     lines = [
         '{"frame":0,"class":"vehicle","x":500,"y":500,"id":"a"}',
-        'garbage',
         '{"frame":5,"class":"pedestrian","x":600,"y":600,"id":"b"}',
         '{"frame":5,"class":"vehicle","x":-5,"y":600,"id":"c"}',
-        '{"frame":10,"class":"vehicle","x":500,"y":500,"id":"d"}',
+        'garbage',
     ]
-    diagnostics = []
-    records = parse_detections(lines, config, diagnostics=diagnostics)
-    assert len(records) + len(diagnostics) == len(lines)
-    assert [d.line_number for d in diagnostics] == [2, 4]
-    assert [r.detection_id for r in records] == ["a", "b", "d"]
+    with pytest.raises(OutOfBounds) as exc:
+        parse_detections(lines, config)
+    assert exc.value.line_number == 3
+    assert str(exc.value).startswith("line 3: ")
+
+
+@pytest.mark.parametrize("det_id", [
+    "null", "true", "false", "[1]", '{"a": 1}', "5.5",
+])
+def test_id_that_is_no_string_or_integer_is_malformed(config, det_id):
+    lines = ['{"frame":0,"class":"vehicle","x":500,"y":500,"id":"a"}',
+             f'{{"frame":5,"class":"vehicle","x":500,"y":500,"id":{det_id}}}']
+    with pytest.raises(MalformedRecord,
+                       match="^line 2: id must be a string or integer"):
+        parse_detections(lines, config)
+
+
+def test_integer_id_keeps_its_decimal_text(config):
+    lines = ['{"frame":0,"class":"vehicle","x":500,"y":500,"id":7}',
+             '{"frame":0,"class":"vehicle","x":600,"y":500,"id":-12}',
+             '{"frame":5,"class":"vehicle","x":510,"y":500,"id":7}']
+    assert [r.detection_id for r in parse_detections(lines, config)] \
+        == ["7", "-12", "7"]
+
+
+@pytest.mark.parametrize("first_id, second_class, second_id", [
+    ('"a"', "vehicle", '"a"'),
+    ('"a"', "pedestrian", '"a"'),
+    ('"3"', "vehicle", "3"),      # an integer id is its decimal text
+])
+def test_id_repeated_within_a_frame_is_malformed(config, first_id,
+                                                 second_class, second_id):
+    lines = [
+        '{"frame":0,"class":"vehicle","x":500,"y":500,"id":"a"}',
+        f'{{"frame":5,"class":"vehicle","x":500,"y":500,"id":{first_id}}}',
+        '{"frame":5,"class":"vehicle","x":550,"y":500,"id":"b"}',
+        f'{{"frame":5,"class":"{second_class}","x":600,"y":500,'
+        f'"id":{second_id}}}',
+    ]
+    with pytest.raises(MalformedRecord,
+                       match="^line 4: id '[a3]' repeated in frame 5$"):
+        parse_detections(lines, config)
+
+
+def test_id_may_repeat_across_frames(config):
+    lines = [f'{{"frame":{f},"class":"vehicle","x":500,"y":500,"id":"a"}}'
+             for f in (0, 5, 10)]
+    assert len(parse_detections(lines, config)) == 3
 
 
 def test_frame_off_the_sampling_grid_is_malformed(config):
@@ -102,10 +141,6 @@ def test_frame_off_the_sampling_grid_is_malformed(config):
              '{"frame":30,"class":"vehicle","x":520,"y":500,"id":"a"}']
     with pytest.raises(MalformedRecord, match="frame 27 is not a multiple"):
         parse_detections(lines, config)
-    diagnostics = []
-    records = parse_detections(lines, config, diagnostics=diagnostics)
-    assert [r.frame_index for r in records] == [25, 30]
-    assert [d.line_number for d in diagnostics] == [2]
 
 
 def test_header_line_is_skipped(config):
@@ -130,11 +165,8 @@ def test_first_detection_naming_schema_is_kept(config):
 ])
 def test_first_line_that_is_no_header_is_a_bad_line(config, first):
     lines = [first, '{"frame":0,"class":"vehicle","x":500,"y":500,"id":"a"}']
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord, match="^line 1: "):
         parse_detections(lines, config)
-    diagnostics = []
-    assert len(parse_detections(lines, config, diagnostics=diagnostics)) == 1
-    assert [d.line_number for d in diagnostics] == [1]
 
 
 def test_confidence_field_ignored(config):

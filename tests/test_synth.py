@@ -28,11 +28,16 @@ def _single_agent_spec(noise=0.0, drops=0.0, seed=0):
 
 
 def test_zero_noise_detections_equal_projected_path():
-    records, truth = generate(_single_agent_spec())
+    spec = _single_agent_spec()
+    records, truth = generate(spec)
     track = truth.tracks["v0"]
     assert len(records) == len(track.frames)
-    for rec, expected in zip(records, track.pixel):
-        assert rec.contact_point_px == pytest.approx(expected, abs=1e-9)
+    # The true world path seen through the camera: world -> pixel is the
+    # inverse of the spot's pixel -> world homography.
+    inv_h = np.linalg.inv(spec.config.build_calibration().homography)
+    for rec, (x, y) in zip(records, track.world):
+        u, v, w = inv_h @ np.array([x, y, 1.0])
+        assert rec.contact_point_px == pytest.approx((u / w, v / w), abs=1e-9)
 
 
 def test_different_seeds_same_truth_different_noise():

@@ -31,32 +31,37 @@ PARAMS = TrackerParams()
 FLAT = Calibration(np.eye(3))
 
 
+def _track_at(x, y):
+    return new_track("t", make_detection(0, ObjectClass.VEHICLE, x, y, "d0"),
+                     PARAMS)
+
+
 def test_default_gates_match_validated_thresholds():
     assert PARAMS.gate_threshold_vehicle == 60.0
     assert PARAMS.gate_threshold_pedestrian == 20.0
 
 
 def test_predict_constant_velocity():
-    state = new_track("t", ObjectClass.VEHICLE, 0, (0.0, 0.0), PARAMS)
+    state = _track_at(0.0, 0.0)
     state.vx, state.vy = 1.0, 0.0
     out = kalman_predict(state, process_noise=0.0)
     assert np.allclose(out.state_mean, [1.0, 0.0, 1.0, 0.0])
 
 
 def test_predict_zero_velocity_keeps_position():
-    state = new_track("t", ObjectClass.VEHICLE, 0, (7.0, 9.0), PARAMS)
+    state = _track_at(7.0, 9.0)
     out = kalman_predict(state, process_noise=0.0)
-    assert out.position == pytest.approx((7.0, 9.0))
+    assert (out.x, out.y) == pytest.approx((7.0, 9.0))
 
 
 def test_predict_grows_covariance_trace():
-    state = new_track("t", ObjectClass.VEHICLE, 0, (0.0, 0.0), PARAMS)
+    state = _track_at(0.0, 0.0)
     out = kalman_predict(state, process_noise=1.0)
     assert np.trace(out.state_covariance) > np.trace(state.state_covariance)
 
 
 def test_update_zero_innovation_keeps_mean():
-    state = new_track("t", ObjectClass.VEHICLE, 0, (5.0, 5.0), PARAMS)
+    state = _track_at(5.0, 5.0)
     state = kalman_predict(state, 1.0)
     before = state.state_mean.copy()
     out = kalman_update(state, tuple(before[:2]), measurement_noise=2.0)
@@ -65,16 +70,16 @@ def test_update_zero_innovation_keeps_mean():
 
 
 def test_update_limits():
-    state = new_track("t", ObjectClass.VEHICLE, 0, (0.0, 0.0), PARAMS)
+    state = _track_at(0.0, 0.0)
     state = kalman_predict(state, 1.0)
     huge = kalman_update(state, (50.0, 50.0), measurement_noise=1e15)
     assert np.allclose(huge.state_mean, state.state_mean, atol=1e-6)
     tiny = kalman_update(state, (50.0, 50.0), measurement_noise=1e-12)
-    assert tiny.position == pytest.approx((50.0, 50.0), abs=1e-6)
+    assert (tiny.x, tiny.y) == pytest.approx((50.0, 50.0), abs=1e-6)
 
 
 def test_velocity_converges_on_clean_input():
-    state = new_track("t", ObjectClass.VEHICLE, 0, (0.0, 0.0), PARAMS)
+    state = _track_at(0.0, 0.0)
     for k in range(1, 21):
         state = kalman_predict(state, PARAMS.process_noise)
         state = kalman_update(state, (3.0 * k, 2.0 * k), PARAMS.measurement_noise)
@@ -100,7 +105,7 @@ def test_separable_filter_matches_dense_reference(start, steps):
     # leaves room for a BLAS that rounds differently: 1e-12 of the largest
     # magnitude the run has carried, per array, because the first update
     # cancels velocity variances near 1e6 down to units.
-    state = new_track("t", ObjectClass.VEHICLE, 0, start, PARAMS)
+    state = _track_at(*start)
     r0 = PARAMS.measurement_noise
     mean = np.array([start[0], start[1], 0.0, 0.0])
     cov = np.diag([r0, r0, 1e6, 1e6])
@@ -125,9 +130,8 @@ def test_separable_filter_matches_dense_reference(start, steps):
 
 
 def _track_with_velocity(tid, pos, vel, cls=ObjectClass.VEHICLE):
-    state = new_track(tid, cls, 0, pos, PARAMS)
+    state = new_track(tid, make_detection(0, cls, *pos, tid), PARAMS)
     state.vx, state.vy = vel
-    state.points = [(0, pos)]
     return state
 
 
@@ -143,22 +147,20 @@ def test_assign_prefers_prediction_over_last_position():
     assert math.dist(a.points[-1][1], det_d.contact_point_px) < \
         math.dist(a.points[-1][1], det_c.contact_point_px)
 
-    result = assign(predicted, [det_c, det_d], PARAMS)
-    assert result.matches["a"].detection_id == "c"
-    assert result.matches["b"].detection_id == "d"
+    matches = assign(predicted, [det_c, det_d], PARAMS)
+    assert matches["a"].detection_id == "c"
+    assert matches["b"].detection_id == "d"
 
     nn = TrackerParams(use_prediction=False)
     swapped = assign(predicted, [det_c, det_d], nn)
-    assert swapped.matches["a"].detection_id == "d"
+    assert swapped["a"].detection_id == "d"
 
 
 def test_assign_single_in_gate_detection():
     a = _track_with_velocity("a", (100.0, 100.0), (0.0, 0.0))
     predicted = {"a": kalman_predict(a, 0.0)}
     det = make_detection(1, ObjectClass.VEHICLE, 110.0, 100.0, "d0")
-    result = assign(predicted, [det], PARAMS)
-    assert result.matches["a"].detection_id == "d0"
-    assert not result.unmatched_detections
+    assert assign(predicted, [det], PARAMS) == {"a": det}
 
 
 def test_assign_beyond_gate_spawns_new_track():
@@ -166,10 +168,7 @@ def test_assign_beyond_gate_spawns_new_track():
     predicted = {"a": kalman_predict(a, 0.0)}
     det = make_detection(1, ObjectClass.VEHICLE,
                          100.0 + PARAMS.gate_threshold_vehicle + 1.0, 100.0, "d0")
-    result = assign(predicted, [det], PARAMS)
-    assert not result.matches
-    assert result.unmatched_detections == [det]
-    assert result.unmatched_tracks == ["a"]
+    assert assign(predicted, [det], PARAMS) == {}
 
 
 def test_assign_classes_never_mix():
@@ -177,8 +176,7 @@ def test_assign_classes_never_mix():
                              cls=ObjectClass.PEDESTRIAN)
     predicted = {"a": kalman_predict(a, 0.0)}
     det = make_detection(1, ObjectClass.VEHICLE, 101.0, 100.0, "d0")
-    result = assign(predicted, [det], PARAMS)
-    assert not result.matches
+    assert assign(predicted, [det], PARAMS) == {}
 
 
 def test_assignment_invariant_under_detection_permutation():
@@ -195,10 +193,9 @@ def test_assignment_invariant_under_detection_permutation():
         perm = list(dets)
         rng.shuffle(perm)
         again = assign(predicted, perm, PARAMS)
-        assert {t: d.detection_id for t, d in base.matches.items()} == \
-            {t: d.detection_id for t, d in again.matches.items()}
+        assert base == again
         # No detection is consumed twice.
-        used = [d.detection_id for d in base.matches.values()]
+        used = [d.detection_id for d in base.values()]
         assert len(used) == len(set(used))
 
 
@@ -223,6 +220,46 @@ def test_track_scene_single_object():
     assert len(trajs) == 1
     assert len(trajs[0]) == 10
     assert trajs[0].object_class is ObjectClass.VEHICLE
+
+
+def test_track_scene_points_replay_the_filter():
+    # One noisy vehicle, stride 5, missed at frame 25. Every point carries
+    # the detection it consumed; its smoothed pixel is the dense filter's
+    # position after that frame, where the gap frame only predicts.
+    config = synth.synthetic_spot_config()
+    calib = config.build_calibration()
+    fps, stride = config.fps, config.frame_skip
+    rng = np.random.default_rng(7)
+    frames = [f for f in range(0, 75, stride) if f != 25]
+    dets = [make_detection(f, ObjectClass.VEHICLE,
+                           400.0 + 6.0 * f + rng.normal(0.0, 1.5),
+                           700.0 - 1.0 * f + rng.normal(0.0, 1.5), f"d{f}")
+            for f in frames]
+    (traj,) = track_scene(dets, PARAMS, calib, fps=fps, frame_stride=stride)
+    assert [p.frame for p in traj.points] == frames
+    raw = np.array([p.raw_px for p in traj.points])
+    world = calib.to_world_many(raw)
+
+    q, r = PARAMS.process_noise, PARAMS.measurement_noise
+    mean = np.array([*dets[0].contact_point_px, 0.0, 0.0])
+    cov = np.diag([r, r, 1e6, 1e6])
+    by_frame = {d.frame_index: d for d in dets}
+    expected_smooth = {0: dets[0].contact_point_px}
+    for f in range(stride, frames[-1] + 1, stride):
+        mean, cov = dense_kalman_predict(mean, cov, q)
+        if f in by_frame:
+            mean, cov = dense_kalman_update(
+                mean, cov, by_frame[f].contact_point_px, r)
+            expected_smooth[f] = tuple(mean[:2])
+
+    for k, (point, det) in enumerate(zip(traj.points, dets)):
+        assert point.raw_px == det.contact_point_px
+        assert point.detection_id == det.detection_id
+        assert point.t == point.frame / fps
+        assert point.world == tuple(world[k])
+        np.testing.assert_allclose(point.smooth_px,
+                                   expected_smooth[point.frame],
+                                   rtol=0, atol=1e-9)
 
 
 def test_track_scene_parallel_objects_no_swap():
@@ -322,6 +359,4 @@ def test_optimal_assignment_mode():
     # (a->d1, b->d0) has lower total cost.
     d0 = make_detection(1, ObjectClass.VEHICLE, 12.0, 0.0, "d0")
     d1 = make_detection(1, ObjectClass.VEHICLE, 1.0, 0.0, "d1")
-    result = assign(predicted, [d0, d1], params)
-    assert result.matches["a"].detection_id == "d1"
-    assert result.matches["b"].detection_id == "d0"
+    assert assign(predicted, [d0, d1], params) == {"a": d1, "b": d0}
