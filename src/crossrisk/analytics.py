@@ -1,12 +1,14 @@
-"""Corpus-level statistics over extracted scene features, and the one
-policy that turns each spot's feature bundles into `analysis.json`.
+"""Corpus-level statistics over extracted scene features, built directly
+as the `analysis.json` record.
 
 Covers the per-spot speed tables, PSM distributions by signalization,
 stopping percentages against a baseline distance, the size-balanced merge
 of per-spot PSM distributions, and the eight sign/quartile PSM ranges
-cross-tabulated with stopping behavior. `analysis_record` decides which
-spots form which group, what gets merged and which shortfalls are only
-logged; `emit_report` renders its record as the report's files.
+cross-tabulated with stopping behavior. Each function returns its part of
+the record in the layout `analysis.json` holds, or None where a spot or a
+distribution gives nothing. `analysis_record` decides which spots form
+which group, what gets merged and which shortfalls only leave rows out;
+`emit_report` renders its record as the report's files.
 """
 
 from __future__ import annotations
@@ -14,17 +16,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptySpot,
-    IoFailure,
-    NoQualifyingScenes,
-    OneSidedDistribution,
-)
+from .errors import IoFailure
 from .features import SceneFeatures
 
 log = logging.getLogger(__name__)
@@ -36,13 +33,15 @@ def scene_speed_kmh(features: SceneFeatures) -> float | None:
     return float(np.mean(speeds)) if speeds else None
 
 
-def spot_speed_stats(spot_id: str, features: list[SceneFeatures]) -> dict:
+def spot_speed_stats(spot_id: str, features: list[SceneFeatures]
+                     ) -> dict | None:
     """The spot's `stats` row: scene counts by type and the max/min/mean of
-    per-scene speeds, overall and by scene type."""
+    per-scene speeds, overall and by scene type. None when no scene has
+    speeds."""
     rows = [(f.interactive, scene_speed_kmh(f)) for f in features]
     speeds = [s for _, s in rows if s is not None]
     if not speeds:
-        raise EmptySpot(f"spot {spot_id} has no scenes with speeds")
+        return None
     car_only = [s for i, s in rows if s is not None and not i]
     inter = [s for i, s in rows if s is not None and i]
     interactive = sum(1 for f in features if f.interactive)
@@ -59,24 +58,24 @@ def spot_speed_stats(spot_id: str, features: list[SceneFeatures]) -> dict:
     }
 
 
-def qualifying_stop(features: SceneFeatures, baseline_m: float = 10.0) -> bool:
+def qualifying_stop(features: SceneFeatures, baseline_m: float) -> bool:
     """Stopped for the pedestrian: stop flag set within the baseline distance."""
     return (features.stopped and features.stop_distance_m is not None
             and features.stop_distance_m <= baseline_m)
 
 
-def stopping_percentage(features: list[SceneFeatures],
-                        baseline_m: float = 10.0) -> tuple[float, int, int]:
+def stopping_percentage(features: list[SceneFeatures], baseline_m: float
+                        ) -> tuple[float, int, int] | None:
     """Share of qualifying interactive scenes where the vehicle stopped
     within the baseline distance of the crosswalk.
 
     Qualifying means a pedestrian was in the crosswalk or its influence
-    area at some frame. Returns (percentage, stopped, qualifying).
+    area at some frame. Returns (percentage, stopped, qualifying), or None
+    when no scene qualifies.
     """
     qualifying = [f for f in features if f.interactive and f.ped_in_crossing_area]
     if not qualifying:
-        raise NoQualifyingScenes("no interactive scene with a pedestrian "
-                                 "in the crosswalk or CIA")
+        return None
     stopped = sum(1 for f in qualifying if qualifying_stop(f, baseline_m))
     return 100.0 * stopped / len(qualifying), stopped, len(qualifying)
 
@@ -99,19 +98,6 @@ def weighted_quantile(values, weights, q: float) -> float:
     return float(v[min(idx, len(v) - 1)])
 
 
-@dataclass
-class PsmDistribution:
-    """Weighted PSM samples with their histogram."""
-
-    samples: np.ndarray
-    weights: np.ndarray
-    bin_edges: np.ndarray
-    masses: np.ndarray
-    group: str
-    spot_weights: dict[str, float] = field(default_factory=dict)
-    degenerate: bool = False
-
-
 def _fd_bin_edges(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Freedman-Diaconis edges on the weighted sample.
 
@@ -132,14 +118,15 @@ def _fd_bin_edges(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.linspace(lo, hi, bins + 1)
 
 
-def weighted_merge(samples_by_spot: dict[str, list[float]],
-                   group: str = "merged",
-                   positive_only: bool = False) -> PsmDistribution:
-    """Merge per-spot PSM samples with size-balancing weights.
+def weighted_merge(samples_by_spot: dict[str, list[float]], group: str,
+                   positive_only: bool = False) -> dict:
+    """Merge per-spot PSM samples with size-balancing weights, as the
+    `analysis.json` distribution entry of `group`.
 
     Each spot's samples carry weight w_i = 1 - n_i/n so that high-traffic
-    spots do not drown out the others. Histogram masses stay unnormalized:
-    their sum is the weighted sample count.
+    spots do not drown out the others. Samples and weights are floats,
+    whatever number type they came in as. Histogram masses stay
+    unnormalized: their sum is the weighted sample count.
     """
     filtered = {
         spot: [s for s in samples if s is not None
@@ -167,72 +154,50 @@ def weighted_merge(samples_by_spot: dict[str, list[float]],
     arr = np.asarray(samples, dtype=float)
     warr = np.asarray(weights, dtype=float)
     if arr.size == 0 or warr.sum() == 0:
-        edges = np.array([0.0, 1.0])
-        masses = np.zeros(1)
+        edges, masses = [0.0, 1.0], [0.0]
     else:
-        edges = _fd_bin_edges(arr, warr)
-        masses, _ = np.histogram(arr, bins=edges, weights=warr)
-    return PsmDistribution(samples=arr, weights=warr, bin_edges=edges,
-                           masses=masses, group=group,
-                           spot_weights=spot_weights, degenerate=degenerate)
+        bins = _fd_bin_edges(arr, warr)
+        edges = bins.tolist()
+        masses = np.histogram(arr, bins=bins, weights=warr)[0].tolist()
+    return {"group": group, "samples": arr.tolist(), "weights": warr.tolist(),
+            "bin_edges": edges, "masses": masses,
+            "spot_weights": spot_weights, "degenerate": degenerate}
 
 
-@dataclass(frozen=True)
-class PsmRanges:
-    """The eight sign/quartile PSM ranges.
-
-    Ranges 1..4 are the negative side split at its quartiles, 5..8 the
-    positive side; range 4 and 5 hug zero and carry the least margin.
-    """
-
-    negative_quartiles: tuple[float, float, float]
-    positive_quartiles: tuple[float, float, float]
-
-    def boundaries(self) -> list[float]:
-        return range_boundaries(self.negative_quartiles,
-                                self.positive_quartiles)
-
-    def range_of(self, psm_seconds: float) -> int:
-        """1-based range index for one PSM value."""
-        bounds = self.boundaries()
-        for k in range(8):
-            if bounds[k] <= psm_seconds < bounds[k + 1]:
-                return k + 1
-        return 8
+def psm_ranges(samples, weights) -> dict | None:
+    """The eight sign/quartile PSM ranges of a weighted sample, as the
+    quartiles of each side of zero (None when a side is empty): ranges
+    1..4 split the negative side, 5..8 the positive, and ranges 4 and 5
+    hug zero and carry the least margin."""
+    s = np.asarray(samples, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    sides = {"negative": s < 0, "positive": s > 0}
+    if not all(side.any() for side in sides.values()):
+        return None
+    return {name: [weighted_quantile(s[side], w[side], q)
+                   for q in (0.25, 0.5, 0.75)]
+            for name, side in sides.items()}
 
 
-def range_boundaries(negative_quartiles, positive_quartiles) -> list[float]:
+def range_edges(ranges: dict) -> list[float]:
     """The nine edges of the eight PSM ranges."""
-    return [-math.inf, *negative_quartiles, 0.0, *positive_quartiles, math.inf]
-
-
-def psm_ranges(merged: PsmDistribution) -> PsmRanges:
-    """Split the merged distribution at zero and per-sign quartiles."""
-    neg = merged.samples < 0
-    pos = merged.samples > 0
-    if not neg.any() or not pos.any():
-        raise OneSidedDistribution(
-            "need both negative and positive PSM samples to build ranges")
-    nq = tuple(weighted_quantile(merged.samples[neg], merged.weights[neg], q)
-               for q in (0.25, 0.5, 0.75))
-    pq = tuple(weighted_quantile(merged.samples[pos], merged.weights[pos], q)
-               for q in (0.25, 0.5, 0.75))
-    return PsmRanges(negative_quartiles=nq, positive_quartiles=pq)
+    return [-math.inf, *ranges["negative"], 0.0, *ranges["positive"], math.inf]
 
 
 def stopping_by_psm_range(features_by_spot: dict[str, list[SceneFeatures]],
-                          ranges: PsmRanges,
-                          baseline_m: float = 10.0) -> list[list]:
+                          ranges: dict, baseline_m: float) -> list[list]:
     """Cross-tab of stopping behavior against PSM range: one sorted
     `[range, spot, scenes, stopped, percentage]` row per (range, spot)
-    that holds a scene with a PSM."""
+    that holds a scene with a PSM. A PSM falls in the last range whose
+    lower edge it reaches, and an infinite or NaN PSM in range 8."""
+    edges = range_edges(ranges)
     rows = []
     for spot, scenes in features_by_spot.items():
         per_range: dict[int, list[SceneFeatures]] = {}
         for f in scenes:
             if f.psm_seconds is not None:
-                per_range.setdefault(ranges.range_of(f.psm_seconds),
-                                     []).append(f)
+                r = min(bisect_right(edges, f.psm_seconds), 8)
+                per_range.setdefault(r, []).append(f)
         for r, hits in per_range.items():
             stopped = sum(1 for f in hits if qualifying_stop(f, baseline_m))
             rows.append([r, spot, len(hits), stopped,
@@ -254,7 +219,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def analysis_record(spots: list[tuple[str, bool, list[SceneFeatures]]],
-                    baseline_m: float = 10.0) -> dict:
+                    baseline_m: float) -> dict:
     """The `analysis.json` record, less its schema, from each spot's
     `(spot_id, signalized, bundles)`: every table of the report, each list
     sorted, in the layout `emit_report` renders.
@@ -271,15 +236,14 @@ def analysis_record(spots: list[tuple[str, bool, list[SceneFeatures]]],
         "signalized": {}, "unsignalized": {}}
     unsignalized = {}
     for spot_id, signalized, bundles in spots:
-        try:
-            stats.append(spot_speed_stats(spot_id, bundles))
-        except EmptySpot:
+        row = spot_speed_stats(spot_id, bundles)
+        if row is None:
             log.warning("spot %s: no scenes with speeds", spot_id)
-        try:
-            stopping.append((spot_id, *stopping_percentage(bundles,
-                                                           baseline_m)))
-        except NoQualifyingScenes:
-            pass
+        else:
+            stats.append(row)
+        share = stopping_percentage(bundles, baseline_m)
+        if share is not None:
+            stopping.append((spot_id, *share))
         group = "signalized" if signalized else "unsignalized"
         psm_by_group[group][spot_id] = [
             f.psm_seconds for f in bundles if f.psm_seconds is not None]
@@ -287,16 +251,15 @@ def analysis_record(spots: list[tuple[str, bool, list[SceneFeatures]]],
             unsignalized[spot_id] = bundles
 
     distributions = [
-        weighted_merge(samples, group=f"{name}_positive", positive_only=True)
+        weighted_merge(samples, f"{name}_positive", positive_only=True)
         for name, samples in psm_by_group.items() if any(samples.values())]
     ranges = table = None
     if any(psm_by_group["unsignalized"].values()):
         merged = weighted_merge(psm_by_group["unsignalized"],
-                                group="unsignalized_weighted")
+                                "unsignalized_weighted")
         distributions.append(merged)
-        try:
-            ranges = psm_ranges(merged)
-        except OneSidedDistribution:
+        ranges = psm_ranges(merged["samples"], merged["weights"])
+        if ranges is None:
             log.warning("PSM range analysis skipped: one-sided distribution")
         else:
             table = stopping_by_psm_range(unsignalized, ranges, baseline_m)
@@ -304,18 +267,8 @@ def analysis_record(spots: list[tuple[str, bool, list[SceneFeatures]]],
     return {
         "stats": sorted(stats, key=lambda s: s["spot"]),
         "stopping": sorted(stopping),
-        "distributions": [{
-            "group": d.group,
-            "samples": d.samples.tolist(),
-            "weights": d.weights.tolist(),
-            "bin_edges": d.bin_edges.tolist(),
-            "masses": d.masses.tolist(),
-            "spot_weights": d.spot_weights,
-            "degenerate": d.degenerate,
-        } for d in sorted(distributions, key=lambda d: d.group)],
-        "ranges": None if ranges is None else {
-            "negative": list(ranges.negative_quartiles),
-            "positive": list(ranges.positive_quartiles)},
+        "distributions": sorted(distributions, key=lambda d: d["group"]),
+        "ranges": ranges,
         "range_table": table,
     }
 
@@ -353,8 +306,7 @@ def emit_report(out_dir, record: dict) -> list[Path]:
                    [[d["group"], spot, w] for d in record["distributions"]
                     for spot, w in sorted(d["spot_weights"].items())]))
     if record["ranges"] is not None:
-        bounds = range_boundaries(record["ranges"]["negative"],
-                                  record["ranges"]["positive"])
+        bounds = range_edges(record["ranges"])
         tables.append(("psm_ranges.csv", ["range", "lower", "upper"],
                        [[k + 1, lo, hi] for k, (lo, hi)
                         in enumerate(zip(bounds, bounds[1:]))]))

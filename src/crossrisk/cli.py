@@ -16,6 +16,9 @@ the flags its stage reads, and a flag it does not read is a usage error:
     analyze  --spot --baseline-m
     report   (none)
     all      every flag above
+
+Likewise a --config file holds only the sections its stage reads: a
+"tracker" object for track, a "features" object for extract, both for all.
 """
 
 from __future__ import annotations
@@ -102,19 +105,26 @@ def build_parser() -> argparse.ArgumentParser:
 # FeatureParams fields set by their own flag, not by --config.
 _FLAGGED = {"alpha": "--alpha", "epsilon_kmh": "--epsilon-kmh"}
 
+# Each --config section: the stage besides `all` that reads it, and the
+# fields it sets.
+_SECTIONS = {"tracker": ("track", TrackerParams),
+             "features": ("extract", FeatureParams)}
 
-def _load_overrides(path: str) -> dict:
+
+def _load_overrides(path: str, command: str) -> dict:
     """The --config document: optional "tracker" and "features" objects of
-    TrackerParams and FeatureParams fields. ValueError names the first
-    problem."""
+    TrackerParams and FeatureParams fields, each only for a stage that
+    reads it. ValueError names the first problem."""
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
         for key, section in doc.items():
-            params = {"tracker": TrackerParams, "features": FeatureParams}.get(key)
+            stage, params = _SECTIONS.get(key, (None, None))
             if params is None or not isinstance(section, dict):
                 raise ValueError(f"{key!r} is not a tracker or features object")
+            if command not in (stage, "all"):
+                raise ValueError(f"{command} does not read {key!r}")
             for name in section:
                 if name not in {f.name for f in fields(params)}:
                     raise ValueError(f"unknown key {key}.{name}")
@@ -129,7 +139,8 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     """The PipelineConfig of the flags given; a flag not given keeps the
     default of its PipelineConfig or FeatureParams field."""
     given = vars(args)
-    overrides = _load_overrides(given["config"]) if given.get("config") else {}
+    overrides = (_load_overrides(given["config"], args.command)
+                 if given.get("config") else {})
     return PipelineConfig(
         **{f.name: given[f.name] for f in fields(PipelineConfig)
            if f.name in given},

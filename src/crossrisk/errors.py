@@ -43,30 +43,12 @@ class PointAtInfinity(PipelineError):
 
 # --- features -------------------------------------------------------------
 
-class MissingPolygons(PipelineError):
-    """Spot config lacks the polygons needed for zone classification."""
-
-
 class ZeroHeading(PipelineError):
     """Vehicle never moved; no heading can be established."""
 
 
 class NoConflict(PipelineError):
     """No conflict point exists between the two trajectories."""
-
-
-# --- analytics ------------------------------------------------------------
-
-class EmptySpot(PipelineError):
-    """No scenes available for a spot-level statistic."""
-
-
-class NoQualifyingScenes(PipelineError):
-    """No scene passes the filter required by the analysis."""
-
-
-class OneSidedDistribution(PipelineError):
-    """Range binning needs both positive and negative samples."""
 
 
 # --- synth ----------------------------------------------------------------

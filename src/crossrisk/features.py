@@ -24,11 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    MissingPolygons,
-    NoConflict,
-    ZeroHeading,
-)
+from .errors import NoConflict, ZeroHeading
 from .geometry import Calibration
 from .ingest import SpotConfig
 from .tracker import Trajectory
@@ -206,8 +202,6 @@ def cia_polygon(config: SpotConfig) -> list[tuple[float, float]]:
     """
     dx, dy = config.approach_direction_world
     norm = math.hypot(dx, dy)
-    if norm < 1e-12:
-        raise MissingPolygons("approach_direction_world is a zero vector")
     ux, uy = dx / norm, dy / norm
     b = config.cia_buffer_m
     shifted = []
@@ -228,9 +222,6 @@ class SpotZones:
     @cached_property
     def crosswalk(self):
         polygon = self.config.crosswalk_polygon_world
-        if not polygon:
-            raise MissingPolygons(
-                f"spot {self.config.spot_id} has no crosswalk polygon")
         centroid = (sum(p[0] for p in polygon) / len(polygon),
                     sum(p[1] for p in polygon) / len(polygon))
         return _edges(polygon), centroid

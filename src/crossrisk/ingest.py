@@ -145,9 +145,9 @@ def parse_detections(stream, config: SpotConfig) -> list[DetectionRecord]:
             continue
         try:
             obj = json_line(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(
-                line_number, f"invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:   # JSONDecodeError, or an int too long
+            raise MalformedRecord(line_number, "invalid JSON "
+                                  f"({getattr(exc, 'msg', exc)})") from exc
         if line_number == 1 and _is_header(obj):
             continue
         if type(obj) is not dict:
@@ -256,7 +256,9 @@ def parse_spot_config(doc: dict) -> SpotConfig:
     Numbers are checked, not coerced: a bool or text where a number
     belongs, or a float in `lanes`, `frame_skip` or `frame_size`, raises
     TypeError, and a value out of range (`fps`, `crosswalk_length_m`,
-    `lanes`, `frame_skip` or a `frame_size` side not above 0) ValueError.
+    `lanes`, `frame_skip` or a `frame_size` side not above 0, a crosswalk
+    polygon of fewer than 3 vertices, an approach direction of zero or
+    non-finite length) ValueError.
     An absent field raises MissingField and unusable correspondences
     DegenerateCalibration; a value of the wrong shape or out of range
     raises what reading it raises, which `stages.load_spot_config` reports
@@ -277,6 +279,14 @@ def parse_spot_config(doc: dict) -> SpotConfig:
     frame_size = _pair(_require(doc, "frame_size"), "frame_size", _integer)
     for side in frame_size:
         _positive(side, "frame_size")
+    crosswalk = [_pair(p, "crosswalk_polygon_world")
+                 for p in _require(doc, "crosswalk_polygon_world")]
+    if len(crosswalk) < 3:
+        raise ValueError(f"crosswalk_polygon_world needs at least 3 "
+                         f"vertices, got {len(crosswalk)}")
+    approach = _pair(_require(doc, "approach_direction_world"),
+                     "approach_direction_world")
+    _positive(math.hypot(*approach), "approach_direction_world's length")
 
     return SpotConfig(
         spot_id=str(_require(doc, "spot_id")),
@@ -294,15 +304,11 @@ def parse_spot_config(doc: dict) -> SpotConfig:
         frame_skip=_positive(_integer(doc.get("frame_skip", 1), "frame_skip"),
                              "frame_skip"),
         calibration=calibration,
-        crosswalk_polygon_world=[
-            _pair(p, "crosswalk_polygon_world")
-            for p in _require(doc, "crosswalk_polygon_world")],
+        crosswalk_polygon_world=crosswalk,
         sidewalk_polygons_world=[
             [_pair(p, "sidewalk_polygons_world") for p in poly]
             for poly in _require(doc, "sidewalk_polygons_world")],
-        approach_direction_world=_pair(
-            _require(doc, "approach_direction_world"),
-            "approach_direction_world"),
+        approach_direction_world=approach,
         cia_buffer_m=_real(doc.get("cia_buffer_m", 3.0), "cia_buffer_m"),
     )
 

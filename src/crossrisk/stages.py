@@ -429,7 +429,8 @@ def read_trajectories(spot_dir: Path
     Each scene's tracks are sorted by frame, and their frames and times must
     then strictly increase; a point repeated in a scene, or a time that does
     not advance, raises MalformedRecord at the file's last line, since a
-    track's rows may come in any order.
+    track's rows may come in any order. A row whose class differs from that
+    of its object's earlier rows in the scene raises MalformedRecord there.
 
     A point's rows for its several scenes sit next to each other and
     differ only in `scene_id` (see `scene_lines`), so a row reuses the
@@ -458,9 +459,12 @@ def read_trajectories(spot_dir: Path
         traj = tracks.get(object_id)
         if traj is None:
             tracks[object_id] = Trajectory(object_id, object_class, [point])
-        else:
-            traj.object_class = object_class
+        elif traj.object_class is object_class:
             traj.points.append(point)
+        else:
+            raise ValueError(f"object {object_id!r} of scene {scene_id!r} is "
+                             f"both {traj.object_class.value} and "
+                             f"{object_class.value}")
 
     def row(line: str) -> None:
         nonlocal rows, decoded, head, tail, cut, rest, traj_id, cls, pt

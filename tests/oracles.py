@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from crossrisk.errors import NoConflict
-from crossrisk.features import PsmValue
+from crossrisk.features import PsmValue, SceneFeatures, VehicleZone
 from crossrisk.ingest import DetectionRecord, ObjectClass
 from crossrisk.synth import AgentScript, ScenarioSpec, synthetic_spot_config
 from crossrisk.tracker import TrackPoint, Trajectory
@@ -31,6 +31,24 @@ def make_traj(object_id, object_class, frames, world, fps=25.0,
                       world=world[k], detection_id=dets[k])
            for k, f in enumerate(frames)]
     return Trajectory(object_id=object_id, object_class=object_class, points=pts)
+
+
+def make_scene_features(scene_id="s0", spot="A", interactive=False,
+                        speeds=(10.0, 12.0), stopped=False, stop_distance=None,
+                        in_crossing=False, psm=None):
+    """A feature bundle holding only what the analysis reads."""
+    return SceneFeatures(
+        scene_id=scene_id, spot_id=spot, frame_start=0, frame_end=10,
+        interactive=interactive, vehicle_id="v",
+        vehicle_speeds_kmh=list(speeds),
+        vehicle_zones=[VehicleZone.BEFORE] * (len(speeds) + 1),
+        vehicle_accelerations=[], vehicle_acceleration_runs=[],
+        crosswalk_distances_m=[], stopped=stopped,
+        stop_distance_m=stop_distance,
+        pedestrian_speeds_kmh={}, pedestrian_zones={},
+        distances_m=[], relative_positions=[],
+        psm_seconds=psm, psm_seconds_refined=psm,
+        ped_in_crossing_area=in_crossing)
 
 
 def make_detection(frame, cls, x, y, det_id):

@@ -9,8 +9,8 @@ import pytest
 
 from crossrisk import synth
 from crossrisk.analytics import (
-    PsmDistribution,
     psm_ranges,
+    stopping_by_psm_range,
     weighted_merge,
 )
 from crossrisk.cli import main as cli_main
@@ -44,6 +44,7 @@ from crossrisk.tracker import (
 from oracles import (
     dense_psm_oracle,
     make_detection,
+    make_scene_features,
     make_traj,
     polygon_boundary_distance,
     random_crossing_spec,
@@ -159,22 +160,22 @@ def test_criterion_3_prediction_beats_nearest_neighbor():
 
 
 def test_criterion_4_weighting():
-    dist = weighted_merge({"A": [1.0] * 100, "B": [2.0] * 800})
-    assert dist.spot_weights["A"] == 8 / 9
-    assert dist.spot_weights["B"] == 1 / 9
+    dist = weighted_merge({"A": [1.0] * 100, "B": [2.0] * 800}, "merged")
+    assert dist["spot_weights"]["A"] == 8 / 9
+    assert dist["spot_weights"]["B"] == 1 / 9
 
     equal = weighted_merge({s: [float(k) for k in range(40)]
-                            for s in "ABCDE"})
-    assert len(set(equal.spot_weights.values())) == 1
+                            for s in "ABCDE"}, "merged")
+    assert len(set(equal["spot_weights"].values())) == 1
 
     rng = np.random.default_rng(77)
     samples = {"A": list(rng.normal(-1, 2, 90)),
                "B": list(rng.normal(2, 1, 300))}
-    base = weighted_merge(samples)
-    dup = weighted_merge({s: v * 4 for s, v in samples.items()})
-    assert np.allclose(base.bin_edges, dup.bin_edges)
-    assert np.allclose(base.masses / base.masses.sum(),
-                       dup.masses / dup.masses.sum())
+    base = weighted_merge(samples, "merged")
+    dup = weighted_merge({s: v * 4 for s, v in samples.items()}, "merged")
+    assert np.allclose(base["bin_edges"], dup["bin_edges"])
+    assert np.allclose(np.divide(base["masses"], sum(base["masses"])),
+                       np.divide(dup["masses"], sum(dup["masses"])))
     print("criterion 4 PASS: weights (8/9, 1/9) exact, equal spots equal, "
           "histogram duplication-invariant")
 
@@ -188,18 +189,15 @@ def test_criterion_5_psm_range_binning():
         return [low, q1, (q1 + q2) / 2, q2, (q2 + q3) / 2, q3,
                 (q3 + high) / 2, high]
 
-    samples = np.array(inversion(neg_quartiles, -6.0, -0.5)
-                       + inversion(pos_quartiles, 0.3, 6.0))
-    dist = PsmDistribution(samples=samples, weights=np.ones_like(samples),
-                           bin_edges=np.array([-6.0, 6.0]),
-                           masses=np.array([float(len(samples))]),
-                           group="acceptance")
-    ranges = psm_ranges(dist)
-    for got, want in zip(ranges.negative_quartiles, neg_quartiles):
+    samples = (inversion(neg_quartiles, -6.0, -0.5)
+               + inversion(pos_quartiles, 0.3, 6.0))
+    ranges = psm_ranges(samples, [1.0] * len(samples))
+    for got, want in zip(ranges["negative"], neg_quartiles):
         assert abs(got - want) <= 1e-6
-    for got, want in zip(ranges.positive_quartiles, pos_quartiles):
+    for got, want in zip(ranges["positive"], pos_quartiles):
         assert abs(got - want) <= 1e-6
-    assert ranges.range_of(-1.5) == 4
+    scene = make_scene_features(psm=-1.5)
+    assert stopping_by_psm_range({"D": [scene]}, ranges, 10.0)[0][0] == 4
     print("criterion 5 PASS: 8 published boundaries reproduced to 1e-6, "
           "-1.5s bins to range 4")
 

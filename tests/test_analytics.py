@@ -5,38 +5,17 @@ import numpy as np
 import pytest
 
 from crossrisk.analytics import (
-    PsmDistribution,
     analysis_record,
     emit_report,
     psm_ranges,
+    range_edges,
     spot_speed_stats,
     stopping_by_psm_range,
     stopping_percentage,
     weighted_merge,
     weighted_quantile,
 )
-from crossrisk.errors import (
-    EmptySpot,
-    NoQualifyingScenes,
-    OneSidedDistribution,
-)
-from crossrisk.features import SceneFeatures, VehicleZone
-
-
-def _scene(scene_id="s0", spot="A", interactive=False, speeds=(10.0, 12.0),
-           stopped=False, stop_distance=None, in_crossing=False, psm=None):
-    return SceneFeatures(
-        scene_id=scene_id, spot_id=spot, frame_start=0, frame_end=10,
-        interactive=interactive, vehicle_id="v",
-        vehicle_speeds_kmh=list(speeds),
-        vehicle_zones=[VehicleZone.BEFORE] * (len(speeds) + 1),
-        vehicle_accelerations=[], vehicle_acceleration_runs=[],
-        crosswalk_distances_m=[], stopped=stopped,
-        stop_distance_m=stop_distance,
-        pedestrian_speeds_kmh={}, pedestrian_zones={},
-        distances_m=[], relative_positions=[],
-        psm_seconds=psm, psm_seconds_refined=psm,
-        ped_in_crossing_area=in_crossing)
+from oracles import make_scene_features as _scene
 
 
 # --- scene classification -----------------------------------------------------
@@ -79,11 +58,9 @@ def test_spot_speed_stats_split_by_type():
     assert stats["interactive_mean_kmh"] < stats["car_only_mean_kmh"]
 
 
-def test_empty_spot_raises():
-    with pytest.raises(EmptySpot):
-        spot_speed_stats("A", [])
-    with pytest.raises(EmptySpot):
-        spot_speed_stats("A", [_scene(speeds=[])])
+def test_empty_spot_has_no_stats_row():
+    assert spot_speed_stats("A", []) is None
+    assert spot_speed_stats("A", [_scene(speeds=[])]) is None
 
 
 # --- stopping percentage -----------------------------------------------------------
@@ -96,21 +73,21 @@ def _qualifying(scene_id, stopped, stop_distance=4.0):
 
 def test_stopping_percentage_all_stop():
     scenes = [_qualifying(f"s{k}", True) for k in range(5)]
-    pct, stopped, total = stopping_percentage(scenes)
+    pct, stopped, total = stopping_percentage(scenes, 10.0)
     assert pct == pytest.approx(100.0)
     assert (stopped, total) == (5, 5)
 
 
 def test_stopping_percentage_none_stop():
     scenes = [_qualifying(f"s{k}", False) for k in range(5)]
-    pct, _, _ = stopping_percentage(scenes)
+    pct, _, _ = stopping_percentage(scenes, 10.0)
     assert pct == pytest.approx(0.0)
 
 
 def test_stopping_percentage_seven_of_ten():
     scenes = ([_qualifying(f"y{k}", True) for k in range(7)]
               + [_qualifying(f"n{k}", False) for k in range(3)])
-    pct, stopped, total = stopping_percentage(scenes)
+    pct, stopped, total = stopping_percentage(scenes, 10.0)
     assert pct == pytest.approx(70.0)
     assert (stopped, total) == (7, 10)
 
@@ -123,15 +100,14 @@ def test_stop_beyond_baseline_does_not_count():
 
 
 def test_stopping_percentage_needs_qualifying_scenes():
-    with pytest.raises(NoQualifyingScenes):
-        stopping_percentage([_scene()])  # car-only scene
+    assert stopping_percentage([_scene()], 10.0) is None  # car-only scene
 
 
 def test_stopping_percentage_order_invariant():
     scenes = ([_qualifying(f"y{k}", True) for k in range(4)]
               + [_qualifying(f"n{k}", False) for k in range(2)])
-    a = stopping_percentage(scenes)
-    b = stopping_percentage(list(reversed(scenes)))
+    a = stopping_percentage(scenes, 10.0)
+    b = stopping_percentage(list(reversed(scenes)), 10.0)
     assert a == b
 
 
@@ -140,37 +116,44 @@ def test_stopping_percentage_order_invariant():
 
 def test_weighted_merge_paper_example():
     # Two regions with 100 and 800 scenes: weights 8/9 and 1/9 exactly.
-    dist = weighted_merge({"A": [1.0] * 100, "B": [2.0] * 800})
-    assert dist.spot_weights["A"] == pytest.approx(8 / 9, abs=1e-15)
-    assert dist.spot_weights["B"] == pytest.approx(1 / 9, abs=1e-15)
+    dist = weighted_merge({"A": [1.0] * 100, "B": [2.0] * 800}, "m")
+    assert dist["spot_weights"]["A"] == pytest.approx(8 / 9, abs=1e-15)
+    assert dist["spot_weights"]["B"] == pytest.approx(1 / 9, abs=1e-15)
 
 
 def test_weighted_merge_equal_spots_equal_weights():
     dist = weighted_merge({s: [float(k) for k in range(50)]
-                           for s in ("A", "B", "C", "D")})
-    weights = set(dist.spot_weights.values())
+                           for s in ("A", "B", "C", "D")}, "m")
+    weights = set(dist["spot_weights"].values())
     assert len(weights) == 1
     assert weights.pop() == pytest.approx(0.75)
 
 
 def test_weighted_merge_single_spot_degenerate():
-    dist = weighted_merge({"A": [1.0, 2.0, 3.0]})
-    assert dist.spot_weights["A"] == 0.0
-    assert dist.degenerate
+    dist = weighted_merge({"A": [1.0, 2.0, 3.0]}, "m")
+    assert dist["spot_weights"]["A"] == 0.0
+    assert dist["degenerate"]
 
 
 def test_weighted_merge_masses_sum_to_weighted_count():
-    dist = weighted_merge({"A": [1.0, 2.0, 5.0], "B": [0.5, 4.0]})
-    assert dist.masses.sum() == pytest.approx(dist.weights.sum())
+    dist = weighted_merge({"A": [1.0, 2.0, 5.0], "B": [0.5, 4.0]}, "m")
+    assert sum(dist["masses"]) == pytest.approx(sum(dist["weights"]))
+
+
+def test_weighted_merge_writes_integer_samples_as_floats():
+    # A PSM read back from JSON may be an int; the record holds floats.
+    dist = weighted_merge({"A": [2], "B": [-1, 3.5]}, "m")
+    assert [type(v) for v in dist["samples"]] == [float] * 3
+    assert dist["samples"] == [2.0, -1.0, 3.5]
 
 
 def test_equal_spots_match_unweighted_shape():
     rng = np.random.default_rng(31)
     samples = {s: list(rng.normal(2.0, 1.0, 80)) for s in ("A", "B")}
-    weighted = weighted_merge(samples)
+    weighted = weighted_merge(samples, "m")
     flat = np.concatenate([samples["A"], samples["B"]])
-    masses, _ = np.histogram(flat, bins=weighted.bin_edges)
-    assert np.allclose(weighted.masses / weighted.masses.sum(),
+    masses, _ = np.histogram(flat, bins=weighted["bin_edges"])
+    assert np.allclose(np.divide(weighted["masses"], sum(weighted["masses"])),
                        masses / masses.sum())
 
 
@@ -178,18 +161,18 @@ def test_normalized_histogram_invariant_under_duplication():
     rng = np.random.default_rng(32)
     samples = {"A": list(rng.normal(-2, 1.5, 60)),
                "B": list(rng.normal(1, 0.8, 200))}
-    base = weighted_merge(samples)
-    tripled = weighted_merge({s: v * 3 for s, v in samples.items()})
-    assert np.allclose(base.bin_edges, tripled.bin_edges)
-    assert np.allclose(base.masses / base.masses.sum(),
-                       tripled.masses / tripled.masses.sum())
-    assert base.spot_weights == tripled.spot_weights
+    base = weighted_merge(samples, "m")
+    tripled = weighted_merge({s: v * 3 for s, v in samples.items()}, "m")
+    assert np.allclose(base["bin_edges"], tripled["bin_edges"])
+    assert np.allclose(np.divide(base["masses"], sum(base["masses"])),
+                       np.divide(tripled["masses"], sum(tripled["masses"])))
+    assert base["spot_weights"] == tripled["spot_weights"]
 
 
 def test_positive_only_filter():
-    dist = weighted_merge({"A": [-1.0, 2.0], "B": [3.0, -4.0]},
+    dist = weighted_merge({"A": [-1.0, 2.0], "B": [3.0, -4.0]}, "m",
                           positive_only=True)
-    assert (dist.samples > 0).all()
+    assert dist["samples"] == [2.0, 3.0]
 
 
 # --- PSM ranges ------------------------------------------------------------------------
@@ -216,40 +199,52 @@ def test_quantile_inversion_oracle_is_self_consistent():
         assert weighted_quantile(samples, w, q) == pytest.approx(expected)
 
 
-def _paper_distribution():
+def _paper_ranges():
     neg = _inversion_oracle(PAPER_NEG, -6.0, -0.5)
     pos = _inversion_oracle(PAPER_POS, 0.3, 6.0)
-    samples = np.array(neg + pos)
-    weights = np.ones_like(samples)
-    return PsmDistribution(samples=samples, weights=weights,
-                           bin_edges=np.array([-6.0, 6.0]),
-                           masses=np.array([16.0]), group="test")
+    return psm_ranges(neg + pos, [1.0] * 16)
+
+
+def _range_of(ranges, psm_seconds):
+    """The range `stopping_by_psm_range` puts one scene with this PSM in."""
+    (row,) = stopping_by_psm_range({"D": [_scene(psm=psm_seconds)]},
+                                   ranges, 10.0)
+    return row[0]
 
 
 def test_psm_ranges_reproduce_published_boundaries():
-    ranges = psm_ranges(_paper_distribution())
-    assert ranges.negative_quartiles == pytest.approx(PAPER_NEG, abs=1e-6)
-    assert ranges.positive_quartiles == pytest.approx(PAPER_POS, abs=1e-6)
-    bounds = ranges.boundaries()
+    ranges = _paper_ranges()
+    assert ranges["negative"] == pytest.approx(PAPER_NEG, abs=1e-6)
+    assert ranges["positive"] == pytest.approx(PAPER_POS, abs=1e-6)
+    bounds = range_edges(ranges)
     assert bounds[0] == -math.inf and bounds[-1] == math.inf
     assert bounds[4] == 0.0
 
 
 def test_minus_one_point_five_bins_to_range_four():
-    ranges = psm_ranges(_paper_distribution())
-    assert ranges.range_of(-1.5) == 4
+    assert _range_of(_paper_ranges(), -1.5) == 4
 
 
 def test_range_of_every_band():
-    ranges = psm_ranges(_paper_distribution())
-    assert ranges.range_of(-10.0) == 1
-    assert ranges.range_of(-4.0) == 2
-    assert ranges.range_of(-2.5) == 3
-    assert ranges.range_of(-0.1) == 4
-    assert ranges.range_of(0.5) == 5
-    assert ranges.range_of(2.0) == 6
-    assert ranges.range_of(3.0) == 7
-    assert ranges.range_of(10.0) == 8
+    ranges = _paper_ranges()
+    assert _range_of(ranges, -10.0) == 1
+    assert _range_of(ranges, -4.0) == 2
+    assert _range_of(ranges, -2.5) == 3
+    assert _range_of(ranges, -0.1) == 4
+    assert _range_of(ranges, 0.5) == 5
+    assert _range_of(ranges, 2.0) == 6
+    assert _range_of(ranges, 3.0) == 7
+    assert _range_of(ranges, 10.0) == 8
+
+
+def test_range_edges_and_non_finite_psm():
+    # An edge opens its range; -inf lands in range 1, inf and NaN in 8.
+    ranges = _paper_ranges()
+    edges = range_edges(ranges)
+    assert [_range_of(ranges, e) for e in edges[1:-1]] == list(range(2, 9))
+    assert _range_of(ranges, -math.inf) == 1
+    assert _range_of(ranges, math.inf) == 8
+    assert _range_of(ranges, math.nan) == 8
 
 
 def test_symmetric_distribution_mirrors_boundaries():
@@ -258,21 +253,14 @@ def test_symmetric_distribution_mirrors_boundaries():
     rng = np.random.default_rng(33)
     pos = rng.uniform(0.1, 5.0, 201)
     samples = np.concatenate([pos, -pos])
-    dist = PsmDistribution(samples=samples, weights=np.ones_like(samples),
-                           bin_edges=np.array([-5.0, 5.0]),
-                           masses=np.array([400.0]), group="sym")
-    ranges = psm_ranges(dist)
-    assert ranges.negative_quartiles == pytest.approx(
-        tuple(-v for v in reversed(ranges.positive_quartiles)))
+    ranges = psm_ranges(samples, np.ones_like(samples))
+    assert ranges["negative"] == pytest.approx(
+        [-v for v in reversed(ranges["positive"])])
 
 
 def test_one_sided_distribution_rejected():
-    samples = np.array([1.0, 2.0, 3.0])
-    dist = PsmDistribution(samples=samples, weights=np.ones(3),
-                           bin_edges=np.array([0.0, 3.0]),
-                           masses=np.array([3.0]), group="onesided")
-    with pytest.raises(OneSidedDistribution):
-        psm_ranges(dist)
+    assert psm_ranges([1.0, 2.0, 3.0], [1.0] * 3) is None
+    assert psm_ranges([-1.0, 0.0], [1.0] * 2) is None
 
 
 def test_quartiles_invariant_under_duplication():
@@ -289,15 +277,12 @@ def test_per_range_mass_within_one_sample():
     rng = np.random.default_rng(35)
     samples = np.concatenate([rng.uniform(-8, -0.01, 400),
                               rng.uniform(0.01, 8, 400)])
-    dist = PsmDistribution(samples=samples, weights=np.ones_like(samples),
-                           bin_edges=np.array([-8.0, 8.0]),
-                           masses=np.array([800.0]), group="m")
-    ranges = psm_ranges(dist)
+    ranges = psm_ranges(samples, np.ones_like(samples))
     for sign_mask in (samples < 0, samples > 0):
         side = samples[sign_mask]
         counts = np.zeros(8)
         for v in side:
-            counts[ranges.range_of(v) - 1] += 1
+            counts[_range_of(ranges, v) - 1] += 1
         for c in counts[counts > 0]:
             assert abs(c - len(side) / 4) <= 1
 
@@ -306,17 +291,17 @@ def test_per_range_mass_within_one_sample():
 
 
 def test_stopping_by_range_single_cell():
-    ranges = psm_ranges(_paper_distribution())
+    ranges = _paper_ranges()
     scenes = [_qualifying(f"s{k}", True) for k in range(4)]
     for s in scenes:
         s.psm_seconds = 0.5          # all land in range 5
-    assert stopping_by_psm_range({"D": scenes}, ranges) == [
+    assert stopping_by_psm_range({"D": scenes}, ranges, 10.0) == [
         [5, "D", 4, 4, 100.0]]
 
 
 def test_stopping_by_range_monotone_trend():
     # A corpus built so stopping probability falls as the margin grows.
-    ranges = psm_ranges(_paper_distribution())
+    ranges = _paper_ranges()
     scenes = []
     by_range_rates = {5: 0.9, 6: 0.6, 7: 0.4, 8: 0.1}
     mids = {5: 0.5, 6: 1.5, 7: 3.0, 8: 5.0}
@@ -327,7 +312,7 @@ def test_stopping_by_range_monotone_trend():
             s.psm_seconds = mids[r]
             scenes.append(s)
             k += 1
-    table = stopping_by_psm_range({"D": scenes}, ranges)
+    table = stopping_by_psm_range({"D": scenes}, ranges, 10.0)
     assert [row[:2] for row in table] == [[r, "D"] for r in (5, 6, 7, 8)]
     pcts = [row[4] for row in table]
     assert all(a > b for a, b in zip(pcts, pcts[1:]))
@@ -337,7 +322,7 @@ def test_stopping_by_range_monotone_trend():
 
 
 def test_emit_report_empty_corpus(tmp_path):
-    files = emit_report(tmp_path, analysis_record([]))
+    files = emit_report(tmp_path, analysis_record([], 10.0))
     speed = (tmp_path / "speed_stats.csv").read_text().strip().splitlines()
     assert speed == ["spot,max_kmh,min_kmh,mean_kmh,car_only_mean_kmh,"
                      "interactive_mean_kmh"]
@@ -347,7 +332,7 @@ def test_emit_report_empty_corpus(tmp_path):
 def test_emit_report_table_five_shape(tmp_path):
     scenes = [_scene(speeds=[10.0]),
               _scene(scene_id="s1", speeds=[20.0], interactive=True)]
-    emit_report(tmp_path, analysis_record([("A", False, scenes)]))
+    emit_report(tmp_path, analysis_record([("A", False, scenes)], 10.0))
     with open(tmp_path / "speed_stats.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["spot"] == "A"
@@ -359,7 +344,7 @@ def test_emit_report_histogram_rows_match_bins(tmp_path):
     spots = [(spot, True, [_scene(scene_id=f"{spot}{k}", psm=v)
                            for k, v in enumerate(psms)])
              for spot, psms in (("A", [1.0, 2.0, 3.0]), ("B", [2.0, 4.0]))]
-    record = analysis_record(spots)
+    record = analysis_record(spots, 10.0)
     emit_report(tmp_path, record)
     (dist,) = record["distributions"]
     rows = (tmp_path / f"psm_hist_{dist['group']}.csv").read_text(
@@ -383,7 +368,7 @@ def test_analysis_record_keeps_signalized_spots_out_of_the_range_table():
     unsig = {"B": spot("B", [-3.0, -1.0, 1.0, 3.0]),
              "C": spot("C", [-2.0, -0.5, 0.5, 2.0, 4.0])}
     record = analysis_record([("A", True, signalized), ("B", False, unsig["B"]),
-                              ("C", False, unsig["C"])])
+                              ("C", False, unsig["C"])], 10.0)
 
     assert [d["group"] for d in record["distributions"]] == [
         "signalized_positive", "unsignalized_positive",

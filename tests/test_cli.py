@@ -1,5 +1,6 @@
 import json
 import logging
+import sys
 
 import pytest
 
@@ -115,13 +116,28 @@ def test_repeated_trajectory_point_is_data_error(tmp_path, capsys):
     ('{"speed_reduce": "median"}', "'speed_reduce' is not a tracker or features object"),
 ])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, document, problem):
+    # `all` reads both sections, so each document fails on its own problem.
     config = tmp_path / "params.json"
     config.write_text(document)
     with pytest.raises(SystemExit) as exc:
-        _run("track", "--out-dir", str(tmp_path), "--config", str(config))
+        _run("all", "--out-dir", str(tmp_path), "--config", str(config))
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err.startswith("crossrisk: error: ") and problem in err
+
+
+@pytest.mark.parametrize("stage, section", [("track", "features"),
+                                            ("extract", "tracker")])
+def test_config_section_the_stage_does_not_read_is_usage_error(
+        tmp_path, capsys, stage, section):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"tracker": {"max_coast_frames": 5},
+                                  "features": {"stop_tolerance_kmh": 3.0}}))
+    with pytest.raises(SystemExit) as exc:
+        _run(stage, "--out-dir", str(tmp_path), "--config", str(config))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.endswith(f"{stage} does not read {section!r}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -158,6 +174,23 @@ def test_all_takes_every_stage_flag(tmp_path):
             cfg.noise_sigma, cfg.drop_probability, cfg.spot, cfg.workers,
             cfg.baseline_m, cfg.features.alpha, cfg.features.epsilon_kmh) == (
         tmp_path, 4, "bulk", 12, 1.5, 0.1, "bulk", 2, 12.0, 0.5, 1.0)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length")
+def test_integer_too_long_to_convert_is_data_error(tmp_path, capsys):
+    assert _run("synth", "--out-dir", str(tmp_path)) == 0
+    path = tmp_path / "single_pass" / "detections.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), "id": 0}).replace(
+        '"id": 0', '"id": ' + "9" * 5000) + "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert _run("segment", "--out-dir", str(tmp_path),
+                "--spot", "single_pass") == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert diagnostic["message"].startswith("line 3: invalid JSON")
 
 
 @pytest.mark.parametrize("edit", ["repeat", "null", "float"])
@@ -294,7 +327,7 @@ def test_config_file_overrides_parameters(tmp_path):
     }))
     from crossrisk.cli import build_parser, config_from_args
     args = build_parser().parse_args(
-        ["track", "--out-dir", str(tmp_path), "--config", str(config)])
+        ["all", "--out-dir", str(tmp_path), "--config", str(config)])
     cfg = config_from_args(args)
     assert cfg.tracker.gate_threshold_vehicle == 45.0
     assert cfg.tracker.max_coast_frames == 5

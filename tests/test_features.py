@@ -1,10 +1,12 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crossrisk.errors import (
-    MissingPolygons,
+    MalformedRecord,
     NoConflict,
     ZeroHeading,
 )
@@ -29,7 +31,8 @@ from crossrisk.features import (
     vehicle_zones,
 )
 from crossrisk.geometry import Calibration
-from crossrisk.ingest import ObjectClass
+from crossrisk.ingest import ObjectClass, spot_config_to_dict
+from crossrisk.stages import load_spot_config
 from crossrisk.synth import synthetic_spot_config
 
 from oracles import (
@@ -198,12 +201,14 @@ def test_pedestrian_all_crosswalk(config):
     assert classify_zones(traj, SpotZones(config)) == [PedestrianZone.CROSSWALK] * 3
 
 
-def test_missing_polygons(config):
-    from dataclasses import replace
-    bare = replace(config, crosswalk_polygon_world=[])
-    traj = make_traj("p", ObjectClass.PEDESTRIAN, _steps(2), [(0, 0), (1, 0)])
-    with pytest.raises(MissingPolygons):
-        classify_zones(traj, SpotZones(bare))
+def test_missing_polygons(config, tmp_path):
+    # A spot without a crosswalk polygon is rejected when its config is
+    # read, before any zone is classified.
+    doc = spot_config_to_dict(replace(config, crosswalk_polygon_world=[]))
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    with pytest.raises(MalformedRecord,
+                       match="crosswalk_polygon_world needs at least 3"):
+        load_spot_config(tmp_path)
 
 
 def test_cia_polygon_extends_along_road(config):

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -54,9 +57,15 @@ def test_out_of_bounds_point(config):
     '{"frame":-1,"class":"vehicle","x":1.0,"y":1.0,"id":"d0"}',
     '{"frame":"zero","class":"vehicle","x":1.0,"y":1.0,"id":"d0"}',
     '[1, 2, 3]',
+    # Past the integer digit limit the decoder raises a plain ValueError.
+    pytest.param(
+        '{"frame":0,"class":"vehicle","x":1.0,"y":1.0,"id":%s}' % ("9" * 5000),
+        id="integer-too-long",
+        marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="no integer digit limit")),
 ])
 def test_malformed_lines(config, line):
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord, match="^line 1: "):
         parse_detections([line], config)
 
 
@@ -292,6 +301,12 @@ def test_config_round_trip():
     ("approach_direction_world", [True, 0.0], TypeError),
     ("calibration", [{"pixel": [0, True], "world": [0, 0]}]
      + _calibration_doc()[1:], TypeError),
+    # A zero direction would put every vehicle point after the crosswalk.
+    ("approach_direction_world", [0, -0.0], ValueError),
+    ("approach_direction_world", [math.inf, 0.0], ValueError),
+    ("approach_direction_world", [math.nan, 1.0], ValueError),
+    ("crosswalk_polygon_world", [], ValueError),
+    ("crosswalk_polygon_world", [[0, 0], [4, 0]], ValueError),
 ])
 def test_spot_config_numbers_are_checked_not_coerced(key, value, error):
     with pytest.raises(error):

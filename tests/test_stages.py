@@ -340,7 +340,7 @@ def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
         canonical.replace('"s0001"', '"s3", "scene_id": "s3"'),
         canonical.replace('"s0001"', '"s5", "scene_id": "s13"'),
         json.dumps(row("s6", p1)),                     # keys in another order
-        json.dumps({**row("s6", p2), "class": "pedestrian"}),   # last wins
+        json.dumps(row("s6", p2)),
         json.dumps(row("s7", p1)).replace(": ", ":  "),    # extra spaces
         json.dumps(row("s8", p1)).replace(": ", ":  "),
         dumps_sorted(row("s9", p2)).replace("}", " }"),
@@ -398,6 +398,28 @@ def test_trajectory_row_with_a_number_for_object_id_is_malformed(tmp_path):
                 [dumps_sorted(row), dumps_sorted({**row, "object_id": 5})])
     with pytest.raises(MalformedRecord, match="^line 3: .*object_id"):
         read_trajectories(tmp_path)
+
+
+def test_object_rows_disagreeing_on_class_are_malformed(tmp_path):
+    # A track has one class; a row that gives its object another one in
+    # the same scene fails on its own line instead of relabelling the track.
+    track = make_traj("t0", ObjectClass.PEDESTRIAN, [0, 5], [(1.5, 2.0),
+                                                             (1.5, 3.0)])
+    scene = SceneSpan("s0", "v0", 0, 5, True)
+    first, second = (_full_row(scene, track, p) for p in track.points)
+    write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
+                [dumps_sorted(first),
+                 dumps_sorted({**second, "class": "vehicle"})])
+    with pytest.raises(MalformedRecord, match="^line 3: .*object 't0' of "
+                       "scene 's0' is both pedestrian and vehicle"):
+        read_trajectories(tmp_path)
+    # The same object may appear in another scene; each scene is read alone.
+    other = _full_row(SceneSpan("s1", "v0", 5, 5, True), track, track.points[1])
+    write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
+                [dumps_sorted(first), dumps_sorted(second),
+                 dumps_sorted(other)])
+    per_scene, _, _ = read_trajectories(tmp_path)
+    assert [len(per_scene[s][0]) for s in ("s0", "s1")] == [2, 1]
 
 
 def _plain_rows(path):
