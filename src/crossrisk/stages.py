@@ -20,6 +20,12 @@ point by point: a point's lines for all the scenes that hold it follow
 one another and differ only in `scene_id`, so the extract stage decodes
 each point once and reuses it for the others.
 
+`trajectories.jsonl` keeps this run order: all rows of a run come before
+those of the next run in `scene_runs` order, and every row's scene is
+listed in `scenes.jsonl`. So the extract stage holds one run at a time:
+it extracts a run's scenes when the first row of the next run arrives,
+and keeps of them only their `features.jsonl` lines.
+
 A synthetic spot's `truth.json` holds the frame rate, the analytic PSM
 and stop flag of the scenario's first vehicle, the frames at which each
 agent was emitted (synthetic detection ids are agent ids, so these give
@@ -110,15 +116,14 @@ def _typed(value, types=_NUMBER):
     return value
 
 
-def _read_lines(path, schema_key: str, decode) -> int:
-    """Pass each non-blank line after a stage file's schema header to
-    `decode`, which reads it into the stage's own type, and return the
-    number of the file's last line.
+def _stage_lines(path, schema_key: str):
+    """The number and text of each line after a stage file's schema
+    header, blank lines included, read as they are taken.
 
-    A wrong header, a line that is not JSON and a row that `decode` cannot
-    read all raise MalformedRecord with the line number.
+    A wrong header raises MalformedRecord at line 1 and a file that cannot
+    be read IoFailure; `_bad_row` gives the error for a row its reader
+    cannot read.
     """
-    n = 1
     try:
         with open(path) as fh:
             first = fh.readline()
@@ -128,25 +133,34 @@ def _read_lines(path, schema_key: str, decode) -> int:
                 raise MalformedRecord(
                     1, f"{path}: expected schema {SCHEMAS[schema_key]!r}, "
                     f"found {found!r}")
-            for n, line in enumerate(fh, start=2):
-                if not line.isspace():
-                    decode(line)
-        return n
+            yield from enumerate(fh, start=2)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(n + exc.lineno - 1,
-                              f"{path}: invalid JSON ({exc.msg})") from exc
-    except _SHAPE_ERRORS as exc:
-        raise MalformedRecord(n, f"{path}: not a {schema_key} row "
-                              f"({type(exc).__name__}: {exc})") from exc
+    except json.JSONDecodeError as exc:     # the header's
+        raise _bad_row(path, schema_key, 1, exc) from exc
+
+
+def _bad_row(path, schema_key: str, n: int, exc: Exception) -> MalformedRecord:
+    """The MalformedRecord for line `n`, which is not JSON or which its
+    reader could not read into the stage's own type."""
+    if isinstance(exc, json.JSONDecodeError):
+        return MalformedRecord(n + exc.lineno - 1,
+                               f"{path}: invalid JSON ({exc.msg})")
+    return MalformedRecord(n, f"{path}: not a {schema_key} row "
+                           f"({type(exc).__name__}: {exc})")
 
 
 def read_jsonl(path, schema_key: str, row) -> list:
     """The rows after a stage file's schema header, each passed through
-    `row`; errors as `_read_lines` raises them."""
+    `row`; a row that is not JSON or that `row` cannot read raises
+    MalformedRecord with its line number."""
     out = []
-    _read_lines(path, schema_key, lambda line: out.append(row(json_line(line))))
+    for n, line in _stage_lines(path, schema_key):
+        if not line.isspace():
+            try:
+                out.append(row(json_line(line)))
+            except _SHAPE_ERRORS as exc:
+                raise _bad_row(path, schema_key, n, exc) from exc
     return out
 
 
@@ -421,16 +435,24 @@ _SCENE_KEY = '"scene_id": "'
 _plain_string = re.compile(r'[^"\\\x00-\x1f]*').fullmatch
 
 
-def read_trajectories(spot_dir: Path
-                      ) -> tuple[dict[str, list[Trajectory]], int, int]:
-    """Trajectories grouped by scene, rebuilt from the dump, with the
-    number of rows read and of rows decoded in full.
+def read_trajectories(spot_dir: Path, scenes: list[SceneSpan],
+                      counts: Counter | None = None):
+    """Each scene of `scenes` with its trajectories rebuilt from the dump,
+    one run of scene windows at a time.
 
-    Each scene's tracks are sorted by frame, and their frames and times must
-    then strictly increase; a point repeated in a scene, or a time that does
-    not advance, raises MalformedRecord at the file's last line, since a
-    track's rows may come in any order. A row whose class differs from that
-    of its object's earlier rows in the scene raises MalformedRecord there.
+    Scenes come in `scene_runs` order, each run's in the run's order, with
+    their tracks in object id order; a scene with no rows has none. The
+    rows of a run are held until the first row of a later run arrives, or
+    the file ends; then the run's scenes are yielded and its tracks let go.
+    Within a run the rows may come in any order: each scene's tracks are
+    sorted by frame, and their frames and times must then strictly
+    increase. A point repeated in a scene, or a time that does not advance,
+    raises MalformedRecord at the line that closed the run (for the last
+    run, the file's last line). A row raises MalformedRecord at its own
+    line when its scene is not in `scenes`, when its scene's run was
+    already yielded, or when its class differs from that of its object's
+    earlier rows in the scene. When given, `counts` gains the number of
+    rows read ("rows") and of rows decoded in full ("decoded").
 
     A point's rows for its several scenes sit next to each other and
     differ only in `scene_id` (see `scene_lines`), so a row reuses the
@@ -446,74 +468,99 @@ def read_trajectories(spot_dir: Path
       character, so plain `json` would read it as that very scene id.
     Every other row is decoded in full and its values checked.
     """
+    runs = scene_runs(scenes)
+    run_of = {span.scene_id: k for k, run in enumerate(runs) for span in run}
+    path = spot_dir / "trajectories.jsonl"
     by_scene: dict[str, dict[str, Trajectory]] = {}
+    current = 0     # the run whose rows are being read
     rows = decoded = 0
     head = tail = None
     cut = rest = 0
     traj_id = cls = pt = None
-
-    def add(scene_id, object_id, object_class, point) -> None:
-        tracks = by_scene.get(scene_id)
-        if tracks is None:
-            tracks = by_scene[scene_id] = {}
-        traj = tracks.get(object_id)
-        if traj is None:
-            tracks[object_id] = Trajectory(object_id, object_class, [point])
-        elif traj.object_class is object_class:
-            traj.points.append(point)
-        else:
-            raise ValueError(f"object {object_id!r} of scene {scene_id!r} is "
-                             f"both {traj.object_class.value} and "
-                             f"{object_class.value}")
-
-    def row(line: str) -> None:
-        nonlocal rows, decoded, head, tail, cut, rest, traj_id, cls, pt
+    n = 1
+    for n, line in _stage_lines(path, "trajectories"):
+        if line.isspace():
+            continue
         rows += 1
+        scene_id = None
         if (head is not None and len(line) >= cut + rest
                 and line.startswith(head) and line.endswith(tail)):
             scene_id = line[cut:len(line) - rest]
-            if _plain_string(scene_id):
-                add(scene_id, traj_id, cls, pt)
-                return
-        r = json_line(line)
-        frame, t, traj_id = r["frame"], r["t"], r["object_id"]
-        smooth, world = tuple(r["smooth_px"]), tuple(r["world"])
-        if (type(frame) is not int or type(traj_id) is not str
-                or not _NUMBERS.issuperset(map(type, (t, *smooth, *world)))):
-            raise TypeError(f"expected an integer frame, a string object_id "
-                            f"and numbers in t, smooth_px and world, got "
-                            f"{frame!r}, {traj_id!r}, {t!r}, "
-                            f"{list(smooth)!r}, {list(world)!r}")
-        scene_id = r["scene_id"]
-        cls = _CLASSES[r["class"]]
-        pt = TrackPoint(frame, t, tuple(r["raw_px"]), smooth, world, r["det"])
-        add(scene_id, traj_id, cls, pt)
-        decoded += 1
-        head = None
-        if (type(scene_id) is str and "\\" not in line
-                and line.count('"scene_id"') == 1):
-            start = line.find(_SCENE_KEY) + len(_SCENE_KEY)
-            end = line.find('"', start)
-            if start >= len(_SCENE_KEY) and line[start:end] == scene_id:
-                head, tail = line[:start], line[end:]
-                cut, rest = start, len(line) - end
+            if not _plain_string(scene_id):
+                scene_id = None
+        if scene_id is None:
+            try:
+                r = json_line(line)
+                frame, t, scene_id = r["frame"], r["t"], r["scene_id"]
+                traj_id = r["object_id"]
+                smooth, world = tuple(r["smooth_px"]), tuple(r["world"])
+                if (type(frame) is not int or type(scene_id) is not str
+                        or type(traj_id) is not str
+                        or not _NUMBERS.issuperset(
+                            map(type, (t, *smooth, *world)))):
+                    raise TypeError(
+                        f"expected an integer frame, a string scene_id and "
+                        f"object_id and numbers in t, smooth_px and world, "
+                        f"got {frame!r}, {scene_id!r}, {traj_id!r}, {t!r}, "
+                        f"{list(smooth)!r}, {list(world)!r}")
+                cls = _CLASSES[r["class"]]
+                pt = TrackPoint(frame, t, tuple(r["raw_px"]), smooth, world,
+                                r["det"])
+            except _SHAPE_ERRORS as exc:
+                raise _bad_row(path, "trajectories", n, exc) from exc
+            decoded += 1
+            head = None
+            if "\\" not in line and line.count('"scene_id"') == 1:
+                start = line.find(_SCENE_KEY) + len(_SCENE_KEY)
+                end = line.find('"', start)
+                if start >= len(_SCENE_KEY) and line[start:end] == scene_id:
+                    head, tail = line[:start], line[end:]
+                    cut, rest = start, len(line) - end
+        k = run_of.get(scene_id, -1)
+        if k != current:
+            if k < current:
+                raise MalformedRecord(n, f"{path}: scene {scene_id!r} " + (
+                    "is not listed in scenes.jsonl" if k < 0 else
+                    "belongs to a run of scenes whose rows ended earlier; "
+                    "each run's rows must follow those of the run before"))
+            yield from _run_scenes(path, n, runs[current:k], by_scene)
+            by_scene = {}
+            current = k
+        tracks = by_scene.get(scene_id)
+        if tracks is None:
+            tracks = by_scene[scene_id] = {}
+        traj = tracks.get(traj_id)
+        if traj is None:
+            tracks[traj_id] = Trajectory(traj_id, cls, [pt])
+        elif traj.object_class is cls:
+            traj.points.append(pt)
+        else:
+            raise MalformedRecord(n, f"{path}: object {traj_id!r} of scene "
+                                  f"{scene_id!r} is both "
+                                  f"{traj.object_class.value} and {cls.value}")
+    if counts is not None:
+        counts.update(rows=rows, decoded=decoded)
+    yield from _run_scenes(path, n, runs[current:], by_scene)
 
-    path = spot_dir / "trajectories.jsonl"
-    last = _read_lines(path, "trajectories", row)
-    out = {}
-    for scene_id, tracks in by_scene.items():
-        for traj in tracks.values():
-            points = traj.points
-            points.sort(key=lambda p: p.frame)
-            for a, b in zip(points, points[1:]):
-                if not (a.frame < b.frame and a.t < b.t):
-                    raise MalformedRecord(
-                        last, f"{path}: scene {scene_id!r}, object "
-                        f"{traj.object_id!r}: frame {b.frame} at t {b.t} "
-                        f"follows frame {a.frame} at t {a.t}; a track's "
-                        f"frames and times must strictly increase")
-        out[scene_id] = [tracks[oid] for oid in sorted(tracks)]
-    return out, rows, decoded
+
+def _run_scenes(path, line: int, runs: list[list[SceneSpan]],
+                by_scene: dict[str, dict[str, Trajectory]]):
+    """Each scene of `runs` with its tracks in `by_scene`, which holds the
+    rows of the first run only; see `read_trajectories`."""
+    for run in runs:
+        for span in run:
+            tracks = by_scene.get(span.scene_id, {})
+            for traj in tracks.values():
+                points = traj.points
+                points.sort(key=lambda p: p.frame)
+                for a, b in zip(points, points[1:]):
+                    if not (a.frame < b.frame and a.t < b.t):
+                        raise MalformedRecord(
+                            line, f"{path}: scene {span.scene_id!r}, object "
+                            f"{traj.object_id!r}: frame {b.frame} at t {b.t} "
+                            f"follows frame {a.frame} at t {a.t}; a track's "
+                            f"frames and times must strictly increase")
+            yield span, [tracks[oid] for oid in sorted(tracks)]
 
 
 # --- extract stage --------------------------------------------------------------
@@ -610,41 +657,52 @@ _NO_VEHICLE = "no_vehicle"
 _NEVER_MOVED = "never_moved"
 
 
-def _extract_scene_job(args) -> tuple[dict | None, str | None]:
-    """The scene's feature record, or None and the reason it was skipped."""
+def _extract_scene_job(args) -> tuple[str, str | None, str | None]:
+    """The scene's id and its `features.jsonl` line, or its id, None and
+    the reason it was skipped."""
     span, trajectories, spot, calib, params = args
     vehicle = scene_vehicle(trajectories, span.vehicle_track_hint)
     if vehicle is None:
-        return None, _NO_VEHICLE
+        return span.scene_id, None, _NO_VEHICLE
     peds = [t for t in trajectories
             if t.object_class is ObjectClass.PEDESTRIAN and len(t) > 0]
     try:
         bundle = feat.extract_scene_features(
             span.scene_id, vehicle, peds, spot, calib, params)
     except ZeroHeading:
-        return None, _NEVER_MOVED
-    return features_to_record(bundle), None
+        return span.scene_id, None, _NEVER_MOVED
+    return span.scene_id, dumps_sorted(features_to_record(bundle)), None
 
 
 def run_extract(cfg: PipelineConfig) -> None:
+    """Extract every scene's features and write each spot's
+    `features.jsonl` in scene id order. With one worker each scene is
+    extracted as `read_trajectories` yields it, so one run of scene
+    windows is held at a time, and of the scenes done only their lines."""
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
         calib = config.build_calibration()
         spot = feat.SpotZones(config)
-        per_scene, rows, decoded = read_trajectories(spot_dir)
-        jobs = [(span, per_scene.get(span.scene_id, []), spot, calib,
-                 cfg.features) for span in read_scenes(spot_dir)]
-        results = list(_map_jobs(_extract_scene_job, jobs, cfg.workers))
-        records = sorted((r for r, _ in results if r is not None),
-                         key=lambda r: r["scene_id"])
+        counts = Counter()
+        jobs = ((span, trajectories, spot, calib, cfg.features)
+                for span, trajectories in read_trajectories(
+                    spot_dir, read_scenes(spot_dir), counts))
+        lines = []
+        skipped = Counter()
+        for scene_id, line, why in _map_jobs(_extract_scene_job, jobs,
+                                             cfg.workers):
+            if line is None:
+                skipped[why] += 1
+            else:
+                lines.append((scene_id, line))
+        lines.sort()
         write_jsonl(spot_dir / "features.jsonl", "features",
-                    map(dumps_sorted, records))
-        skipped = Counter(why for _, why in results if why is not None)
+                    (line for _, line in lines))
         log.info("spot %s: read %d trajectory rows, %d decoded in full; "
                  "extracted features for %d scenes, skipped %d with no "
                  "vehicle track and %d whose vehicle never moved",
-                 config.spot_id, rows, decoded, len(records),
-                 skipped[_NO_VEHICLE], skipped[_NEVER_MOVED])
+                 config.spot_id, counts["rows"], counts["decoded"],
+                 len(lines), skipped[_NO_VEHICLE], skipped[_NEVER_MOVED])
 
 
 def read_features(spot_dir: Path) -> list[SceneFeatures]:
@@ -690,10 +748,11 @@ def run_report(cfg: PipelineConfig) -> list[Path]:
 
 
 def _map_jobs(fn, jobs, workers: int):
-    """An iterator of `fn` over `jobs`, in order. One worker runs each job
-    in this process when its result is taken; more map them over a pool of
-    processes, which is imported only then, since every run pays for the
-    import."""
+    """An iterator of `fn` over `jobs`, in order. Only one worker streams:
+    it takes each job from `jobs` and runs it in this process when its
+    result is taken. More first list every job, then map them over a pool
+    of processes, which is imported only then, since every run pays for
+    the import."""
     if workers <= 1:
         return map(fn, jobs)
     jobs = list(jobs)

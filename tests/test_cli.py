@@ -108,6 +108,25 @@ def test_repeated_trajectory_point_is_data_error(tmp_path, capsys):
             f"{third['object_id']!r}: ") in diagnostic["message"]
 
 
+def test_trajectory_row_of_an_unlisted_scene_is_data_error(tmp_path, capsys):
+    # Rows left from an earlier segmentation name scenes that scenes.jsonl
+    # no longer lists; extract fails on the first of them instead of
+    # dropping them.
+    assert _run("all", "--out-dir", str(tmp_path), "--spot", "single_pass") == 0
+    path = tmp_path / "single_pass" / "trajectories.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines.append(json.dumps({**json.loads(lines[1]), "scene_id": "s9999"})
+                 + "\n")
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert _run("extract", "--out-dir", str(tmp_path),
+                "--spot", "single_pass") == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert diagnostic["message"].startswith(
+        f"line {len(lines)}: {path}: scene 's9999' is not listed")
+
+
 @pytest.mark.parametrize("document, problem", [
     ('{"features": {"alpha": 0.2}}', "features.alpha is set by --alpha"),
     ('{"tracker": {"gate": 3}}', "unknown key tracker.gate"),

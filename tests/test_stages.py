@@ -1,5 +1,6 @@
 import json
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -274,6 +275,27 @@ def _plain_id(text):
     return dumps_sorted(text) == f'"{text}"'
 
 
+def _read(spot_dir, scenes):
+    """The scenes `read_trajectories` yields with tracks, by id, and the
+    number of rows it read and decoded in full."""
+    counts = Counter()
+    per_scene = {span.scene_id: tracks for span, tracks
+                 in read_trajectories(spot_dir, scenes, counts) if tracks}
+    return per_scene, counts["rows"], counts["decoded"]
+
+
+def _run_lines(tracks, scenes):
+    """The `trajectories.jsonl` lines of `tracks`, each run's `scene_lines`
+    in `scene_runs` order, as the track stage writes them, and the number
+    of distinct points they hold."""
+    lines, points = [], 0
+    for run in scene_runs(scenes):
+        run_lines, run_points = scene_lines(tracks, run)
+        lines += run_lines
+        points += run_points
+    return lines, points
+
+
 @given(_runs())
 def test_trajectory_lines_read_back_as_each_scenes_cut_of_the_tracks(run):
     tracks, scenes = run
@@ -285,10 +307,13 @@ def test_trajectory_lines_read_back_as_each_scenes_cut_of_the_tracks(run):
                for t in tracks]
         if cut := [t for t in cut if t.points]:
             expected[s.scene_id] = cut
-    lines, points = scene_lines(tracks, scenes)
+    lines, points = _run_lines(tracks, scenes)
     with tempfile.TemporaryDirectory() as tmp:
         write_jsonl(Path(tmp) / "trajectories.jsonl", "trajectories", lines)
-        per_scene, rows, decoded = read_trajectories(Path(tmp))
+        per_scene, rows, decoded = _read(Path(tmp), scenes)
+        # Every scene comes, in run order, with tracks or without.
+        assert [span for span, _ in read_trajectories(Path(tmp), scenes)] \
+            == [span for run in scene_runs(scenes) for span in run]
     # repr tells -0.0 from 0.0 and matches NaN to NaN.
     assert repr(sorted(per_scene.items())) == repr(sorted(expected.items()))
     assert rows == len(lines) and points <= decoded <= rows
@@ -350,11 +375,13 @@ def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
     ]
     path = tmp_path / "trajectories.jsonl"
     write_jsonl(path, "trajectories", lines)
-    per_scene, rows, decoded = read_trajectories(tmp_path)
+    ids = ["s0001", "s0002", "s0", "s0003", 's"1', "s0004", "s", "", "s4",
+           "s3", "s13", "s6", "s7", "s8", "s9", "s10", "s11", "s12"]
+    # One run: every window holds frames 0 to 10.
+    scenes = [SceneSpan(sid, "v0", 0, 10, False) for sid in ids]
+    per_scene, rows, decoded = _read(tmp_path, scenes)
     assert per_scene == _json_reference(path)
-    assert set(per_scene) == {"s0001", "s0002", "s0", "s0003", 's"1', "s0004",
-                              "s", "", "s4", "s3", "s13", "s6", "s7", "s8",
-                              "s9", "s10", "s11", "s12"}
+    assert set(per_scene) == set(ids)
     assert (rows, decoded) == (len(lines), len(lines) - 3)
     # Not JSON, reused or not: a raw control character in the id, and a
     # row where the previous row's head and tail overlap.
@@ -364,7 +391,7 @@ def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
         with pytest.raises(json.JSONDecodeError):
             _json_reference(path)
         with pytest.raises(MalformedRecord, match="^line 3: "):
-            read_trajectories(tmp_path)
+            _read(tmp_path, scenes)
 
 
 @pytest.mark.parametrize("second", [
@@ -384,7 +411,15 @@ def test_repeated_point_in_a_scene_is_malformed(tmp_path, second):
                 map(dumps_sorted, rows))
     with pytest.raises(MalformedRecord,
                        match="^line 4: .*scene 's0', object 't0'"):
-        read_trajectories(tmp_path)
+        _read(tmp_path, [scene])
+    # A later run's first row closes the run: the error points at it.
+    later = SceneSpan("s1", "v0", 20, 30, False)
+    rows += [{**rows[0], "scene_id": "s1", "frame": f} for f in (20, 30)]
+    write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
+                map(dumps_sorted, rows))
+    with pytest.raises(MalformedRecord,
+                       match="^line 5: .*scene 's0', object 't0'"):
+        _read(tmp_path, [scene, later])
 
 
 def test_trajectory_row_with_a_number_for_object_id_is_malformed(tmp_path):
@@ -397,7 +432,7 @@ def test_trajectory_row_with_a_number_for_object_id_is_malformed(tmp_path):
     write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
                 [dumps_sorted(row), dumps_sorted({**row, "object_id": 5})])
     with pytest.raises(MalformedRecord, match="^line 3: .*object_id"):
-        read_trajectories(tmp_path)
+        _read(tmp_path, [SceneSpan("s0", "v0", 0, 0, False)])
 
 
 def test_object_rows_disagreeing_on_class_are_malformed(tmp_path):
@@ -406,20 +441,53 @@ def test_object_rows_disagreeing_on_class_are_malformed(tmp_path):
     track = make_traj("t0", ObjectClass.PEDESTRIAN, [0, 5], [(1.5, 2.0),
                                                              (1.5, 3.0)])
     scene = SceneSpan("s0", "v0", 0, 5, True)
+    other_scene = SceneSpan("s1", "v0", 5, 5, True)
     first, second = (_full_row(scene, track, p) for p in track.points)
     write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
                 [dumps_sorted(first),
                  dumps_sorted({**second, "class": "vehicle"})])
     with pytest.raises(MalformedRecord, match="^line 3: .*object 't0' of "
                        "scene 's0' is both pedestrian and vehicle"):
-        read_trajectories(tmp_path)
+        _read(tmp_path, [scene, other_scene])
     # The same object may appear in another scene; each scene is read alone.
-    other = _full_row(SceneSpan("s1", "v0", 5, 5, True), track, track.points[1])
+    other = _full_row(other_scene, track, track.points[1])
     write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
                 [dumps_sorted(first), dumps_sorted(second),
                  dumps_sorted(other)])
-    per_scene, _, _ = read_trajectories(tmp_path)
+    per_scene, _, _ = _read(tmp_path, [scene, other_scene])
     assert [len(per_scene[s][0]) for s in ("s0", "s1")] == [2, 1]
+
+
+@pytest.mark.parametrize("late, problem", [
+    ("s0", "belongs to a run of scenes whose rows ended earlier"),
+    ("s9999", "is not listed in scenes.jsonl"),
+], ids=["earlier_run", "unlisted_scene"])
+def test_row_out_of_its_run_is_malformed(tmp_path, late, problem):
+    # Runs are read one at a time: a row of a run whose rows ended, or of
+    # a scene in no run, fails on its own line, whether it is decoded in
+    # full or reuses the previous row's point.
+    track = make_traj("t0", ObjectClass.VEHICLE, [0, 5, 10, 15],
+                      [(1.5, 2.0), (3.0, 2.0), (4.5, 2.0), (6.0, 2.0)])
+    scenes = [SceneSpan("s0", "v0", 0, 5, False),
+              SceneSpan("s1", "v0", 10, 15, False)]
+    p0, p1, p2, p3 = track.points
+    rows = [_full_row(scenes[0], track, p0), _full_row(scenes[1], track, p2)]
+    for tail in ([{**_full_row(scenes[1], track, p3), "scene_id": late}],
+                 [_full_row(scenes[1], track, p3),
+                  {**_full_row(scenes[1], track, p3), "scene_id": late}]):
+        write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
+                    map(dumps_sorted, rows + tail))
+        with pytest.raises(MalformedRecord, match=f"^line {3 + len(tail)}: "
+                           f".*scene '{late}' {problem}"):
+            _read(tmp_path, scenes)
+    # In their run, the rows may come in any order.
+    rows.insert(1, _full_row(scenes[0], track, p1))
+    rows[:2] = rows[1::-1]
+    write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
+                map(dumps_sorted, rows))
+    per_scene, _, _ = _read(tmp_path, scenes)
+    assert [[p.frame for p in per_scene[s][0].points]
+            for s in ("s0", "s1")] == [[0, 5], [10]]
 
 
 def _plain_rows(path):
@@ -482,6 +550,21 @@ def test_windows_that_overlap_no_other_are_tracked_alone(tmp_path):
     rows.sort(key=lambda r: (r["scene_id"], r["object_id"], r["frame"]))
     lines = (spot_dir / "trajectories.jsonl").read_text().splitlines()
     assert lines[1:] == [dumps_sorted(r) for r in rows]
+
+
+def test_read_trajectories_holds_one_run_at_a_time(tmp_path):
+    # Twelve runs of one window each: once the reader has yielded run k+1,
+    # nothing is left holding the tracks of run k.
+    (spot_dir,) = _tracked(tmp_path, corpus="bulk", bulk_scenes=12,
+                           noise_sigma=1.0)
+    spans = read_scenes(spot_dir)
+    assert len(scene_runs(spans)) == 12
+    refs = []
+    for span, trajectories in read_trajectories(spot_dir, spans):
+        assert trajectories, span.scene_id
+        assert [r() for r in refs] == [None] * len(refs), span.scene_id
+        refs += map(weakref.ref, trajectories)
+    assert len(refs) >= 12
 
 
 def test_truth_sidecar_holds_no_sampled_positions(tmp_path):
