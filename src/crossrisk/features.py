@@ -280,8 +280,7 @@ def classify_zones(traj: Trajectory, zones: SpotZones) -> list[PedestrianZone]:
 
 
 def stop_window(speeds: list[float], zones: list[VehicleZone],
-                tolerance_kmh: float = 2.0, min_steps: int = 3,
-                ) -> tuple[bool, list[int]]:
+                tolerance_kmh: float, min_steps: int) -> tuple[bool, list[int]]:
     """Stop detection plus the step indices of the first qualifying window.
 
     A stop is min_steps consecutive steps below the speed tolerance while
@@ -413,11 +412,8 @@ def psm(vehicle: Trajectory, pedestrian: Trajectory) -> PsmValue:
 class SceneFeatures:
     """The full per-scene feature bundle.
 
-    `pedestrian_speeds_kmh` and `pedestrian_zones` are independent maps
-    keyed by pedestrian track id; neither is required to hold the other's
-    ids. `extract_scene_features` fills both for the same tracks, and the
-    stage record keeps each map separately, so a write followed by a read
-    gives back the same bundle.
+    `pedestrians` maps each pedestrian track id to that track's per-step
+    speeds in km/h and its per-point zones.
     """
 
     scene_id: str
@@ -433,8 +429,7 @@ class SceneFeatures:
     crosswalk_distances_m: list[float]
     stopped: bool
     stop_distance_m: float | None
-    pedestrian_speeds_kmh: dict[str, list[float]]
-    pedestrian_zones: dict[str, list[PedestrianZone]]
+    pedestrians: dict[str, tuple[list[float], list[PedestrianZone]]]
     distances_m: list[float]
     relative_positions: list[str]
     psm_seconds: float | None
@@ -463,16 +458,15 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
                                   params.stop_min_steps)
     stop_distance = min((cw_dists[j] for j in window), default=None)
 
-    ped_speeds = {}
-    ped_zones = {}
+    ped_features = {}
     vw = {p.frame: p.world for p in vehicle.points}
     # Per frame the nearest pedestrian: (distance, track id, world point).
     nearest: dict[int, tuple[float, str, tuple[float, float]]] = {}
     by_id = {}
     for ped in pedestrians:
         by_id[ped.object_id] = ped
-        ped_speeds[ped.object_id] = speed_list(ped)
-        ped_zones[ped.object_id] = classify_zones(ped, spot)
+        ped_features[ped.object_id] = (speed_list(ped),
+                                       classify_zones(ped, spot))
         for p in ped.points:
             if p.frame in vw:
                 cand = (math.dist(vw[p.frame], p.world), ped.object_id,
@@ -494,7 +488,7 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
 
     in_crossing = any(
         z in (PedestrianZone.CROSSWALK, PedestrianZone.CIA)
-        for zs in ped_zones.values() for z in zs)
+        for _, zs in ped_features.values() for z in zs)
 
     frames = vehicle.frames
     return SceneFeatures(
@@ -511,8 +505,7 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
         crosswalk_distances_m=cw_dists,
         stopped=stopped,
         stop_distance_m=stop_distance,
-        pedestrian_speeds_kmh=ped_speeds,
-        pedestrian_zones=ped_zones,
+        pedestrians=ped_features,
         distances_m=distances,
         relative_positions=rel_positions,
         psm_seconds=psm_value.seconds if psm_value else None,

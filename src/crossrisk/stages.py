@@ -24,7 +24,9 @@ each point once and reuses it for the others.
 those of the next run in `scene_runs` order, and every row's scene is
 listed in `scenes.jsonl`. So the extract stage holds one run at a time:
 it extracts a run's scenes when the first row of the next run arrives,
-and keeps of them only their `features.jsonl` lines.
+and keeps of them only their `features.jsonl` lines. A scene's rows of
+one object come in frame order, so each row is checked against the one
+before it as it is read, and a row out of order fails at its own line.
 
 A synthetic spot's `truth.json` holds the frame rate, the analytic PSM
 and stop flag of the scenario's first vehicle, the frames at which each
@@ -444,15 +446,13 @@ def read_trajectories(spot_dir: Path, scenes: list[SceneSpan],
     their tracks in object id order; a scene with no rows has none. The
     rows of a run are held until the first row of a later run arrives, or
     the file ends; then the run's scenes are yielded and its tracks let go.
-    Within a run the rows may come in any order: each scene's tracks are
-    sorted by frame, and their frames and times must then strictly
-    increase. A point repeated in a scene, or a time that does not advance,
-    raises MalformedRecord at the line that closed the run (for the last
-    run, the file's last line). A row raises MalformedRecord at its own
-    line when its scene is not in `scenes`, when its scene's run was
-    already yielded, or when its class differs from that of its object's
-    earlier rows in the scene. When given, `counts` gains the number of
-    rows read ("rows") and of rows decoded in full ("decoded").
+    A scene's rows of one object come in frame order, as `scene_lines`
+    writes them. A row raises MalformedRecord at its own line when its
+    scene is not in `scenes`, when its scene's run was already yielded, or
+    when, against its object's previous row in the scene, its class
+    differs or its frame or time does not strictly increase. When given,
+    `counts` gains the number of rows read ("rows") and of rows decoded in
+    full ("decoded").
 
     A point's rows for its several scenes sit next to each other and
     differ only in `scene_id` (see `scene_lines`), so a row reuses the
@@ -477,7 +477,6 @@ def read_trajectories(spot_dir: Path, scenes: list[SceneSpan],
     head = tail = None
     cut = rest = 0
     traj_id = cls = pt = None
-    n = 1
     for n, line in _stage_lines(path, "trajectories"):
         if line.isspace():
             continue
@@ -492,20 +491,21 @@ def read_trajectories(spot_dir: Path, scenes: list[SceneSpan],
             try:
                 r = json_line(line)
                 frame, t, scene_id = r["frame"], r["t"], r["scene_id"]
-                traj_id = r["object_id"]
-                smooth, world = tuple(r["smooth_px"]), tuple(r["world"])
+                traj_id, det = r["object_id"], r["det"]
+                (rx, ry), (sx, sy), (wx, wy) = (r["raw_px"], r["smooth_px"],
+                                                r["world"])
                 if (type(frame) is not int or type(scene_id) is not str
-                        or type(traj_id) is not str
+                        or type(traj_id) is not str or type(det) is not str
                         or not _NUMBERS.issuperset(
-                            map(type, (t, *smooth, *world)))):
+                            map(type, (t, rx, ry, sx, sy, wx, wy)))):
                     raise TypeError(
-                        f"expected an integer frame, a string scene_id and "
-                        f"object_id and numbers in t, smooth_px and world, "
-                        f"got {frame!r}, {scene_id!r}, {traj_id!r}, {t!r}, "
-                        f"{list(smooth)!r}, {list(world)!r}")
+                        f"expected an integer frame, a string scene_id, "
+                        f"object_id and det and numbers in t, raw_px, "
+                        f"smooth_px and world, got {frame!r}, {scene_id!r}, "
+                        f"{traj_id!r}, {det!r}, {t!r}, {[rx, ry]!r}, "
+                        f"{[sx, sy]!r}, {[wx, wy]!r}")
                 cls = _CLASSES[r["class"]]
-                pt = TrackPoint(frame, t, tuple(r["raw_px"]), smooth, world,
-                                r["det"])
+                pt = TrackPoint(frame, t, (rx, ry), (sx, sy), (wx, wy), det)
             except _SHAPE_ERRORS as exc:
                 raise _bad_row(path, "trajectories", n, exc) from exc
             decoded += 1
@@ -523,7 +523,7 @@ def read_trajectories(spot_dir: Path, scenes: list[SceneSpan],
                     "is not listed in scenes.jsonl" if k < 0 else
                     "belongs to a run of scenes whose rows ended earlier; "
                     "each run's rows must follow those of the run before"))
-            yield from _run_scenes(path, n, runs[current:k], by_scene)
+            yield from _run_scenes(runs[current:k], by_scene)
             by_scene = {}
             current = k
         tracks = by_scene.get(scene_id)
@@ -532,34 +532,30 @@ def read_trajectories(spot_dir: Path, scenes: list[SceneSpan],
         traj = tracks.get(traj_id)
         if traj is None:
             tracks[traj_id] = Trajectory(traj_id, cls, [pt])
-        elif traj.object_class is cls:
-            traj.points.append(pt)
-        else:
+            continue
+        if traj.object_class is not cls:
             raise MalformedRecord(n, f"{path}: object {traj_id!r} of scene "
                                   f"{scene_id!r} is both "
                                   f"{traj.object_class.value} and {cls.value}")
+        last = traj.points[-1]
+        if not (last.frame < pt.frame and last.t < pt.t):
+            raise MalformedRecord(
+                n, f"{path}: scene {scene_id!r}, object {traj_id!r}: frame "
+                f"{pt.frame} at t {pt.t} follows frame {last.frame} at t "
+                f"{last.t}; a track's frames and times must strictly increase")
+        traj.points.append(pt)
     if counts is not None:
         counts.update(rows=rows, decoded=decoded)
-    yield from _run_scenes(path, n, runs[current:], by_scene)
+    yield from _run_scenes(runs[current:], by_scene)
 
 
-def _run_scenes(path, line: int, runs: list[list[SceneSpan]],
+def _run_scenes(runs: list[list[SceneSpan]],
                 by_scene: dict[str, dict[str, Trajectory]]):
     """Each scene of `runs` with its tracks in `by_scene`, which holds the
     rows of the first run only; see `read_trajectories`."""
     for run in runs:
         for span in run:
             tracks = by_scene.get(span.scene_id, {})
-            for traj in tracks.values():
-                points = traj.points
-                points.sort(key=lambda p: p.frame)
-                for a, b in zip(points, points[1:]):
-                    if not (a.frame < b.frame and a.t < b.t):
-                        raise MalformedRecord(
-                            line, f"{path}: scene {span.scene_id!r}, object "
-                            f"{traj.object_id!r}: frame {b.frame} at t {b.t} "
-                            f"follows frame {a.frame} at t {a.t}; a track's "
-                            f"frames and times must strictly increase")
             yield span, [tracks[oid] for oid in sorted(tracks)]
 
 
@@ -589,67 +585,50 @@ _FEATURE_KEYS = {
 }
 _VEHICLE_ZONES = {z.value: z for z in VehicleZone}
 _PEDESTRIAN_ZONES = {z.value: z for z in PedestrianZone}
+_STOPPED = {"stop": True, "no stop": False}
 
 
 def features_to_record(f: SceneFeatures) -> dict:
-    """One `features.jsonl` record for a bundle.
-
-    The two pedestrian maps are independent: an id may carry speeds, zones
-    or both. Each `pedestrians` entry holds `speed_kmh` only when the id has
-    speeds and `position_list` only when it has zones, so
-    `record_to_features` gives back the same bundle.
-    """
+    """One `features.jsonl` record for a bundle: each pedestrian's entry
+    holds its speeds (`speed_kmh`) and its zones (`position_list`)."""
     record = {key: getattr(f, attr) for attr, key in _FEATURE_KEYS.items()}
     record["vehicle_position_list"] = [z.value for z in f.vehicle_zones]
     record["car_stop_before_crosswalk"] = "stop" if f.stopped else "no stop"
     record["pedestrians"] = {
-        pid: _pedestrian_record(f, pid)
-        for pid in sorted(f.pedestrian_speeds_kmh.keys()
-                          | f.pedestrian_zones.keys())
-    }
+        pid: {"speed_kmh": speeds, "position_list": [z.value for z in zones]}
+        for pid, (speeds, zones) in f.pedestrians.items()}
     return record
 
 
-def _pedestrian_record(f: SceneFeatures, pid: str) -> dict:
-    p = {}
-    if pid in f.pedestrian_speeds_kmh:
-        p["speed_kmh"] = f.pedestrian_speeds_kmh[pid]
-    if pid in f.pedestrian_zones:
-        p["position_list"] = [z.value for z in f.pedestrian_zones[pid]]
-    return p
-
-
 def record_to_features(r: dict) -> SceneFeatures:
-    peds = r["pedestrians"]
     f = SceneFeatures(
         **{attr: r[key] for attr, key in _FEATURE_KEYS.items()},
         vehicle_zones=[_VEHICLE_ZONES[z] for z in r["vehicle_position_list"]],
-        stopped=r["car_stop_before_crosswalk"] == "stop",
-        pedestrian_speeds_kmh={
-            pid: p["speed_kmh"] for pid, p in peds.items() if "speed_kmh" in p},
-        pedestrian_zones={
-            pid: [_PEDESTRIAN_ZONES[z] for z in p["position_list"]]
-            for pid, p in peds.items() if "position_list" in p},
+        stopped=_STOPPED[r["car_stop_before_crosswalk"]],
+        pedestrians={
+            pid: (p["speed_kmh"],
+                  [_PEDESTRIAN_ZONES[z] for z in p["position_list"]])
+            for pid, p in r["pedestrians"].items()},
     )
     for v in f.vehicle_speeds_kmh:
         _typed(v)
-    _typed(f.stop_distance_m, _NUMBER_OR_NONE)
-    _typed(f.psm_seconds, _NUMBER_OR_NONE)
+    for v in (f.frame_start, f.frame_end):
+        _typed(v, (int,))
+    for v in (f.interactive, f.ped_in_crossing_area):
+        _typed(v, (bool,))
+    for v in (f.stop_distance_m, f.psm_seconds, f.psm_seconds_refined):
+        _typed(v, _NUMBER_OR_NONE)
     return f
 
 
 def scene_vehicle(trajectories: list[Trajectory], hint: str) -> Trajectory | None:
-    """The scene's own vehicle: the track that consumed the hinted
-    detections, falling back to the longest vehicle track."""
-    vehicles = [t for t in trajectories if t.object_class is ObjectClass.VEHICLE]
-    if not vehicles:
-        return None
-    hinted = [(sum(1 for p in t.points if p.detection_id == hint), len(t), t)
-              for t in vehicles]
-    hinted.sort(key=lambda x: (-x[0], -x[1], x[2].object_id))
-    if hinted[0][0] > 0:
-        return hinted[0][2]
-    return max(vehicles, key=lambda t: (len(t), t.object_id))
+    """The scene's own vehicle: the vehicle track that consumed the most
+    hinted detections, then the longest, then the smallest object id."""
+    return min((t for t in trajectories
+                if t.object_class is ObjectClass.VEHICLE),
+               default=None,
+               key=lambda t: (-sum(p.detection_id == hint for p in t.points),
+                              -len(t), t.object_id))
 
 
 # Why `_extract_scene_job` skipped a scene.

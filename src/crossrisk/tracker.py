@@ -114,7 +114,7 @@ def new_track(object_id: str, detection: DetectionRecord,
                       _INITIAL_VELOCITY_VAR, [(frame, point, point, det_id)])
 
 
-def kalman_predict(state: TrackState, process_noise: float = 1.0) -> TrackState:
+def kalman_predict(state: TrackState, process_noise: float) -> TrackState:
     """Propagate one step with the constant-velocity model.
 
     Per axis F = [[1, 1], [0, 1]], so P' = F P F^T + q*I.
@@ -129,7 +129,7 @@ def kalman_predict(state: TrackState, process_noise: float = 1.0) -> TrackState:
 
 
 def kalman_update(state: TrackState, measurement: tuple[float, float],
-                  measurement_noise: float = 2.0) -> TrackState:
+                  measurement_noise: float) -> TrackState:
     """Fold a position measurement into a predicted state (Joseph form).
 
     Per axis H = [1, 0], so the innovation variance s = pp + r is a scalar

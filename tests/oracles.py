@@ -45,7 +45,7 @@ def make_scene_features(scene_id="s0", spot="A", interactive=False,
         vehicle_accelerations=[], vehicle_acceleration_runs=[],
         crosswalk_distances_m=[], stopped=stopped,
         stop_distance_m=stop_distance,
-        pedestrian_speeds_kmh={}, pedestrian_zones={},
+        pedestrians={},
         distances_m=[], relative_positions=[],
         psm_seconds=psm, psm_seconds_refined=psm,
         ped_in_crossing_area=in_crossing)

@@ -69,13 +69,30 @@ def test_truncated_stage_file_is_data_error(tmp_path, capsys, stage, rel):
     ("track", "single_pass/scenes.jsonl", 2, {"interactive": 1}),
     ("track", "single_pass/scenes.jsonl", 2, {"scene_id": 7}),
     ("track", "single_pass/scenes.jsonl", 2, {"vehicle": None}),
+    ("analyze", "single_pass/features.jsonl", 2, {"interactive": "false"}),
+    ("analyze", "single_pass/features.jsonl", 2,
+     {"pedestrian_in_crossing_area": "no"}),
+    ("analyze", "single_pass/features.jsonl", 2,
+     {"car_stop_before_crosswalk": "STOP"}),
+    ("analyze", "single_pass/features.jsonl", 2, {"psm_seconds_refined": "x"}),
+    ("analyze", "single_pass/features.jsonl", 2, {"frame_start": "0"}),
+    ("analyze", "single_pass/features.jsonl", 2,
+     {"pedestrians": {"p": {"speed_kmh": []}}}),
+    ("analyze", "single_pass/features.jsonl", 2,
+     {"pedestrians": {"p": {"position_list": []}}}),
+    ("extract", "single_pass/trajectories.jsonl", 2, {"det": 5}),
+    ("extract", "single_pass/trajectories.jsonl", 2, {"det": None}),
+    ("extract", "single_pass/trajectories.jsonl", 2, {"raw_px": "ab"}),
+    ("extract", "single_pass/trajectories.jsonl", 2, {"world": [1.5]}),
 ])
 def test_misshapen_stage_row_is_data_error(tmp_path, capsys, stage, rel, line,
                                            text):
     # Valid JSON of the wrong shape: a row without its fields, a header or
     # an analysis record that is not an object, a record without its tables,
     # or (`text` a dict of fields to overwrite) a row with a value of the
-    # wrong type where a later stage sorts or sums it.
+    # wrong type where a later stage sorts, sums or counts it: a string for
+    # a flag would read as True, a stop text other than "stop" as no stop.
+    # Each pedestrian holds both its speeds and its zones.
     assert _run("all", "--out-dir", str(tmp_path), "--spot", "single_pass") == 0
     path = tmp_path / rel
     lines = path.read_text().splitlines(keepends=True)
@@ -104,8 +121,9 @@ def test_repeated_trajectory_point_is_data_error(tmp_path, capsys):
                 "--spot", "single_pass") == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "MalformedRecord"
-    assert (f"{path}: scene {third['scene_id']!r}, object "
-            f"{third['object_id']!r}: ") in diagnostic["message"]
+    assert diagnostic["message"].startswith(
+        f"line 4: {path}: scene {third['scene_id']!r}, object "
+        f"{third['object_id']!r}: ")
 
 
 def test_trajectory_row_of_an_unlisted_scene_is_data_error(tmp_path, capsys):

@@ -510,7 +510,7 @@ def test_extract_car_only_scene(config):
     bundle = extract_scene_features("s0", veh, [], SpotZones(config),
                                     IDENTITY)
     assert not bundle.interactive
-    assert bundle.pedestrian_zones == {}
+    assert bundle.pedestrians == {}
     assert bundle.distances_m == []
     assert bundle.relative_positions == []
     assert bundle.psm_seconds is None
@@ -533,7 +533,9 @@ def test_extract_interactive_scene_consistency(config):
     assert len(bundle.distances_m) == n          # full overlap
     # The vehicle passes x = 0, the pedestrian's line, at step 10.
     assert bundle.relative_positions == [FRONT] * 11 + [BEHIND] * 9
-    assert bundle.pedestrian_zones["p"][0] is PedestrianZone.SIDEWALK
+    speeds, zones = bundle.pedestrians["p"]
+    assert len(speeds) == n - 1 and len(zones) == n
+    assert zones[0] is PedestrianZone.SIDEWALK
     assert bundle.psm_seconds is not None
     assert bundle.ped_in_crossing_area
 

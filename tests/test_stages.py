@@ -58,8 +58,8 @@ def _bundle(scene_id="s0", interactive=False, speeds=(10.0, 12.0)):
         vehicle_acceleration_runs=["acc", "nc"],
         crosswalk_distances_m=[4.1, 0.0, 3.3],
         stopped=True, stop_distance_m=4.0,
-        pedestrian_speeds_kmh={"t1": [2.3, 2.0]},
-        pedestrian_zones={},
+        pedestrians={"t1": ([2.3, 2.0], [PedestrianZone.CIA,
+                                         PedestrianZone.CROSSWALK])},
         distances_m=[5.0, 3.0], relative_positions=["Front", "Behind"],
         psm_seconds=3.2, psm_seconds_refined=3.17,
         ped_in_crossing_area=True)
@@ -78,14 +78,10 @@ def test_feature_record_uses_paper_vocabulary():
 def test_feature_record_round_trip():
     bundle = _bundle()
     assert record_to_features(features_to_record(bundle)) == bundle
-    # The pedestrian maps are independent: zones without speeds, both maps
-    # keyed alike, and an empty list each survive the round trip as given.
-    zones_only = replace(bundle, pedestrian_speeds_kmh={},
-                         pedestrian_zones={"t1": [PedestrianZone.SIDEWALK]})
-    both = replace(bundle, pedestrian_speeds_kmh={"t1": [2.3], "t2": []},
-                   pedestrian_zones={"t1": [PedestrianZone.CROSSWALK],
-                                     "t2": []})
-    for b in (zones_only, both):
+    # No pedestrian, and a pedestrian whose lists are empty.
+    for peds in ({}, {"t1": ([2.3], [PedestrianZone.CROSSWALK] * 2),
+                      "t2": ([], [])}):
+        b = replace(bundle, pedestrians=peds)
         assert record_to_features(features_to_record(b)) == b
 
 
@@ -110,10 +106,9 @@ def _bundles(draw):
         crosswalk_distances_m=draw(_float_lists),
         stopped=draw(st.booleans()),
         stop_distance_m=draw(st.none() | _floats),
-        pedestrian_speeds_kmh=draw(st.dictionaries(ids, _float_lists,
-                                                   max_size=3)),
-        pedestrian_zones=draw(st.dictionaries(
-            ids, st.lists(st.sampled_from(PedestrianZone), max_size=6),
+        pedestrians=draw(st.dictionaries(ids, st.tuples(
+            _float_lists,
+            st.lists(st.sampled_from(PedestrianZone), max_size=6)),
             max_size=3)),
         distances_m=draw(_float_lists),
         relative_positions=draw(st.lists(st.sampled_from([FRONT, BEHIND]),
@@ -147,13 +142,8 @@ def test_scene_rows_round_trip_through_read_scenes(spans):
 
 
 def test_feature_record_pedestrian_fields_on_disk():
-    # With both maps keyed alike, as extraction always writes them, each
-    # pedestrian entry holds exactly these two fields, so features.jsonl
-    # keeps its byte form.
-    bundle = replace(_bundle(), pedestrian_speeds_kmh={"t1": [2.3, 2.0]},
-                     pedestrian_zones={"t1": [PedestrianZone.CIA,
-                                              PedestrianZone.CROSSWALK]})
-    assert features_to_record(bundle)["pedestrians"] == {
+    # Each pedestrian entry holds exactly these two fields.
+    assert features_to_record(_bundle())["pedestrians"] == {
         "t1": {"speed_kmh": [2.3, 2.0],
                "position_list": [PedestrianZone.CIA.value,
                                  PedestrianZone.CROSSWALK.value]}}
@@ -193,6 +183,16 @@ def test_scene_vehicle_prefers_hinted_track():
     # Unknown hint: fall back to the longest vehicle track.
     assert scene_vehicle([other, hinted, ped], "zz").object_id == "t0"
     assert scene_vehicle([ped], "v7") is None
+
+
+def test_scene_vehicle_ties_go_to_the_smallest_object_id():
+    # No track holds a hinted detection and both are as long: the same
+    # rule as between equally hinted tracks picks the smaller id.
+    a, b = (make_traj(oid, ObjectClass.VEHICLE, range(4),
+                      [(k, 0) for k in range(4)], det_ids=["v1"] * 4)
+            for oid in ("t3", "t5"))
+    assert scene_vehicle([b, a], "zz").object_id == "t3"
+    assert scene_vehicle([b, a], "v1").object_id == "t3"
 
 
 # Ids with JSON escapes and non-ASCII text; floats JSON writes unusually.
@@ -336,7 +336,6 @@ def _json_reference(path):
                                    r["det"]))
     out = {}
     for (scene_id, _), t in sorted(tracks.items()):
-        t.points.sort(key=lambda p: p.frame)
         out.setdefault(scene_id, []).append(t)
     return out
 
@@ -397,29 +396,44 @@ def test_hand_edited_trajectory_rows_read_as_plain_json_reads_them(tmp_path):
 @pytest.mark.parametrize("second", [
     {},                          # the same row twice
     {"frame": 5},                # a time that does not advance
-    {"frame": 5, "t": 0.5},      # a time that goes back
+    {"frame": 5, "t": -0.5},     # a time that goes back
 ])
 def test_repeated_point_in_a_scene_is_malformed(tmp_path, second):
     # Speeds divide by the time between a track's points, so a scene's
-    # track must advance in both frame and time; the rows may come in
-    # any order.
+    # track must advance in both frame and time. The row that does not
+    # fails on its own line, before the rows after it are read.
     track = make_traj("t0", ObjectClass.VEHICLE, [0, 10], [(1.5, 2.0), (3.0, 2.0)])
     scene = SceneSpan("s0", "v0", 0, 10, False)
     rows = [_full_row(scene, track, p) for p in track.points]
-    rows.insert(0, {**rows[1], **second})
+    rows.insert(1, {**rows[0], **second})
     write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
                 map(dumps_sorted, rows))
     with pytest.raises(MalformedRecord,
-                       match="^line 4: .*scene 's0', object 't0'"):
+                       match="^line 3: .*scene 's0', object 't0'"):
         _read(tmp_path, [scene])
-    # A later run's first row closes the run: the error points at it.
-    later = SceneSpan("s1", "v0", 20, 30, False)
-    rows += [{**rows[0], "scene_id": "s1", "frame": f} for f in (20, 30)]
+
+
+@pytest.mark.parametrize("shared", [False, True],
+                         ids=["decoded", "reused"])
+def test_track_rows_out_of_frame_order_are_malformed(tmp_path, shared):
+    # A scene's rows of one object come in frame order, as `scene_lines`
+    # writes them: a row of an earlier frame fails on its own line, also
+    # when it reuses the point of the row before it for another scene.
+    track = make_traj("t0", ObjectClass.VEHICLE, [0, 5], [(1.5, 2.0),
+                                                          (3.0, 2.0)])
+    scenes = [SceneSpan("s0", "v0", 0, 5, False),
+              SceneSpan("s1", "v0", 0, 5, False)]
+    p0, p1 = track.points
+    late = scenes[shared]
+    rows = [_full_row(late, track, p1), _full_row(scenes[0], track, p0)]
+    if shared:
+        rows.append(_full_row(late, track, p0))     # reuses the row before
     write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
                 map(dumps_sorted, rows))
-    with pytest.raises(MalformedRecord,
-                       match="^line 5: .*scene 's0', object 't0'"):
-        _read(tmp_path, [scene, later])
+    with pytest.raises(MalformedRecord, match=f"^line {len(rows) + 1}: .*scene "
+                       f"'{late.scene_id}', object 't0': frame 0 at t 0.0 "
+                       "follows frame 5 at t 0.2"):
+        _read(tmp_path, scenes)
 
 
 def test_trajectory_row_with_a_number_for_object_id_is_malformed(tmp_path):
@@ -480,14 +494,6 @@ def test_row_out_of_its_run_is_malformed(tmp_path, late, problem):
         with pytest.raises(MalformedRecord, match=f"^line {3 + len(tail)}: "
                            f".*scene '{late}' {problem}"):
             _read(tmp_path, scenes)
-    # In their run, the rows may come in any order.
-    rows.insert(1, _full_row(scenes[0], track, p1))
-    rows[:2] = rows[1::-1]
-    write_jsonl(tmp_path / "trajectories.jsonl", "trajectories",
-                map(dumps_sorted, rows))
-    per_scene, _, _ = _read(tmp_path, scenes)
-    assert [[p.frame for p in per_scene[s][0].points]
-            for s in ("s0", "s1")] == [[0, 5], [10]]
 
 
 def _plain_rows(path):
