@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NoConflict, ZeroHeading
 from .geometry import Calibration
-from .ingest import SpotConfig
+from .ingest import SpotConfig, _integer, _real
 from .tracker import Trajectory
 
 MPS_TO_KMH = 3.6
@@ -61,8 +61,15 @@ class FeatureParams:
     stop_min_steps: int = 3
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
+        """Each field checked, not coerced: TypeError for a value of the
+        wrong type (a bool is not a number), ValueError out of range."""
+        if not 0 < _real(self.alpha, "alpha") <= 1:
             raise ValueError("alpha must be in (0, 1]")
+        for name in ("epsilon_kmh", "stop_tolerance_kmh"):
+            if not 0 <= _real(getattr(self, name), name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if _integer(self.stop_min_steps, "stop_min_steps") < 1:
+            raise ValueError("stop_min_steps must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,16 @@
 
 Each object keeps a constant-velocity filter over its pixel contact point.
 Per frame the tracker predicts every live track one step ahead, then
-`assign` returns the matches {track id: detection}, pairing predictions
-with same-class detections greedily by smallest distance and discarding
-pairs beyond a per-class pixel gate. Unmatched detections spawn tracks;
-unmatched tracks coast a few steps before closing.
+`assign` returns the matches {track id: detection}: among the same-class
+(track, detection) pairs within a per-class pixel gate, the matching with
+the most pairs and, of those, the least total distance (the optimal
+assignment of SORT, solved by the Hungarian method). Unmatched detections
+spawn tracks; unmatched tracks coast a few steps before closing.
 
 Association against the prediction (rather than the last seen position) is
 what keeps identities apart when paths cross: the prediction carries the
 object's momentum through the crossing. A nearest-neighbor mode without
-prediction is kept for comparison, as is an optimal (Hungarian) assignment
-mode behind a flag.
+prediction is kept for comparison.
 
 The filter runs in separable form, in plain floats. The state is
 (x, y, vx, vy) with the 4x4 transition F = [[I, I], [0, I]] and the
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Calibration
-from .ingest import DetectionRecord, ObjectClass
+from .ingest import DetectionRecord, ObjectClass, _integer, _real
 
 # Fresh tracks know their position to measurement accuracy but nothing
 # about velocity; a huge velocity variance lets the first updates lock it.
@@ -56,13 +56,26 @@ class TrackerParams:
     measurement_noise: float = 2.0
     max_coast_frames: int = 3
     use_prediction: bool = True      # False: associate on last seen position
-    assignment: str = "greedy"       # or "optimal" (Hungarian)
 
     def __post_init__(self):
-        if self.gate_threshold_vehicle <= 0 or self.gate_threshold_pedestrian <= 0:
+        """Each field checked, not coerced: TypeError for a value of the
+        wrong type (a bool is not a number), ValueError out of range."""
+        if type(self.use_prediction) is not bool:
+            raise TypeError(f"use_prediction must be true or false, "
+                            f"got {self.use_prediction!r}")
+        if not (_real(self.gate_threshold_vehicle, "gate_threshold_vehicle") > 0
+                and _real(self.gate_threshold_pedestrian,
+                          "gate_threshold_pedestrian") > 0):
             raise ValueError("gate thresholds must be > 0")
-        if self.assignment not in ("greedy", "optimal"):
-            raise ValueError(f"unknown assignment mode {self.assignment!r}")
+        if not 0 <= _real(self.process_noise, "process_noise") < math.inf:
+            raise ValueError("process_noise must be finite and >= 0")
+        # kalman_update divides by the square of pp + r, where pp >= 0.
+        r = _real(self.measurement_noise, "measurement_noise")
+        if not (r > 0 and 0 < r * r < math.inf):
+            raise ValueError("measurement_noise must be > 0, with a finite "
+                             "nonzero square")
+        if _integer(self.max_coast_frames, "max_coast_frames") < 0:
+            raise ValueError("max_coast_frames must be >= 0")
 
 
 @dataclass(slots=True)
@@ -165,17 +178,17 @@ def kalman_update(state: TrackState, measurement: tuple[float, float],
 
 def assign(tracks: dict[str, TrackState], detections: list[DetectionRecord],
            params: TrackerParams) -> dict[str, DetectionRecord]:
-    """Match same-class detections to tracks by smallest gated distance and
-    return the matches as {track id: detection}.
+    """Match same-class detections to tracks and return the matches as
+    {track id: detection}.
 
     `tracks` are the live tracks predicted to this frame; without
     prediction each is matched from its last consumed point instead.
-    Detection ids are unique within the frame.
-
-    Greedy mode sorts every in-gate (track, detection) pair by distance and
-    consumes them first-come; ties break on detection id then track id so
-    the result is independent of input order. Optimal mode solves the
-    assignment problem per class over the same in-gate pairs instead.
+    Detection ids are unique within the frame. Of the (track, detection)
+    pairs within their class's gate, the matches are the matching with the
+    most pairs and, among those, the least total distance. When no track
+    and no detection is in two such pairs, they are that matching as they
+    stand; otherwise each class is solved as an assignment problem over
+    rows and columns in id order, so input order does not matter.
     """
     # Bucket by class once. Two lists picked by identity: hashing an enum
     # member runs Python code and costs more than the pair test it saves.
@@ -197,43 +210,65 @@ def assign(tracks: dict[str, TrackState], detections: list[DetectionRecord],
             if d <= gate:
                 candidates.append((d, det.detection_id, tid, det))
 
-    if params.assignment == "optimal":
-        return _optimal_matches(tracks, detections, candidates)
-    matches: dict[str, DetectionRecord] = {}
-    used_dets: set[str] = set()
-    for d, det_id, tid, det in sorted(
-            candidates, key=lambda c: (c[0], c[1], c[2])):
-        if tid in matches or det_id in used_dets:
-            continue
-        matches[tid] = det
-        used_dets.add(det_id)
-    return matches
-
-
-def _optimal_matches(tracks, detections, candidates):
-    """Per class, the minimum-cost matching of the in-gate `candidates`;
-    every other (track, detection) pair costs too much to take."""
-    from scipy.optimize import linear_sum_assignment
-
-    big = 1e9
+    if (len({c[1] for c in candidates}) == len({c[2] for c in candidates})
+            == len(candidates)):
+        return {tid: det for _, _, tid, det in candidates}
     matches: dict[str, DetectionRecord] = {}
     for cls in ObjectClass:
-        tids = sorted(t for t, tr in tracks.items() if tr.object_class is cls)
-        dets = sorted((d for d in detections if d.object_class is cls),
-                      key=lambda d: d.detection_id)
-        if not tids or not dets:
-            continue
-        row_of = {tid: i for i, tid in enumerate(tids)}
-        col_of = {det.detection_id: j for j, det in enumerate(dets)}
-        cost = np.full((len(tids), len(dets)), big)
-        for d, det_id, tid, _ in candidates:
-            if tid in row_of:
-                cost[row_of[tid], col_of[det_id]] = d
-        rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            if cost[i, j] < big:
-                matches[tids[i]] = dets[j]
+        pairs = [c for c in candidates if c[3].object_class is cls]
+        by_id = {det_id: det for _, det_id, _, det in pairs}
+        tids, det_ids = sorted({tid for _, _, tid, _ in pairs}), sorted(by_id)
+        row = {tid: i for i, tid in enumerate(tids)}
+        col = {det_id: j for j, det_id in enumerate(det_ids)}
+        # A pair left out costs more than all in-gate pairs together, so
+        # the least total also takes the most pairs.
+        missing = sum(c[0] for c in pairs) + 1.0
+        n = max(len(tids), len(det_ids))
+        cost = [[missing] * n for _ in range(n)]
+        for d, det_id, tid, _ in pairs:
+            cost[row[tid]][col[det_id]] = d
+        for i, j in _min_cost_assignment(cost):
+            if cost[i][j] < missing:
+                matches[tids[i]] = by_id[det_ids[j]]
     return matches
+
+
+def _min_cost_assignment(cost: list[list[float]]) -> list[tuple[int, int]]:
+    """The (row, column) pairs of a least-total perfect matching of the
+    square matrix `cost`: the Hungarian method, which adds one row at a
+    time along a shortest augmenting path under dual potentials."""
+    n = len(cost)
+    u = [0.0] * (n + 1)          # row potentials, 1-based
+    v = [0.0] * (n + 1)          # column potentials; column 0 is the root
+    owner = [0] * (n + 1)        # the row matched to each column, 0: none
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        dist = [math.inf] * (n + 1)  # reduced shortest-path length to a column
+        prev = [0] * (n + 1)         # the column before it on that path
+        tree, free = [0], list(range(1, n + 1))  # columns reached, the rest
+        while owner[j0]:
+            i0 = owner[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in free:
+                reduced = row[j - 1] - ui - v[j]
+                if reduced < dist[j]:
+                    dist[j], prev[j] = reduced, j0
+                if dist[j] < delta:
+                    delta, j1 = dist[j], j
+            for j in tree:
+                u[owner[j]] += delta
+                v[j] -= delta
+            for j in free:
+                dist[j] -= delta
+            free.remove(j1)
+            tree.append(j1)
+            j0 = j1
+        while j0:
+            owner[j0] = owner[prev[j0]]
+            j0 = prev[j0]
+    return [(owner[j] - 1, j - 1) for j in range(1, n + 1)]
 
 
 class TrackPoint(NamedTuple):

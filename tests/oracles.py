@@ -6,6 +6,7 @@ interpolation, direct geometry. None of it calls the code paths it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -147,6 +148,35 @@ def dense_kalman_update(mean, cov, measurement, measurement_noise):
     ikh = _I4 - gain @ _H
     cov = ikh @ cov @ ikh.T + measurement_noise * (gain @ gain.T)
     return mean, (cov + cov.T) / 2.0
+
+
+def brute_force_matching(tracks, detections, params):
+    """The matches {track id: detection} that `tracker.assign` must return,
+    by trying every matching of each class: the most in-gate pairs, then
+    the least total distance from each track's (x, y)."""
+    gates = {ObjectClass.VEHICLE: params.gate_threshold_vehicle,
+             ObjectClass.PEDESTRIAN: params.gate_threshold_pedestrian}
+    matches = {}
+    for cls, gate in gates.items():
+        tids = [tid for tid, t in tracks.items() if t.object_class is cls]
+        dets = [d for d in detections if d.object_class is cls]
+        best, best_key = {}, (0, 0.0)
+        for choice in itertools.product([None, *dets], repeat=len(tids)):
+            taken = [d for d in choice if d is not None]
+            if len({d.detection_id for d in taken}) < len(taken):
+                continue
+            dists = [math.dist((tracks[tid].x, tracks[tid].y),
+                               d.contact_point_px)
+                     for tid, d in zip(tids, choice) if d is not None]
+            if any(dist > gate for dist in dists):
+                continue
+            key = (-len(dists), sum(dists))
+            if key < best_key:
+                best_key = key
+                best = {tid: d for tid, d in zip(tids, choice)
+                        if d is not None}
+        matches.update(best)
+    return matches
 
 
 def random_crossing_trajectories(rng, fps=25.0, skip=5):

@@ -151,6 +151,19 @@ def test_trajectory_row_of_an_unlisted_scene_is_data_error(tmp_path, capsys):
     ('{"tracker": ', "Expecting value"),
     ('{"tracker": {"gate_threshold_vehicle": -1}}', "gate thresholds must be > 0"),
     ('{"speed_reduce": "median"}', "'speed_reduce' is not a tracker or features object"),
+    ('{"tracker": {"assignment": "optimal"}}', "unknown key tracker.assignment"),
+    ('{"tracker": {"max_coast_frames": "3"}}', "max_coast_frames must be an integer"),
+    ('{"tracker": {"max_coast_frames": -1}}', "max_coast_frames must be >= 0"),
+    ('{"tracker": {"process_noise": "1"}}', "process_noise must be a number"),
+    ('{"tracker": {"measurement_noise": -2}}', "measurement_noise must be > 0"),
+    ('{"tracker": {"process_noise": 0, "measurement_noise": 0}}',
+     "measurement_noise must be > 0"),
+    ('{"tracker": {"use_prediction": "no"}}', "use_prediction must be true or false"),
+    ('{"tracker": {"gate_threshold_vehicle": true}}',
+     "gate_threshold_vehicle must be a number"),
+    ('{"features": {"stop_min_steps": "3"}}', "stop_min_steps must be an integer"),
+    ('{"features": {"stop_min_steps": 0}}', "stop_min_steps must be >= 1"),
+    ('{"features": {"stop_tolerance_kmh": null}}', "stop_tolerance_kmh must be a number"),
 ])
 def test_bad_config_file_is_usage_error(tmp_path, capsys, document, problem):
     # `all` reads both sections, so each document fails on its own problem.

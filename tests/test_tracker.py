@@ -20,6 +20,7 @@ from crossrisk.tracker import (
 )
 
 from oracles import (
+    brute_force_matching,
     dense_kalman_predict,
     dense_kalman_update,
     make_detection,
@@ -199,6 +200,42 @@ def test_assignment_invariant_under_detection_permutation():
         assert len(used) == len(set(used))
 
 
+@pytest.mark.parametrize("xs, expected", [
+    # Smallest first would take b->d0 (8), then a->d1 (35): total 43.
+    ((0.0, 20.0, 12.0, 35.0), {"a": "d0", "b": "d1"}),
+    # The least total alone is b->d0 (5); two pairs beat one.
+    ((0.0, 50.0, 45.0, 100.0), {"a": "d0", "b": "d1"}),
+], ids=["least-total", "most-pairs"])
+def test_assign_takes_most_pairs_then_least_total(xs, expected):
+    a_x, b_x, d0_x, d1_x = xs
+    predicted = {tid: kalman_predict(_track_with_velocity(tid, (x, 0.0),
+                                                          (0.0, 0.0)), 0.0)
+                 for tid, x in (("a", a_x), ("b", b_x))}
+    dets = [make_detection(1, ObjectClass.VEHICLE, d0_x, 0.0, "d0"),
+            make_detection(1, ObjectClass.VEHICLE, d1_x, 0.0, "d1")]
+    matches = assign(predicted, dets, PARAMS)
+    assert {tid: det.detection_id for tid, det in matches.items()} == expected
+
+
+def test_assign_matches_brute_force_oracle():
+    # Frames of up to 5 tracks and 5 detections per class, spread wider
+    # than the gates so that some pairs fall out of gate.
+    rng = np.random.default_rng(11)
+    spread = {ObjectClass.VEHICLE: 150.0, ObjectClass.PEDESTRIAN: 50.0}
+    for _ in range(300):
+        predicted, dets = {}, []
+        for cls, width in spread.items():
+            for k in range(rng.integers(0, 6)):
+                tid = f"{cls.value}{k}"
+                predicted[tid] = _track_with_velocity(
+                    tid, tuple(rng.uniform(0, width, 2)), (0.0, 0.0), cls)
+            dets += [make_detection(1, cls, *rng.uniform(0, width, 2),
+                                    det_id=f"d{cls.value}{k}")
+                     for k in range(rng.integers(0, 6))]
+        expected = brute_force_matching(predicted, dets, PARAMS)
+        assert assign(predicted, dets, PARAMS) == expected
+
+
 def test_track_point_is_an_immutable_record_built_by_keyword():
     p = TrackPoint(frame=5, t=0.2, raw_px=(1.0, 2.0), smooth_px=(1.5, 2.5),
                    world=(-3.0, 4.0), detection_id="v0")
@@ -348,15 +385,3 @@ def test_validate_split_with_gap_is_one_connectivity():
     v = validate_trajectories([t1, t2], truth=truth, frame_stride=1)
     assert v.connectivity == 1
     assert v.crossing == 0
-
-
-def test_optimal_assignment_mode():
-    params = TrackerParams(assignment="optimal")
-    a = _track_with_velocity("a", (0.0, 0.0), (0.0, 0.0))
-    b = _track_with_velocity("b", (30.0, 0.0), (0.0, 0.0))
-    predicted = {t.object_id: kalman_predict(t, 0.0) for t in (a, b)}
-    # Greedy would give d0 to a (distance 12 < 18); the optimal split
-    # (a->d1, b->d0) has lower total cost.
-    d0 = make_detection(1, ObjectClass.VEHICLE, 12.0, 0.0, "d0")
-    d1 = make_detection(1, ObjectClass.VEHICLE, 1.0, 0.0, "d1")
-    assert assign(predicted, [d0, d1], params) == {"a": d1, "b": d0}
