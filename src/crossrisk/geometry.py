@@ -87,8 +87,8 @@ def fit_homography(correspondences) -> np.ndarray:
     correspondences: sequence of ((px, py), (wx, wy)) pairs, at least 4.
     Returns the 3x3 matrix normalized to h22 = 1. Raises
     DegenerateCalibration when the configuration
-    cannot pin down a homography (e.g. 3 collinear world points among a
-    minimal set of 4).
+    cannot pin down a homography (e.g. a coordinate that is not finite, or
+    3 collinear world points among a minimal set of 4).
     """
     pairs = list(correspondences)
     if len(pairs) < 4:
@@ -96,6 +96,8 @@ def fit_homography(correspondences) -> np.ndarray:
             f"need at least 4 correspondences, got {len(pairs)}")
     src = np.array([p[0] for p in pairs], dtype=float)
     dst = np.array([p[1] for p in pairs], dtype=float)
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise DegenerateCalibration("correspondences must be finite")
     if len(pairs) == 4 and (has_collinear_triple(dst) or has_collinear_triple(src)):
         raise DegenerateCalibration("3 collinear points among a minimal set of 4")
 

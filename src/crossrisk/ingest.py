@@ -239,7 +239,15 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _pair(value, what: str, item=_real) -> tuple:
+def _finite(value, what: str) -> float:
+    """A finite number as a float."""
+    value = _real(value, what)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _pair(value, what: str, item=_finite) -> tuple:
     x, y = value
     return (item(x, what), item(y, what))
 
@@ -250,15 +258,23 @@ def _positive(value, what: str):
     return value
 
 
+def _polygon(value, what: str) -> list[tuple[float, float]]:
+    polygon = [_pair(p, what) for p in value]
+    if len(polygon) < 3:
+        raise ValueError(f"{what} needs at least 3 vertices, got {len(polygon)}")
+    return polygon
+
+
 def parse_spot_config(doc: dict) -> SpotConfig:
     """Validate a decoded spot configuration JSON document.
 
     Numbers are checked, not coerced: a bool or text where a number
-    belongs, or a float in `lanes`, `frame_skip` or `frame_size`, raises
-    TypeError, and a value out of range (`fps`, `crosswalk_length_m`,
-    `lanes`, `frame_skip` or a `frame_size` side not above 0, a crosswalk
-    polygon of fewer than 3 vertices, an approach direction of zero or
-    non-finite length) ValueError.
+    belongs, a float in `lanes`, `frame_skip` or `frame_size`, or a
+    `spot_id` that is not text raises TypeError, and a value out of range
+    ValueError: a coordinate or `cia_buffer_m` that is not finite,
+    `fps`, `crosswalk_length_m`, `speed_limit_kmh`, `lanes`, `frame_skip`
+    or a `frame_size` side not above 0, `cia_buffer_m` below 0, a polygon
+    of fewer than 3 vertices, an approach direction of zero length.
     An absent field raises MissingField and unusable correspondences
     DegenerateCalibration; a value of the wrong shape or out of range
     raises what reading it raises, which `stages.load_spot_config` reports
@@ -276,20 +292,21 @@ def parse_spot_config(doc: dict) -> SpotConfig:
             [c[1] for c in calibration]):
         raise DegenerateCalibration("3 collinear world points among the 4 used")
 
+    spot_id = _require(doc, "spot_id")
+    if type(spot_id) is not str:
+        raise TypeError(f"spot_id must be a string, got {spot_id!r}")
     frame_size = _pair(_require(doc, "frame_size"), "frame_size", _integer)
     for side in frame_size:
         _positive(side, "frame_size")
-    crosswalk = [_pair(p, "crosswalk_polygon_world")
-                 for p in _require(doc, "crosswalk_polygon_world")]
-    if len(crosswalk) < 3:
-        raise ValueError(f"crosswalk_polygon_world needs at least 3 "
-                         f"vertices, got {len(crosswalk)}")
     approach = _pair(_require(doc, "approach_direction_world"),
                      "approach_direction_world")
     _positive(math.hypot(*approach), "approach_direction_world's length")
+    cia_buffer_m = _finite(doc.get("cia_buffer_m", 3.0), "cia_buffer_m")
+    if cia_buffer_m < 0:
+        raise ValueError(f"cia_buffer_m must be >= 0, got {cia_buffer_m!r}")
 
     return SpotConfig(
-        spot_id=str(_require(doc, "spot_id")),
+        spot_id=spot_id,
         crosswalk_length_m=_positive(_real(
             _require(doc, "crosswalk_length_m"), "crosswalk_length_m"),
             "crosswalk_length_m"),
@@ -297,19 +314,21 @@ def parse_spot_config(doc: dict) -> SpotConfig:
         signalized=_flag(doc, "signalized"),
         school_zone=_flag(doc, "school_zone"),
         speed_camera=_flag(doc, "speed_camera"),
-        speed_limit_kmh=_real(_require(doc, "speed_limit_kmh"),
-                              "speed_limit_kmh"),
+        speed_limit_kmh=_positive(_real(
+            _require(doc, "speed_limit_kmh"), "speed_limit_kmh"),
+            "speed_limit_kmh"),
         frame_size=frame_size,
         fps=_positive(_real(_require(doc, "fps"), "fps"), "fps"),
         frame_skip=_positive(_integer(doc.get("frame_skip", 1), "frame_skip"),
                              "frame_skip"),
         calibration=calibration,
-        crosswalk_polygon_world=crosswalk,
+        crosswalk_polygon_world=_polygon(
+            _require(doc, "crosswalk_polygon_world"), "crosswalk_polygon_world"),
         sidewalk_polygons_world=[
-            [_pair(p, "sidewalk_polygons_world") for p in poly]
+            _polygon(poly, "sidewalk_polygons_world")
             for poly in _require(doc, "sidewalk_polygons_world")],
         approach_direction_world=approach,
-        cia_buffer_m=_real(doc.get("cia_buffer_m", 3.0), "cia_buffer_m"),
+        cia_buffer_m=cia_buffer_m,
     )
 
 

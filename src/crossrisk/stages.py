@@ -28,12 +28,13 @@ and keeps of them only their `features.jsonl` lines. A scene's rows of
 one object come in frame order, so each row is checked against the one
 before it as it is read, and a row out of order fails at its own line.
 
-A synthetic spot's `truth.json` holds the frame rate, the analytic PSM
-and stop flag of the scenario's first vehicle, the frames at which each
-agent was emitted (synthetic detection ids are agent ids, so these give
-every detection's provenance) and the scene spans of the emitted stream.
-It holds no sampled positions: they follow from the scenario's scripts,
-and `synth.generate` gives them again for the same spec.
+A synthetic spot's `truth.json` holds the analytic PSM and stop flag of
+the scenario's first vehicle, the frames at which each agent was emitted
+(synthetic detection ids are agent ids, so these give every detection's
+provenance) and the scene spans of the emitted stream. It holds no
+sampled positions and no frame rate: the positions follow from the
+scenario's scripts (`synth.AgentScript.world_at`), and the frame rate is
+in `config.json`.
 
 Stage files are self-describing: the first line names the schema. All
 writers sort their output canonically so results are byte-identical
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -66,6 +68,8 @@ from .features import FeatureParams, PedestrianZone, SceneFeatures, VehicleZone
 from .ingest import (
     ObjectClass,
     SpotConfig,
+    _integer,
+    _real,
     dumps_sorted,
     format_detection,
     json_float,
@@ -182,6 +186,18 @@ class PipelineConfig:
     tracker: TrackerParams = field(default_factory=TrackerParams)
     features: FeatureParams = field(default_factory=FeatureParams)
 
+    def __post_init__(self):
+        """The synth and worker fields checked, not coerced: TypeError for
+        a value of the wrong type, ValueError out of range."""
+        if not 0 <= _real(self.noise_sigma, "noise_sigma") < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if not 0 <= _real(self.drop_probability, "drop_probability") < 1:
+            raise ValueError("drop_probability must be >= 0 and < 1")
+        if _integer(self.bulk_scenes, "bulk_scenes") < 1:
+            raise ValueError("bulk_scenes must be >= 1")
+        if _integer(self.workers, "workers") < 1:
+            raise ValueError("workers must be >= 1")
+
     def spot_dirs(self) -> list[Path]:
         root = Path(self.out_dir)
         dirs = sorted(p for p in root.iterdir()
@@ -232,7 +248,6 @@ def load_detections(spot_dir: Path, config: SpotConfig):
 
 def _truth_record(truth: synth.GroundTruth) -> dict:
     return {
-        "fps": truth.fps,
         "psm_seconds": truth.psm_seconds,
         "stopped": truth.stopped,
         "emitted_frames": {k: v for k, v in sorted(truth.emitted_frames.items())},

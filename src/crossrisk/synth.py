@@ -4,10 +4,13 @@ Scenarios script agents as piecewise-linear world paths with timestamps.
 Generation projects the scripted positions through a genuinely oblique
 camera (so the rectification path is always exercised), samples them at
 the spot's stride, adds Gaussian pixel noise, and applies dropouts. The
-ground truth keeps the exact sampled world positions, the frames at which each
-agent was emitted (and from them the provenance of every detection), and
-analytic values (speeds, arrival-time PSM, stop flags) computed straight
-from the scripts, independent of any pipeline code path.
+scripts are the ground truth: `AgentScript.world_at` and
+`AgentScript.speed_list_kmh` give an agent's exact position and speed at
+any time or frames, so no sampled position is stored. `GroundTruth` keeps
+what the scripts alone do not give: the frames at which each agent was
+emitted (and from them the provenance of every detection) and the scene
+spans of the emitted stream. Its analytic PSM and stop flag are computed
+straight from the scripts, independent of any pipeline code path.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvalidSpec
-from .ingest import DetectionRecord, ObjectClass, SpotConfig
+from .ingest import DetectionRecord, ObjectClass, SpotConfig, parse_spot_config
 from .motion_gate import SceneSpan, hangover_frames_at, segment_scenes
 
 MPS_TO_KMH = 3.6
@@ -50,6 +53,19 @@ class AgentScript:
     def t_end(self) -> float:
         return self.waypoints[-1][0]
 
+    def world_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """World (x, y) in meters at the time(s) t in seconds: linear
+        between waypoints, held at the ends."""
+        ts, xs, ys = np.array(self.waypoints).T
+        return np.interp(t, ts, xs), np.interp(t, ts, ys)
+
+    def speed_list_kmh(self, frames: list[int], fps: float) -> list[float]:
+        """Analytic speeds between consecutive frames of any frame subset."""
+        xs, ys = self.world_at(np.asarray(frames) / fps)
+        pos = list(zip(xs.tolist(), ys.tolist()))
+        return [math.dist(a, b) / ((f1 - f0) / fps) * MPS_TO_KMH
+                for (a, b, f0, f1) in zip(pos, pos[1:], frames, frames[1:])]
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -62,26 +78,16 @@ class ScenarioSpec:
 
 
 @dataclass
-class TrueTrack:
-    """Exact sampled world positions of one agent, before noise and drops."""
-
-    frames: list[int]
-    world: list[tuple[float, float]]
-
-    def world_at(self, frame: int) -> tuple[float, float]:
-        return self.world[self.frames.index(frame)]
-
-
-@dataclass
 class GroundTruth:
-    """Everything a test needs to judge pipeline output on this scenario."""
+    """What the scripts alone do not give about one generated scenario:
+    the emitted frames, after blackouts and drops, and the scene spans of
+    the emitted stream; with the analytic PSM and stop flag of its first
+    vehicle."""
 
-    tracks: dict[str, TrueTrack]
-    emitted_frames: dict[str, list[int]]     # after blackouts and drops
+    emitted_frames: dict[str, list[int]]
     spans: list[SceneSpan]
     psm_seconds: float | None                # continuous arrival-time gap
     stopped: bool
-    fps: float = 25.0
 
     @cached_property
     def provenance(self) -> dict[tuple[int, str], str]:
@@ -89,13 +95,6 @@ class GroundTruth:
         synthetic detection ids are agent ids."""
         return {(frame, aid): aid for aid, frames in self.emitted_frames.items()
                 for frame in frames}
-
-    def speed_list_kmh(self, agent_id: str, frames: list[int]) -> list[float]:
-        """Analytic speeds over an arbitrary frame subset of one agent."""
-        track = self.tracks[agent_id]
-        pos = [track.world_at(f) for f in frames]
-        return [math.dist(a, b) / ((f1 - f0) / self.fps) * MPS_TO_KMH
-                for (a, b, f0, f1) in zip(pos, pos[1:], frames, frames[1:])]
 
 
 def synthetic_spot_config(spot_id: str = "synthA",
@@ -116,7 +115,6 @@ def synthetic_spot_config(spot_id: str = "synthA",
         {"pixel": [0.667 * w, 0.241 * h], "world": [30.0, 11.0]},
         {"pixel": [0.333 * w, 0.241 * h], "world": [-30.0, 11.0]},
     ]
-    from .ingest import parse_spot_config
     return parse_spot_config({
         "spot_id": spot_id,
         "crosswalk_length_m": 14.0,
@@ -202,7 +200,6 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
     fps, skip = config.fps, config.frame_skip
     rng = np.random.default_rng(spec.seed)
 
-    tracks: dict[str, TrueTrack] = {}
     emitted_frames: dict[str, list[int]] = {a.agent_id: [] for a in spec.agents}
     records: list[DetectionRecord] = []
 
@@ -213,9 +210,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
             continue
         frames = np.arange(first, last + 1, skip)
         t = frames / fps
-        wp_t = np.array([p[0] for p in agent.waypoints])
-        wx = np.interp(t, wp_t, [p[1] for p in agent.waypoints])
-        wy = np.interp(t, wp_t, [p[2] for p in agent.waypoints])
+        wx, wy = agent.world_at(t)
         homog = np.column_stack([wx, wy, np.ones_like(wx)]) @ inv_h.T
         px = homog[:, 0] / homog[:, 2]
         py = homog[:, 1] / homog[:, 2]
@@ -225,9 +220,6 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
             raise InvalidSpec(
                 f"{spec.name}: agent {agent.agent_id} projects outside the "
                 f"frame at t={t[bad]:.2f} ({px[bad]:.0f}, {py[bad]:.0f})")
-
-        tracks[agent.agent_id] = TrueTrack(
-            frames.tolist(), list(zip(wx.tolist(), wy.tolist())))
 
         visible = np.ones(len(frames), dtype=bool)
         for b0, b1 in agent.blackouts:
@@ -261,9 +253,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
     stopped = bool(vehicles) and _scripted_stop(
         vehicles[0], min(p[0] for p in config.crosswalk_polygon_world))
 
-    truth = GroundTruth(tracks=tracks, emitted_frames=emitted_frames,
-                        spans=spans, psm_seconds=psm_value, stopped=stopped,
-                        fps=fps)
+    truth = GroundTruth(emitted_frames=emitted_frames, spans=spans,
+                        psm_seconds=psm_value, stopped=stopped)
     return records, truth
 
 
@@ -331,7 +322,8 @@ def standard_corpus(noise_sigma: float = 0.0, drop_probability: float = 0.0,
     Scenario highlights: stop_and_go holds still less than 10 m short of
     the crosswalk; near_miss has a true PSM inside the riskiest positive
     range (0, 1.25); vehicle_first has a true PSM of -1.5; crossing_pair
-    and occlusion_gap stress identity keeping and connectivity.
+    and occlusion_gap stress identity keeping and connectivity. Each spec
+    comes with the truth `generate` gives for it.
     """
     corpus = []
     for i, (name, agents) in enumerate(_standard_scripts().items()):
@@ -343,10 +335,7 @@ def standard_corpus(noise_sigma: float = 0.0, drop_probability: float = 0.0,
             drop_probability=drop_probability,
             seed=seed + i,
         )
-        _, truth = generate(ScenarioSpec(
-            name=name, config=spec.config, agents=agents,
-            noise_sigma=0.0, drop_probability=0.0, seed=0))
-        corpus.append((spec, truth))
+        corpus.append((spec, generate(spec)[1]))
     return corpus
 
 

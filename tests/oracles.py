@@ -246,6 +246,19 @@ def random_crossing_spec(index: int, seed: int,
     )
 
 
+def script_position(script: AgentScript, t: float) -> tuple[float, float]:
+    """World (x, y) of a scripted agent at time t: the straight line of the
+    leg that holds t, held at the ends. Plain arithmetic, leg by leg."""
+    wps = script.waypoints
+    if t <= wps[0][0]:
+        return wps[0][1], wps[0][2]
+    for (t0, x0, y0), (t1, x1, y1) in zip(wps, wps[1:]):
+        if t <= t1:
+            s = (t - t0) / (t1 - t0)
+            return x0 + s * (x1 - x0), y0 + s * (y1 - y0)
+    return wps[-1][1], wps[-1][2]
+
+
 def emitted_detections(spec: ScenarioSpec):
     """Reference detection stream of `synth.generate`, built one detection
     at a time: (records, emitted frames per agent, provenance).

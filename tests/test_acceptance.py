@@ -65,6 +65,7 @@ def test_criterion_1_zero_noise_end_to_end_fidelity():
     params = TrackerParams()
     for spec, _ in standard_corpus():
         records, truth = synth.generate(spec)
+        scripts = {a.agent_id: a for a in spec.agents}
         config = spec.config
         calib = config.build_calibration()
         stride = config.frame_skip
@@ -94,7 +95,7 @@ def test_criterion_1_zero_noise_end_to_end_fidelity():
             if len(t) < 2:
                 continue
             agent = t.points[0].detection_id
-            expected = truth.speed_list_kmh(agent, t.frames)
+            expected = scripts[agent].speed_list_kmh(t.frames, config.fps)
             got = speed_list(t)
             for e, g in zip(expected, got):
                 assert abs(e - g) <= 1e-9 * max(1.0, abs(e)), spec.name

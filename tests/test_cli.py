@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import sys
 
 import pytest
@@ -212,6 +213,29 @@ def test_flag_the_stage_does_not_read_is_usage_error(tmp_path, capsys, argv):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--noise-sigma", "-1"],
+    ["--noise-sigma", "nan"],
+    ["--noise-sigma", "inf"],
+    ["--drop-probability", "1.5"],
+    ["--drop-probability", "1"],
+    ["--drop-probability", "-0.5"],
+    ["--corpus", "bulk", "--scenes", "-3"],
+    ["--corpus", "bulk", "--scenes", "0"],
+    ["--workers", "0"],
+], ids=" ".join)
+def test_flag_value_out_of_range_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run("all", "--out-dir", str(tmp_path), *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    field = {"--noise-sigma": "noise_sigma", "--drop-probability":
+             "drop_probability", "--scenes": "bulk_scenes",
+             "--workers": "workers"}[argv[-2]]
+    assert err.startswith(f"crossrisk: error: {field} must be ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_all_takes_every_stage_flag(tmp_path):
     from crossrisk.cli import build_parser, config_from_args
     args = build_parser().parse_args([
@@ -272,6 +296,11 @@ def test_bad_detection_id_is_data_error(tmp_path, capsys, edit):
     ("fps", "fast"),
     ("lanes", None),
     ("signalized", "false"),
+    # A NaN pixel, which the homography fit cannot use.
+    ("calibration", [{"pixel": [math.nan, 1000.0], "world": [-30.0, -11.0]},
+                     {"pixel": [1780.0, 1000.0], "world": [30.0, -11.0]},
+                     {"pixel": [1280.0, 260.0], "world": [30.0, 11.0]},
+                     {"pixel": [640.0, 260.0], "world": [-30.0, 11.0]}]),
 ])
 def test_bad_spot_config_is_data_error(tmp_path, capsys, key, value):
     assert _run("synth", "--out-dir", str(tmp_path), "--seed", "3") == 0

@@ -38,6 +38,16 @@ def test_fit_three_collinear_world_points_degenerate():
         fit_homography(pairs)
 
 
+@pytest.mark.parametrize("side, value", [
+    (0, math.nan), (0, math.inf), (1, math.nan), (1, -math.inf)])
+def test_fit_rejects_non_finite_correspondences(side, value):
+    pairs = [[p, (p[0] * 3.0, p[1] * 2.0)] for p in UNIT_SQUARE]
+    pairs.append([(0.5, 0.25), (1.5, 0.5)])
+    pairs[2][side] = (value, 1.0)
+    with pytest.raises(DegenerateCalibration):
+        fit_homography(pairs)
+
+
 def test_fit_needs_four_pairs():
     with pytest.raises(DegenerateCalibration):
         fit_homography([(p, p) for p in UNIT_SQUARE[:3]])

@@ -307,6 +307,23 @@ def test_config_round_trip():
     ("approach_direction_world", [math.nan, 1.0], ValueError),
     ("crosswalk_polygon_world", [], ValueError),
     ("crosswalk_polygon_world", [[0, 0], [4, 0]], ValueError),
+    # Coordinates are finite: a NaN pixel would reach the homography fit.
+    ("calibration", [{"pixel": [math.nan, 0], "world": [0, 0]}]
+     + _calibration_doc()[1:], ValueError),
+    ("calibration", [{"pixel": [0, 0], "world": [0, math.inf]}]
+     + _calibration_doc()[1:], ValueError),
+    ("crosswalk_polygon_world", [[0, 0], [4, 0], [math.nan, 10]], ValueError),
+    ("crosswalk_polygon_world", [[0, 0], [4, 0], [4, math.inf]], ValueError),
+    ("sidewalk_polygons_world", [[[0, 10], [4, 10], [4, math.nan]]], ValueError),
+    ("sidewalk_polygons_world", [[[0, 10], [-math.inf, 10], [4, 12]]],
+     ValueError),
+    ("sidewalk_polygons_world", [[[0, 10], [4, 10]]], ValueError),
+    ("cia_buffer_m", math.nan, ValueError),
+    ("cia_buffer_m", -3, ValueError),
+    ("speed_limit_kmh", -30, ValueError),
+    ("speed_limit_kmh", math.nan, ValueError),
+    ("spot_id", None, TypeError),
+    ("spot_id", 5, TypeError),
 ])
 def test_spot_config_numbers_are_checked_not_coerced(key, value, error):
     with pytest.raises(error):

@@ -578,7 +578,7 @@ def test_truth_sidecar_holds_no_sampled_positions(tmp_path):
     run_synth(cfg)
     for d in cfg.spot_dirs():
         truth = json.loads((d / "truth.json").read_text())
-        assert set(truth) == {"schema", "fps", "psm_seconds", "stopped",
+        assert set(truth) == {"schema", "psm_seconds", "stopped",
                               "emitted_frames", "spans"}, d.name
 
 

@@ -16,7 +16,7 @@ from crossrisk.synth import (
 )
 from crossrisk.tracker import TrackerParams, track_scene
 
-from oracles import emitted_detections, random_crossing_spec
+from oracles import emitted_detections, random_crossing_spec, script_position
 
 
 def _single_agent_spec(noise=0.0, drops=0.0, seed=0):
@@ -30,12 +30,13 @@ def _single_agent_spec(noise=0.0, drops=0.0, seed=0):
 def test_zero_noise_detections_equal_projected_path():
     spec = _single_agent_spec()
     records, truth = generate(spec)
-    track = truth.tracks["v0"]
-    assert len(records) == len(track.frames)
+    frames = truth.emitted_frames["v0"]
+    assert [rec.frame_index for rec in records] == frames
     # The true world path seen through the camera: world -> pixel is the
     # inverse of the spot's pixel -> world homography.
     inv_h = np.linalg.inv(spec.config.build_calibration().homography)
-    for rec, (x, y) in zip(records, track.world):
+    for rec, frame in zip(records, frames):
+        x, y = script_position(spec.agents[0], frame / spec.config.fps)
         u, v, w = inv_h @ np.array([x, y, 1.0])
         assert rec.contact_point_px == pytest.approx((u / w, v / w), abs=1e-9)
 
@@ -43,7 +44,7 @@ def test_zero_noise_detections_equal_projected_path():
 def test_different_seeds_same_truth_different_noise():
     rec1, truth1 = generate(_single_agent_spec(noise=2.0, seed=1))
     rec2, truth2 = generate(_single_agent_spec(noise=2.0, seed=2))
-    assert truth1.tracks["v0"].world == truth2.tracks["v0"].world
+    assert truth1 == truth2
     assert any(a.contact_point_px != b.contact_point_px
                for a, b in zip(rec1, rec2))
 
@@ -55,10 +56,14 @@ def test_same_seed_is_deterministic():
 
 
 def test_drops_remove_detections_but_not_truth():
-    full, _ = generate(_single_agent_spec())
+    full, full_truth = generate(_single_agent_spec())
     dropped, truth = generate(_single_agent_spec(drops=0.3, seed=5))
     assert len(dropped) < len(full)
-    assert len(truth.tracks["v0"].frames) == len(full)
+    emitted = truth.emitted_frames["v0"]
+    assert [rec.frame_index for rec in dropped] == emitted
+    assert set(emitted) < set(full_truth.emitted_frames["v0"])
+    assert (truth.psm_seconds, truth.stopped) == \
+        (full_truth.psm_seconds, full_truth.stopped)
 
 
 @pytest.mark.parametrize("spec", [
@@ -84,10 +89,12 @@ def test_blackouts_and_drops_thin_the_emitted_frames():
     spec = next(spec for spec, _ in standard_corpus(drop_probability=0.2)
                 if spec.name == "occlusion_gap")
     _, truth = generate(spec)
-    fps = spec.config.fps
+    fps, skip = spec.config.fps, spec.config.frame_skip
     emitted = truth.emitted_frames["v0"]
     assert not any(2.8 <= f / fps <= 3.9 for f in emitted)
-    assert 0 < len(emitted) < len(truth.tracks["v0"].frames)
+    sampled = range(0, int(spec.agents[0].t_end * fps) + 1, skip)
+    assert 0 < len(emitted) < len(sampled)
+    assert set(emitted) < set(sampled)
 
 
 def test_analytic_psm_crossing_example():
@@ -154,6 +161,7 @@ def test_waypoint_times_must_increase():
 
 def _trajectory_rmse(spec):
     records, truth = generate(spec)
+    scripts = {a.agent_id: a for a in spec.agents}
     config = spec.config
     calib = config.build_calibration()
     trajs = track_scene(records, TrackerParams(), calib, fps=config.fps,
@@ -164,7 +172,7 @@ def _trajectory_rmse(spec):
             agent = truth.provenance.get((p.frame, p.detection_id))
             if agent is None:
                 continue
-            true_world = truth.tracks[agent].world_at(p.frame)
+            true_world = script_position(scripts[agent], p.frame / config.fps)
             errs.append(math.dist(p.world, true_world) ** 2)
     return math.sqrt(np.mean(errs))
 
@@ -188,10 +196,42 @@ def test_random_crossing_specs_have_two_crossing_vehicles():
         spec = random_crossing_spec(i, seed=1)
         assert len(spec.agents) == 2
         records, truth = generate(spec)
-        assert set(truth.tracks) == {"v0", "v1"}
+        assert set(truth.emitted_frames) == {"v0", "v1"}
+        assert all(truth.emitted_frames.values())
         a, b = spec.agents
         hit = analytic_psm(a, b)
         assert hit is not None          # the paths really cross
+
+
+_SCRIPTS = {f"{spec.name}-{a.agent_id}": a
+            for spec in [*(spec for spec, _ in standard_corpus()),
+                         *(random_crossing_spec(i, seed=1) for i in range(3))]
+            for a in spec.agents}
+
+
+@pytest.mark.parametrize("script", _SCRIPTS.values(), ids=_SCRIPTS.keys())
+def test_world_at_is_the_leg_by_leg_interpolation(script):
+    """At every waypoint and inside every leg, to 1e-12 m."""
+    wps = script.waypoints
+    times = [w[0] for w in wps] + [
+        t0 + f * (t1 - t0) for (t0, _, _), (t1, _, _) in zip(wps, wps[1:])
+        for f in (0.1, 0.5, 0.93)]
+    xs, ys = script.world_at(np.array(times))
+    for t, x, y in zip(times, xs.tolist(), ys.tolist()):
+        ex, ey = script_position(script, t)
+        assert abs(x - ex) <= 1e-12 and abs(y - ey) <= 1e-12, t
+
+
+def test_speed_list_kmh_is_the_leg_speed():
+    """single_pass drives one leg at 8 m/s: 28.8 km/h between any frames."""
+    spec, truth = next((s, t) for s, t in standard_corpus()
+                       if s.name == "single_pass")
+    frames = truth.emitted_frames["v0"]
+    for subset in (frames, frames[::3]):
+        speeds = spec.agents[0].speed_list_kmh(subset, spec.config.fps)
+        assert len(speeds) == len(subset) - 1
+        for speed in speeds:
+            assert abs(speed - 28.8) <= 1e-9 * 28.8
 
 
 def test_traffic_spec_scales_with_scene_count():
