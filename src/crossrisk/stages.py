@@ -18,7 +18,10 @@ once; each scene then holds the points of the run's tracks that lie in its
 window, one line each. The runs are written in frame order and each run
 point by point: a point's lines for all the scenes that hold it follow
 one another and differ only in `scene_id`, so the extract stage decodes
-each point once and reuses it for the others.
+each point once and reuses it for the others. Each line is encoded as it
+is written, so the stage holds one run's tracks at a time and never the
+text of its lines; over a pool of workers, the workers return tracks and
+this process encodes them.
 
 `trajectories.jsonl` keeps this run order: all rows of a run come before
 those of the next run in `scene_runs` order, and every row's scene is
@@ -38,7 +41,10 @@ in `config.json`.
 
 Stage files are self-describing: the first line names the schema. All
 writers sort their output canonically so results are byte-identical
-regardless of worker count. The analyze stage only reads each spot's
+regardless of worker count. A `.jsonl` stage file appears only whole: it
+is written under a temporary name and renamed, and a stage that fails
+while writing it leaves no file, so the next stage stops on the missing
+file rather than read a part. The analyze stage only reads each spot's
 config and features: `analytics` owns both the analysis policy and the
 layout of `analysis.json`. `analysis_record` builds that record and
 `emit_report` renders it, so the report stage can be rerun from that file
@@ -50,6 +56,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -97,12 +104,26 @@ SCHEMAS = {
 
 
 def write_jsonl(path, schema_key: str, lines) -> None:
-    """A stage file: the schema header, then one line per encoded row."""
+    """A stage file: the schema header, then one line per encoded row.
+
+    The file is written under a temporary name beside `path` and renamed
+    to `path` once whole. When writing fails, also when taking a line from
+    `lines` raises, neither that file nor one at `path` is left, so a
+    later stage fails on the missing file instead of reading a part.
+    """
+    path = Path(path)
+    part = path.with_name(f".{path.name}.part")
     try:
-        with open(path, "w") as fh:
-            fh.write(dumps_sorted({"schema": SCHEMAS[schema_key]}) + "\n")
-            for line in lines:
-                fh.write(line + "\n")
+        try:
+            with open(part, "w") as fh:
+                fh.write(dumps_sorted({"schema": SCHEMAS[schema_key]}) + "\n")
+                for line in lines:
+                    fh.write(line + "\n")
+            os.replace(part, path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -367,19 +388,20 @@ def _row_halves(cls: str, object_id: str, p: TrackPoint) -> tuple[str, str]:
     return head, tail
 
 
-def scene_lines(trajectories: list[Trajectory], scenes: list[SceneSpan]
-                ) -> tuple[list[str], int]:
-    """A run's `trajectories.jsonl` lines, point-major, and the number of
-    distinct points they hold.
+def scene_lines(trajectories: list[Trajectory], scenes: list[SceneSpan],
+                counts: Counter | None = None):
+    """A run's `trajectories.jsonl` lines, point-major, each point encoded
+    as its lines are taken.
 
     Tracks go in the order given (object id order) and points in frame
     order. Right after each point come its rows for every scene whose
     window holds its frame, in the order of `scenes`, so rows that differ
     only in `scene_id` sit next to each other for `read_trajectories` to
     reuse. Each point is encoded once; a point in no window is not written.
+    When given, `counts` gains, once the lines are all taken, the number
+    of rows ("rows") and of distinct points ("points") among them.
     """
-    lines: list[str] = []
-    points = 0
+    rows = points = 0
     ids = [dumps_sorted(s.scene_id) for s in scenes]
     for traj in trajectories:
         frames = traj.frames
@@ -394,25 +416,29 @@ def scene_lines(trajectories: list[Trajectory], scenes: list[SceneSpan]
         for p, sids in zip(traj.points, in_scenes):
             if sids:
                 head, tail = _row_halves(cls, traj.object_id, p)
-                lines += [head + sid + tail for sid in sids]
+                for sid in sids:
+                    yield head + sid + tail
+                rows += len(sids)
                 points += 1
-    return lines, points
+    if counts is not None:
+        counts.update(rows=rows, points=points)
 
 
 def _track_run_job(args):
+    """A run of scene windows and the tracks of its detections; the caller
+    encodes their lines with `scene_lines`, so a pool returns tracks, not
+    text."""
     scenes, records, config, calib, params = args
-    trajectories = tracker.track_scene(records, params, calib,
-                                       fps=config.fps,
+    return scenes, tracker.track_scene(records, params, calib, fps=config.fps,
                                        frame_stride=config.frame_skip)
-    return scene_lines(trajectories, scenes)
 
 
 def run_track(cfg: PipelineConfig) -> None:
     """Track every run of scene windows, the runs of all spots in one
     `_map_jobs` call, and write each spot's `trajectories.jsonl` in spot
-    order as its runs' results arrive. With one worker a spot's detections
-    are read when its first run is tracked, and one run's lines are held
-    at a time."""
+    order, each run's lines encoded as they are written. With one worker
+    a spot's detections are read when its first run is tracked, and one
+    run's tracks are held at a time, never its text."""
     spots = [(spot_dir, load_spot_config(spot_dir),
               scene_runs(read_scenes(spot_dir))) for spot_dir in cfg.spot_dirs()]
 
@@ -428,20 +454,14 @@ def run_track(cfg: PipelineConfig) -> None:
 
     results = _map_jobs(_track_run_job, jobs(), cfg.workers)
     for spot_dir, config, runs in spots:
-        rows = points = 0
-
-        def lines(n_runs: int):
-            nonlocal rows, points
-            for run_lines, run_points in islice(results, n_runs):
-                rows += len(run_lines)
-                points += run_points
-                yield from run_lines
-
-        write_jsonl(spot_dir / "trajectories.jsonl", "trajectories",
-                    lines(len(runs)))
+        counts = Counter()
+        lines = (line for scenes, trajectories in islice(results, len(runs))
+                 for line in scene_lines(trajectories, scenes, counts))
+        write_jsonl(spot_dir / "trajectories.jsonl", "trajectories", lines)
         log.info("spot %s: tracked %d scenes in %d runs, %d trajectory rows "
                  "of %d distinct points", config.spot_id,
-                 sum(map(len, runs)), len(runs), rows, points)
+                 sum(map(len, runs)), len(runs), counts["rows"],
+                 counts["points"])
 
 
 _CLASSES = {c.value: c for c in ObjectClass}
@@ -746,7 +766,9 @@ def _map_jobs(fn, jobs, workers: int):
     it takes each job from `jobs` and runs it in this process when its
     result is taken. More first list every job, then map them over a pool
     of processes, which is imported only then, since every run pays for
-    the import."""
+    the import. The pool sends back what `fn` returns: the track stage's
+    tracks, which this process encodes as it writes them, and the extract
+    stage's lines."""
     if workers <= 1:
         return map(fn, jobs)
     jobs = list(jobs)

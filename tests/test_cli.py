@@ -146,6 +146,29 @@ def test_trajectory_row_of_an_unlisted_scene_is_data_error(tmp_path, capsys):
         f"line {len(lines)}: {path}: scene 's9999' is not listed")
 
 
+def test_failed_stage_leaves_no_file_for_the_next(tmp_path, capsys):
+    # Track reads a spot's detections while it writes the spot's
+    # trajectories; a bad line near the end fails it midway. The part it
+    # wrote must not be left for extract to read as a spot with no tracks.
+    assert _run("all", "--out-dir", str(tmp_path), "--corpus", "bulk",
+                "--scenes", "20", "--noise-sigma", "1.0", "--seed", "3") == 0
+    path = tmp_path / "bulk" / "detections.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-3] = "{bad json\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert _run("track", "--out-dir", str(tmp_path)) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert sorted(p.name for p in path.parent.iterdir()) == [
+        "config.json", "detections.jsonl", "features.jsonl", "scenes.jsonl",
+        "truth.json"]
+    assert _run("extract", "--out-dir", str(tmp_path)) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "IoFailure"
+    assert "trajectories.jsonl" in diagnostic["message"]
+
+
 @pytest.mark.parametrize("document, problem", [
     ('{"features": {"alpha": 0.2}}', "features.alpha is set by --alpha"),
     ('{"tracker": {"gate": 3}}', "unknown key tracker.gate"),

@@ -1,5 +1,7 @@
+import itertools
 import json
 import tempfile
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -21,9 +23,14 @@ from crossrisk.features import (
     SceneFeatures,
     VehicleZone,
 )
-from crossrisk.ingest import ObjectClass, dumps_sorted
+from crossrisk.ingest import (
+    ObjectClass,
+    dumps_sorted,
+    format_detection,
+    spot_config_to_dict,
+)
 from crossrisk.motion_gate import SceneSpan
-from crossrisk import stages, tracker
+from crossrisk import stages, synth, tracker
 from crossrisk.stages import (
     PipelineConfig,
     _row_halves,
@@ -248,7 +255,32 @@ def test_scene_lines_are_dumps_sorted_of_each_full_row(run):
     points = sum(1 for t in tracks for p in t.points
                  if any(s.frame_start <= p.frame <= s.frame_end
                         for s in scenes))
-    assert scene_lines(tracks, scenes) == (expected, points)
+    counts = Counter()
+    assert list(scene_lines(tracks, scenes, counts)) == expected
+    assert (counts["rows"], counts["points"]) == (len(expected), points)
+
+
+def test_scene_lines_encode_each_point_as_its_lines_are_taken(monkeypatch):
+    encoded = []
+
+    def recording(cls, object_id, p):
+        encoded.append(p.frame)
+        return _row_halves(cls, object_id, p)
+
+    monkeypatch.setattr(stages, "_row_halves", recording)
+    track = make_traj("t0", ObjectClass.VEHICLE, range(5),
+                      [(k, 0) for k in range(5)])
+    scenes = [SceneSpan("s0", "v", 0, 3, False),
+              SceneSpan("s1", "v", 1, 4, False)]
+    counts = Counter()
+    lines = scene_lines([track], scenes, counts)
+    assert encoded == []
+    assert [json.loads(next(lines))["scene_id"] for _ in range(3)] \
+        == ["s0", "s0", "s1"]
+    assert encoded == [0, 1] and not counts
+    assert len(list(lines)) == 5
+    assert encoded == [0, 1, 2, 3, 4]
+    assert (counts["rows"], counts["points"]) == (8, 5)
 
 
 _row_floats = _tricky_floats | st.sampled_from([
@@ -288,12 +320,10 @@ def _run_lines(tracks, scenes):
     """The `trajectories.jsonl` lines of `tracks`, each run's `scene_lines`
     in `scene_runs` order, as the track stage writes them, and the number
     of distinct points they hold."""
-    lines, points = [], 0
-    for run in scene_runs(scenes):
-        run_lines, run_points = scene_lines(tracks, run)
-        lines += run_lines
-        points += run_points
-    return lines, points
+    counts = Counter()
+    lines = [line for run in scene_runs(scenes)
+             for line in scene_lines(tracks, run, counts)]
+    return lines, counts["points"]
 
 
 @given(_runs())
@@ -607,3 +637,33 @@ def test_track_maps_the_runs_of_every_spot_at_once(tmp_path, monkeypatch):
     first, copy = ((d / "trajectories.jsonl").read_bytes()
                    for d in cfg.spot_dirs())
     assert first == copy
+
+
+def test_track_holds_a_runs_tracks_not_the_text_of_its_lines(tmp_path):
+    # Slow vehicles entering every 1.5 s across four lanes, as in busy
+    # traffic: about eleven on the road at once, so the windows form one
+    # long run and each point lies in about eleven scenes. The text of the
+    # run's lines is then larger than everything the stage needs to hold.
+    lanes = itertools.cycle((-3.5, -1.5, 1.5, 3.5))
+    agents = tuple(synth.AgentScript(f"v{i:03d}", ObjectClass.VEHICLE, (
+        (1.5 * i, -26.0, lane), (1.5 * i + 17.0, 26.0, lane)))
+        for i, lane in zip(range(24), lanes))
+    spec = synth.ScenarioSpec("busy", synth.synthetic_spot_config("busy"),
+                              agents, noise_sigma=1.0, seed=5)
+    records, _ = synth.generate(spec)
+    spot_dir = tmp_path / "busy"
+    spot_dir.mkdir()
+    (spot_dir / "config.json").write_text(
+        json.dumps(spot_config_to_dict(spec.config)))
+    write_jsonl(spot_dir / "detections.jsonl", "detections",
+                map(format_detection, records))
+    cfg = PipelineConfig(out_dir=tmp_path)
+    run_segment(cfg)
+    assert len(scene_runs(read_scenes(spot_dir))) == 1
+    tracemalloc.start()
+    try:
+        run_track(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (spot_dir / "trajectories.jsonl").stat().st_size
