@@ -12,8 +12,15 @@ as a detection. Confidence scores, when present, are accepted and ignored.
 
 The parse is strict: the first bad line raises a line-numbered
 MalformedRecord (or one of its subclasses), and nothing is skipped or
-repaired. An id is a string or an integer (not a bool); an integer id
-becomes its decimal text. Ids are unique within a frame.
+repaired. A line must be UTF-8 text. An id is a string or an integer (not
+a bool); an integer id becomes its decimal text. Ids are unique within a
+frame.
+
+A spot's detection stream is the pipeline's largest input: it grows with
+the hours of footage, and the segment and track stages each read a whole
+spot's stream. So the parse returns a `DetectionTable`, which holds the
+stream as columns, about 43 bytes a detection where a list of
+`DetectionRecord`s held 276, and builds a record only when one is read.
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from . import geometry
@@ -90,6 +100,62 @@ class DetectionRecord(NamedTuple):
     detection_id: str
 
 
+# `DetectionRecord(*fields)` by the tuple constructor, which skips the
+# Python-level `__new__` that NamedTuple adds: about 40 % less time.
+_new_record = tuple.__new__
+
+
+class DetectionTable(Sequence):
+    """A frame-ordered detection stream, held as columns: frames in an
+    int64 `array`, contact points in two double `array`s, and per record
+    one reference to its `ObjectClass` and one to its id, each distinct id
+    string stored once. That is 40 bytes a detection, before the columns'
+    spare room. A `DetectionRecord` is built only when one is indexed or
+    iterated over; a slice is a table of copied columns. Nothing changes
+    the columns once the table is built.
+    """
+
+    __slots__ = ("frames", "xs", "ys", "classes", "ids")
+
+    def __init__(self, frames: array, xs: array, ys: array,
+                 classes: list[ObjectClass], ids: list[str]):
+        if not len(frames) == len(xs) == len(ys) == len(classes) == len(ids):
+            raise ValueError("detection columns of unequal lengths")
+        self.frames = frames
+        self.xs = xs
+        self.ys = ys
+        self.classes = classes
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DetectionTable(self.frames[i], self.xs[i], self.ys[i],
+                                  self.classes[i], self.ids[i])
+        return DetectionRecord(self.frames[i], self.classes[i],
+                               (self.xs[i], self.ys[i]), self.ids[i])
+
+    def __iter__(self):
+        return map(_new_record, repeat(DetectionRecord), zip(
+            self.frames, self.classes, zip(self.xs, self.ys), self.ids))
+
+
+def is_utf8(line: str) -> bool:
+    """Whether `line` is text that UTF-8 can encode. A file opened with
+    `errors="surrogateescape"` reads each byte that is not UTF-8 as a lone
+    surrogate, which UTF-8 cannot encode; the check costs nothing on an
+    ASCII line."""
+    if line.isascii():
+        return True
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class SpotConfig:
     """Per-camera metadata plus calibration and zone geometry."""
@@ -127,14 +193,25 @@ def _is_header(obj) -> bool:
             and type(obj.get("schema")) is str)
 
 
-def parse_detections(stream, config: SpotConfig) -> list[DetectionRecord]:
-    """Parse line-delimited detection records in frame order.
+# The largest frame an int64 column holds.
+_MAX_FRAME = 2**63 - 1
 
-    stream is an iterable of lines (an open text file works). Blank lines
-    and a schema header on line 1 (see the module docstring) are skipped;
-    the first bad line raises.
+
+def parse_detections(stream, config: SpotConfig) -> DetectionTable:
+    """Parse line-delimited detection records in frame order, into a
+    `DetectionTable` (see the module docstring for why columns).
+
+    stream is an iterable of lines (an open text file works; open it with
+    `errors="surrogateescape"`, so that a byte that is not UTF-8 fails at
+    its own line). Blank lines and a schema header on line 1 (see the
+    module docstring) are skipped; the first bad line raises.
     """
-    records: list[DetectionRecord] = []
+    frames = array("q")
+    xs = array("d")
+    ys = array("d")
+    classes: list[ObjectClass] = []
+    ids: list[str] = []
+    distinct_ids: dict[str, str] = {}
     w, h = config.frame_size
     skip = config.frame_skip
     previous_frame = 0
@@ -143,6 +220,8 @@ def parse_detections(stream, config: SpotConfig) -> list[DetectionRecord]:
         line = raw.strip()
         if not line:
             continue
+        if not is_utf8(line):
+            raise MalformedRecord(line_number, "not UTF-8 text")
         try:
             obj = json_line(line)
         except ValueError as exc:   # JSONDecodeError, or an int too long
@@ -189,15 +268,22 @@ def parse_detections(stream, config: SpotConfig) -> list[DetectionRecord]:
                 raise MalformedRecord(
                     line_number,
                     f"frame {frame} is not a multiple of frame_skip {skip}")
+            if frame > _MAX_FRAME:
+                raise MalformedRecord(
+                    line_number, f"frame {frame} is past the last frame "
+                    f"a 64-bit integer holds, {_MAX_FRAME}")
             previous_frame = frame
             frame_ids.clear()
         elif det_id in frame_ids:
             raise MalformedRecord(
                 line_number, f"id {det_id!r} repeated in frame {frame}")
         frame_ids.add(det_id)
-        records.append(DetectionRecord(frame, cls, (float(x), float(y)),
-                                       det_id))
-    return records
+        frames.append(frame)
+        xs.append(x)
+        ys.append(y)
+        classes.append(cls)
+        ids.append(distinct_ids.setdefault(det_id, det_id))
+    return DetectionTable(frames, xs, ys, classes, ids)
 
 
 def format_detection(record: DetectionRecord) -> str:

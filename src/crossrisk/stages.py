@@ -18,10 +18,12 @@ once; each scene then holds the points of the run's tracks that lie in its
 window, one line each. The runs are written in frame order and each run
 point by point: a point's lines for all the scenes that hold it follow
 one another and differ only in `scene_id`, so the extract stage decodes
-each point once and reuses it for the others. Each line is encoded as it
-is written, so the stage holds one run's tracks at a time and never the
-text of its lines; over a pool of workers, the workers return tracks and
-this process encodes them.
+each point once and reuses it for the others. A spot's detections are
+held as columns (`ingest.DetectionTable`), and each run's are cut from
+the frame column, so detection records are built only for the run being
+tracked. Each line is encoded as it is written, so the stage holds one
+run's tracks at a time and never the text of its lines; over a pool of
+workers, the workers return tracks and this process encodes them.
 
 `trajectories.jsonl` keeps this run order: all rows of a run come before
 those of the next run in `scene_runs` order, and every row's scene is
@@ -59,9 +61,9 @@ import math
 import os
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from . import analytics, features as feat, motion_gate, synth, tracker
@@ -73,12 +75,14 @@ from .errors import (
 )
 from .features import FeatureParams, PedestrianZone, SceneFeatures, VehicleZone
 from .ingest import (
+    DetectionTable,
     ObjectClass,
     SpotConfig,
     _integer,
     _real,
     dumps_sorted,
     format_detection,
+    is_utf8,
     json_float,
     json_int,
     json_line,
@@ -147,20 +151,25 @@ def _stage_lines(path, schema_key: str):
     """The number and text of each line after a stage file's schema
     header, blank lines included, read as they are taken.
 
-    A wrong header raises MalformedRecord at line 1 and a file that cannot
-    be read IoFailure; `_bad_row` gives the error for a row its reader
-    cannot read.
+    A line that is not UTF-8 text or a wrong header raises MalformedRecord
+    at its line and a file that cannot be read IoFailure; `_bad_row` gives
+    the error for a row its reader cannot read.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             first = fh.readline()
+            if not is_utf8(first):
+                raise MalformedRecord(1, f"{path}: not UTF-8 text")
             header = json.loads(first) if first.strip() else {}
             found = header.get("schema") if isinstance(header, dict) else header
             if found != SCHEMAS[schema_key]:
                 raise MalformedRecord(
                     1, f"{path}: expected schema {SCHEMAS[schema_key]!r}, "
                     f"found {found!r}")
-            yield from enumerate(fh, start=2)
+            for n, line in enumerate(fh, start=2):
+                if not is_utf8(line):
+                    raise MalformedRecord(n, f"{path}: not UTF-8 text")
+                yield n, line
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:     # the header's
@@ -256,9 +265,10 @@ def load_spot_config(spot_dir: Path) -> SpotConfig:
                           parse_spot_config)
 
 
-def load_detections(spot_dir: Path, config: SpotConfig):
+def load_detections(spot_dir: Path, config: SpotConfig) -> DetectionTable:
     try:
-        with open(spot_dir / "detections.jsonl") as fh:
+        with open(spot_dir / "detections.jsonl", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             return parse_detections(fh, config)
     except OSError as exc:
         raise IoFailure(f"cannot read {spot_dir}/detections.jsonl: {exc}") from exc
@@ -436,9 +446,11 @@ def _track_run_job(args):
 def run_track(cfg: PipelineConfig) -> None:
     """Track every run of scene windows, the runs of all spots in one
     `_map_jobs` call, and write each spot's `trajectories.jsonl` in spot
-    order, each run's lines encoded as they are written. With one worker
-    a spot's detections are read when its first run is tracked, and one
-    run's tracks are held at a time, never its text."""
+    order, each run's lines encoded as they are written. A spot's
+    detections are read when its first run is taken, and each run's are
+    cut from their frame column, so records are built only for the run
+    being tracked. With one worker one run's tracks are held at a time,
+    never its text."""
     spots = [(spot_dir, load_spot_config(spot_dir),
               scene_runs(read_scenes(spot_dir))) for spot_dir in cfg.spot_dirs()]
 
@@ -446,7 +458,7 @@ def run_track(cfg: PipelineConfig) -> None:
         for spot_dir, config, runs in spots:
             calib = config.build_calibration()
             records = load_detections(spot_dir, config)
-            frames = [r.frame_index for r in records]   # already frame-ordered
+            frames = records.frames     # already frame-ordered
             for run in runs:
                 lo = bisect_left(frames, run[0].frame_start)
                 hi = bisect_right(frames, max(s.frame_end for s in run))
@@ -762,26 +774,57 @@ def run_report(cfg: PipelineConfig) -> list[Path]:
 
 
 def _map_jobs(fn, jobs, workers: int):
-    """An iterator of `fn` over `jobs`, in order. Only one worker streams:
-    it takes each job from `jobs` and runs it in this process when its
-    result is taken. More first list every job, then map them over a pool
-    of processes, which is imported only then, since every run pays for
-    the import. The pool sends back what `fn` returns: the track stage's
-    tracks, which this process encodes as it writes them, and the extract
-    stage's lines."""
+    """An iterator of `fn` over `jobs`, in order, which takes the jobs
+    from `jobs` as it goes. One worker takes each job when its result is
+    taken and runs it in this process. More run the jobs on one pool of
+    processes, started only once a second job is there, in chunks (see
+    `_chunks`), and keep at most `_CHUNKS_IN_FLIGHT` chunks per worker
+    sent and not yet taken back, so this process holds no more jobs than
+    that at once. The pool module is imported only then, since every run
+    pays for the import. The pool sends back what `fn` returns: the track
+    stage's tracks, which this process encodes as it writes them, and the
+    extract stage's lines."""
+    jobs = iter(jobs)
     if workers <= 1:
         return map(fn, jobs)
-    jobs = list(jobs)
-    if len(jobs) <= 1:
-        return map(fn, jobs)
-    return _pool_map(fn, jobs, workers)
+    head = list(islice(jobs, 2))
+    if len(head) <= 1:
+        return map(fn, head)
+    return _pool_map(fn, chain(head, jobs), workers)
 
 
-def _pool_map(fn, jobs: list, workers: int):
+# Chunks per worker sent to the pool and not yet taken back: enough that a
+# worker has its next chunk queued when it finishes one.
+_CHUNKS_IN_FLIGHT = 2
+# The most jobs in one chunk.
+_MAX_CHUNK = 32
+
+
+def _chunks(jobs):
+    """`jobs` in lists of 1, 2, 4, ... and then `_MAX_CHUNK` jobs: a few
+    large jobs (crowd's one run per spot) still spread over the workers,
+    and many small ones (a scene each) pay the pool's cost per call once
+    a chunk."""
+    size = 1
+    while chunk := list(islice(jobs, size)):
+        yield chunk
+        size = min(2 * size, _MAX_CHUNK)
+
+
+def _run_chunk(fn, chunk: list) -> list:
+    return [fn(job) for job in chunk]
+
+
+def _pool_map(fn, jobs, workers: int):
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, jobs,
-                            chunksize=max(1, len(jobs) // (4 * workers)))
+        sent = deque()
+        for chunk in _chunks(jobs):
+            sent.append(pool.submit(_run_chunk, fn, chunk))
+            if len(sent) >= _CHUNKS_IN_FLIGHT * workers:
+                yield from sent.popleft().result()
+        while sent:
+            yield from sent.popleft().result()
 
 
 def run_all(cfg: PipelineConfig) -> None:

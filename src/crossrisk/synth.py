@@ -3,7 +3,10 @@
 Scenarios script agents as piecewise-linear world paths with timestamps.
 Generation projects the scripted positions through a genuinely oblique
 camera (so the rectification path is always exercised), samples them at
-the spot's stride, adds Gaussian pixel noise, and applies dropouts. The
+the spot's stride, adds Gaussian pixel noise, and applies dropouts. It
+works on numpy columns per agent and orders the whole stream with one
+`np.lexsort`, so it builds no per-detection list and sorts nothing in
+Python; the stream comes back as an `ingest.DetectionTable`. The
 scripts are the ground truth: `AgentScript.world_at` and
 `AgentScript.speed_list_kmh` give an agent's exact position and speed at
 any time or frames, so no sampled position is stored. `GroundTruth` keeps
@@ -16,15 +19,14 @@ straight from the scripts, independent of any pipeline code path.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .ingest import DetectionRecord, ObjectClass, SpotConfig, parse_spot_config
+from .ingest import DetectionTable, ObjectClass, SpotConfig, parse_spot_config
 from .motion_gate import SceneSpan, hangover_frames_at, segment_scenes
 
 MPS_TO_KMH = 3.6
@@ -185,13 +187,14 @@ def _scripted_stop(vehicle: AgentScript, crosswalk_min_x: float) -> bool:
     return False
 
 
-def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
+def generate(spec: ScenarioSpec) -> tuple[DetectionTable, GroundTruth]:
     """Emit the detection stream and exact ground truth for one scenario.
 
     Work is vectorized per agent, so cost scales with the number of emitted
-    detections, not frames times agents: each agent's records are built
-    from its visible columns in one call, with no Python loop per
-    detection.
+    detections, not frames times agents, and no Python object is made per
+    detection: each agent's visible frames and points stay numpy columns,
+    one `np.lexsort` on (frame, agent id) orders them all, and the stream
+    is returned as a `DetectionTable` of the sorted columns.
     """
     config = spec.config
     calib = config.build_calibration()
@@ -201,14 +204,17 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
     rng = np.random.default_rng(spec.seed)
 
     emitted_frames: dict[str, list[int]] = {a.agent_id: [] for a in spec.agents}
-    records: list[DetectionRecord] = []
+    agents = sorted(spec.agents, key=lambda a: a.agent_id)
+    # Each agent's visible (frames, x, y, rank in agent id order).
+    columns = [(np.empty(0, np.int64), np.empty(0), np.empty(0),
+                np.empty(0, np.intp))]
 
-    for agent in sorted(spec.agents, key=lambda a: a.agent_id):
+    for rank, agent in enumerate(agents):
         first = int(math.ceil(agent.t_start * fps / skip)) * skip
         last = int(math.floor(agent.t_end * fps / skip)) * skip
         if last < first:
             continue
-        frames = np.arange(first, last + 1, skip)
+        frames = np.arange(first, last + 1, skip, dtype=np.int64)
         t = frames / fps
         wx, wy = agent.world_at(t)
         homog = np.column_stack([wx, wy, np.ones_like(wx)]) @ inv_h.T
@@ -233,13 +239,22 @@ def generate(spec: ScenarioSpec) -> tuple[list[DetectionRecord], GroundTruth]:
                          0.0, w - 1e-6)
             ey = np.clip(ey + rng.normal(0.0, spec.noise_sigma, len(frames)),
                          0.0, h - 1e-6)
-        aid = agent.agent_id
-        shown = emitted_frames[aid] = frames[visible].tolist()
-        records.extend(map(DetectionRecord, shown, repeat(agent.object_class),
-                           zip(ex[visible].tolist(), ey[visible].tolist()),
-                           repeat(aid)))
+        shown = frames[visible]
+        emitted_frames[agent.agent_id] = shown.tolist()
+        columns.append((shown, ex[visible], ey[visible],
+                        np.full(len(shown), rank, dtype=np.intp)))
 
-    records.sort(key=itemgetter(0, 3))   # frame_index, detection_id
+    frames, xs, ys, ranks = map(np.concatenate, zip(*columns))
+    order = np.lexsort((ranks, frames))
+    ranks = ranks[order]
+    records = DetectionTable(
+        array("q", frames[order].tobytes()), array("d", xs[order].tobytes()),
+        array("d", ys[order].tobytes()),
+        np.array([a.object_class for a in agents], dtype=object)[ranks].tolist(),
+        np.array([a.agent_id for a in agents], dtype=object)[ranks].tolist())
+    # The numpy columns, a few times the table's size, go before the
+    # segmentation below adds its own.
+    del columns, frames, xs, ys, ranks, order
     spans = segment_scenes(records, hangover_frames_at(fps))
 
     vehicles = [a for a in spec.agents if a.object_class is ObjectClass.VEHICLE]

@@ -108,6 +108,28 @@ def test_misshapen_stage_row_is_data_error(tmp_path, capsys, stage, rel, line,
     assert diagnostic["message"].startswith(f"line {line}: ")
 
 
+@pytest.mark.parametrize("stage, rel", [
+    ("segment", "single_pass/detections.jsonl"),
+    ("extract", "single_pass/trajectories.jsonl"),
+])
+def test_byte_not_utf8_in_a_stage_file_is_data_error(tmp_path, capsys, stage,
+                                                     rel):
+    # 0xff 0xfe inside a quoted value on line 3: a diagnostic naming the
+    # line, not a UnicodeDecodeError.
+    assert _run("all", "--out-dir", str(tmp_path), "--spot", "single_pass") == 0
+    path = tmp_path / rel
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"v0"', b'"v0\xff\xfe"')
+    assert b"\xff" in lines[2]
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert _run_single_pass(stage, tmp_path) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert diagnostic["message"].startswith("line 3: ")
+    assert diagnostic["message"].endswith("not UTF-8 text")
+
+
 def test_repeated_trajectory_point_is_data_error(tmp_path, capsys):
     # A row given twice would divide a speed by zero; the other cases are
     # in test_stages.test_repeated_point_in_a_scene_is_malformed.

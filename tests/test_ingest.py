@@ -1,5 +1,8 @@
+import gc
 import math
+import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from crossrisk.errors import (
 )
 from crossrisk.ingest import (
     DetectionRecord,
+    DetectionTable,
     ObjectClass,
     dumps_sorted,
     format_detection,
@@ -21,6 +25,7 @@ from crossrisk.ingest import (
     parse_spot_config,
     spot_config_to_dict,
 )
+from crossrisk.stages import load_detections
 from crossrisk.synth import synthetic_spot_config
 
 
@@ -41,7 +46,7 @@ def test_parse_single_line(config):
 
 
 def test_empty_stream(config):
-    assert parse_detections([], config) == []
+    assert list(parse_detections([], config)) == []
 
 
 def test_out_of_bounds_point(config):
@@ -57,6 +62,13 @@ def test_out_of_bounds_point(config):
     '{"frame":-1,"class":"vehicle","x":1.0,"y":1.0,"id":"d0"}',
     '{"frame":"zero","class":"vehicle","x":1.0,"y":1.0,"id":"d0"}',
     '[1, 2, 3]',
+    # A byte that is not UTF-8, as a file read with errors="surrogateescape"
+    # gives it.
+    pytest.param('{"frame":0,"class":"vehicle","x":1.0,"y":1.0,"id":"a\udcff"}',
+                 id="not-utf8"),
+    # Past the last frame an int64 column holds (a multiple of frame_skip).
+    pytest.param('{"frame":%d,"class":"vehicle","x":1.0,"y":1.0,"id":"a"}'
+                 % (2**63 + 2), id="frame-past-int64"),
     # Past the integer digit limit the decoder raises a plain ValueError.
     pytest.param(
         '{"frame":0,"class":"vehicle","x":1.0,"y":1.0,"id":%s}' % ("9" * 5000),
@@ -183,12 +195,65 @@ def test_confidence_field_ignored(config):
     assert len(parse_detections([line], config)) == 1
 
 
+def _stream_lines(n):
+    """`n` detections, four a frame: three vehicles and a pedestrian."""
+    return [dumps_sorted({"frame": 5 * (i // 4), "id": f"v{i % 4}",
+                          "class": "pedestrian" if i % 4 == 0 else "vehicle",
+                          "x": 1.5 + i % 1000, "y": 400.25})
+            for i in range(n)]
+
+
+def test_parsed_stream_holds_at_most_64_bytes_a_detection(config):
+    """The stream is held as columns: 8 bytes each for the frame, x, y
+    and the class and id references, each distinct id stored once."""
+    lines = _stream_lines(20000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        records = parse_detections(lines, config)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20000
+    assert (held - before) / len(records) <= 64
+
+
+def test_table_reads_as_the_list_of_its_records(config):
+    lines = _stream_lines(10)
+    table = parse_detections(lines, config)
+    records = [DetectionRecord(5 * (i // 4),
+                               ObjectClass.PEDESTRIAN if i % 4 == 0
+                               else ObjectClass.VEHICLE,
+                               (1.5 + i, 400.25), f"v{i % 4}")
+               for i in range(10)]
+    assert isinstance(table, DetectionTable) and len(table) == 10
+    assert list(table) == records
+    assert [table[i] for i in range(-10, 10)] == records + records
+    for cut in (slice(3, 7), slice(0, 0), slice(-2, None)):
+        assert isinstance(table[cut], DetectionTable)
+        assert list(table[cut]) == records[cut]
+    assert list(pickle.loads(pickle.dumps(table[2:9]))) == records[2:9]
+    with pytest.raises(IndexError):
+        table[10]
+    assert table.ids[1] is table.ids[5]    # one string per distinct id
+
+
+def test_byte_not_utf8_in_a_detection_file_is_malformed(tmp_path, config):
+    lines = _stream_lines(3)
+    lines[1] = lines[1].replace('"v1"', '"v\u00e91"')   # UTF-8 past ASCII
+    data = "\n".join(lines).encode().replace(b"v2", b"v\xff\xfe2")
+    (tmp_path / "detections.jsonl").write_bytes(data)
+    with pytest.raises(MalformedRecord, match="^line 3: not UTF-8 text"):
+        load_detections(tmp_path, config)
+
+
 def test_round_trip(config):
     lines = ['{"frame":0,"class":"vehicle","x":500.5,"y":400.25,"id":"a"}',
              '{"frame":5,"class":"pedestrian","x":610.0,"y":333.0,"id":"b"}']
     records = parse_detections(lines, config)
     again = parse_detections([format_detection(r) for r in records], config)
-    assert again == records
+    assert list(again) == list(records)
 
 
 # Ids with JSON escapes and non-ASCII text; floats JSON writes unusually,

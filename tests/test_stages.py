@@ -639,6 +639,20 @@ def test_track_maps_the_runs_of_every_spot_at_once(tmp_path, monkeypatch):
     assert first == copy
 
 
+def test_pool_draws_a_bounded_number_of_jobs_before_the_first_result():
+    drawn = []
+
+    def jobs():
+        for n in range(1000):
+            drawn.append(n)
+            yield -n
+
+    results = stages._map_jobs(abs, jobs(), 2)
+    assert next(results) == 0
+    assert len(drawn) <= 2 * stages._CHUNKS_IN_FLIGHT * stages._MAX_CHUNK
+    assert list(results) == list(range(1, 1000))
+
+
 def test_track_holds_a_runs_tracks_not_the_text_of_its_lines(tmp_path):
     # Slow vehicles entering every 1.5 s across four lanes, as in busy
     # traffic: about eleven on the road at once, so the windows form one

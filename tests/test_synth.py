@@ -52,7 +52,7 @@ def test_different_seeds_same_truth_different_noise():
 def test_same_seed_is_deterministic():
     rec1, _ = generate(_single_agent_spec(noise=2.0, drops=0.1, seed=9))
     rec2, _ = generate(_single_agent_spec(noise=2.0, drops=0.1, seed=9))
-    assert rec1 == rec2
+    assert list(rec1) == list(rec2)
 
 
 def test_drops_remove_detections_but_not_truth():
@@ -79,7 +79,7 @@ def test_generate_equals_per_detection_reference(spec):
     and provenance as emitting one detection at a time."""
     records, truth = generate(spec)
     expected, emitted, provenance = emitted_detections(spec)
-    assert records == expected
+    assert list(records) == expected
     assert truth.emitted_frames == emitted
     assert truth.provenance == provenance
     assert truth.provenance is truth.provenance     # derived once
