@@ -9,6 +9,10 @@ the record in the layout `analysis.json` holds, or None where a spot or a
 distribution gives nothing. `analysis_record` decides which spots form
 which group, what gets merged and which shortfalls only leave rows out;
 `emit_report` renders its record as the report's files.
+
+Of each scene's feature bundle the analysis reads six values, which
+`scene_summary` takes into a `SceneSummary`. The functions take these
+summaries, so a reader holds one small summary per scene, not its bundle.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import csv
 import logging
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,28 +32,48 @@ from .features import SceneFeatures
 log = logging.getLogger(__name__)
 
 
-def scene_speed_kmh(features: SceneFeatures) -> float | None:
-    """A scene's speed: the mean of its speed list (None when empty)."""
+@dataclass(slots=True)
+class SceneSummary:
+    """What the analysis reads of one scene's feature bundle: its type, its
+    speed (the mean of its speed list, None when empty), whether a
+    pedestrian was in the crossing area, its stop flag and distance, and
+    its PSM."""
+
+    interactive: bool
+    speed_kmh: float | None
+    ped_in_crossing_area: bool
+    stopped: bool
+    stop_distance_m: float | None
+    psm_seconds: float | None
+
+
+def scene_summary(features: SceneFeatures) -> SceneSummary:
+    """The summary of one feature bundle."""
     speeds = features.vehicle_speeds_kmh
-    return float(np.mean(speeds)) if speeds else None
+    return SceneSummary(
+        interactive=features.interactive,
+        speed_kmh=float(np.mean(speeds)) if speeds else None,
+        ped_in_crossing_area=features.ped_in_crossing_area,
+        stopped=features.stopped,
+        stop_distance_m=features.stop_distance_m,
+        psm_seconds=features.psm_seconds)
 
 
-def spot_speed_stats(spot_id: str, features: list[SceneFeatures]
-                     ) -> dict | None:
+def spot_speed_stats(spot_id: str, scenes: list[SceneSummary]) -> dict | None:
     """The spot's `stats` row: scene counts by type and the max/min/mean of
     per-scene speeds, overall and by scene type. None when no scene has
     speeds."""
-    rows = [(f.interactive, scene_speed_kmh(f)) for f in features]
-    speeds = [s for _, s in rows if s is not None]
-    if not speeds:
+    timed = [s for s in scenes if s.speed_kmh is not None]
+    if not timed:
         return None
-    car_only = [s for i, s in rows if s is not None and not i]
-    inter = [s for i, s in rows if s is not None and i]
-    interactive = sum(1 for f in features if f.interactive)
+    speeds = [s.speed_kmh for s in timed]
+    car_only = [s.speed_kmh for s in timed if not s.interactive]
+    inter = [s.speed_kmh for s in timed if s.interactive]
+    interactive = sum(1 for s in scenes if s.interactive)
     return {
         "spot": spot_id,
-        "scenes": len(features),
-        "car_only": len(features) - interactive,
+        "scenes": len(scenes),
+        "car_only": len(scenes) - interactive,
         "interactive": interactive,
         "max_kmh": max(speeds),
         "min_kmh": min(speeds),
@@ -58,13 +83,13 @@ def spot_speed_stats(spot_id: str, features: list[SceneFeatures]
     }
 
 
-def qualifying_stop(features: SceneFeatures, baseline_m: float) -> bool:
+def qualifying_stop(scene: SceneSummary, baseline_m: float) -> bool:
     """Stopped for the pedestrian: stop flag set within the baseline distance."""
-    return (features.stopped and features.stop_distance_m is not None
-            and features.stop_distance_m <= baseline_m)
+    return (scene.stopped and scene.stop_distance_m is not None
+            and scene.stop_distance_m <= baseline_m)
 
 
-def stopping_percentage(features: list[SceneFeatures], baseline_m: float
+def stopping_percentage(scenes: list[SceneSummary], baseline_m: float
                         ) -> tuple[float, int, int] | None:
     """Share of qualifying interactive scenes where the vehicle stopped
     within the baseline distance of the crosswalk.
@@ -73,10 +98,10 @@ def stopping_percentage(features: list[SceneFeatures], baseline_m: float
     area at some frame. Returns (percentage, stopped, qualifying), or None
     when no scene qualifies.
     """
-    qualifying = [f for f in features if f.interactive and f.ped_in_crossing_area]
+    qualifying = [s for s in scenes if s.interactive and s.ped_in_crossing_area]
     if not qualifying:
         return None
-    stopped = sum(1 for f in qualifying if qualifying_stop(f, baseline_m))
+    stopped = sum(1 for s in qualifying if qualifying_stop(s, baseline_m))
     return 100.0 * stopped / len(qualifying), stopped, len(qualifying)
 
 
@@ -184,7 +209,7 @@ def range_edges(ranges: dict) -> list[float]:
     return [-math.inf, *ranges["negative"], 0.0, *ranges["positive"], math.inf]
 
 
-def stopping_by_psm_range(features_by_spot: dict[str, list[SceneFeatures]],
+def stopping_by_psm_range(scenes_by_spot: dict[str, list[SceneSummary]],
                           ranges: dict, baseline_m: float) -> list[list]:
     """Cross-tab of stopping behavior against PSM range: one sorted
     `[range, spot, scenes, stopped, percentage]` row per (range, spot)
@@ -192,14 +217,14 @@ def stopping_by_psm_range(features_by_spot: dict[str, list[SceneFeatures]],
     lower edge it reaches, and an infinite or NaN PSM in range 8."""
     edges = range_edges(ranges)
     rows = []
-    for spot, scenes in features_by_spot.items():
-        per_range: dict[int, list[SceneFeatures]] = {}
-        for f in scenes:
-            if f.psm_seconds is not None:
-                r = min(bisect_right(edges, f.psm_seconds), 8)
-                per_range.setdefault(r, []).append(f)
+    for spot, scenes in scenes_by_spot.items():
+        per_range: dict[int, list[SceneSummary]] = {}
+        for s in scenes:
+            if s.psm_seconds is not None:
+                r = min(bisect_right(edges, s.psm_seconds), 8)
+                per_range.setdefault(r, []).append(s)
         for r, hits in per_range.items():
-            stopped = sum(1 for f in hits if qualifying_stop(f, baseline_m))
+            stopped = sum(1 for s in hits if qualifying_stop(s, baseline_m))
             rows.append([r, spot, len(hits), stopped,
                          100.0 * stopped / len(hits)])
     return sorted(rows)
@@ -218,11 +243,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         raise IoFailure(f"cannot write report {path}: {exc}") from exc
 
 
-def analysis_record(spots: list[tuple[str, bool, list[SceneFeatures]]],
+def analysis_record(spots: list[tuple[str, bool, list[SceneSummary]]],
                     baseline_m: float) -> dict:
     """The `analysis.json` record, less its schema, from each spot's
-    `(spot_id, signalized, bundles)`: every table of the report, each list
-    sorted, in the layout `emit_report` renders.
+    `(spot_id, signalized, scene summaries)`: every table of the report,
+    each list sorted, in the layout `emit_report` renders.
 
     Signalized and unsignalized spots each merge their positive PSMs into
     one distribution. The PSM ranges and the stopping table come from the
@@ -235,20 +260,20 @@ def analysis_record(spots: list[tuple[str, bool, list[SceneFeatures]]],
     psm_by_group: dict[str, dict[str, list[float]]] = {
         "signalized": {}, "unsignalized": {}}
     unsignalized = {}
-    for spot_id, signalized, bundles in spots:
-        row = spot_speed_stats(spot_id, bundles)
+    for spot_id, signalized, scenes in spots:
+        row = spot_speed_stats(spot_id, scenes)
         if row is None:
             log.warning("spot %s: no scenes with speeds", spot_id)
         else:
             stats.append(row)
-        share = stopping_percentage(bundles, baseline_m)
+        share = stopping_percentage(scenes, baseline_m)
         if share is not None:
             stopping.append((spot_id, *share))
         group = "signalized" if signalized else "unsignalized"
         psm_by_group[group][spot_id] = [
-            f.psm_seconds for f in bundles if f.psm_seconds is not None]
+            s.psm_seconds for s in scenes if s.psm_seconds is not None]
         if not signalized:
-            unsignalized[spot_id] = bundles
+            unsignalized[spot_id] = scenes
 
     distributions = [
         weighted_merge(samples, f"{name}_positive", positive_only=True)

@@ -9,6 +9,13 @@ scene, whose window then still holds its approach to the conflict point.
 Co-present vehicles yield separate, overlapping scenes; a pedestrian
 sharing any frame makes the scene interactive.
 
+Segmentation reads a `DetectionTable` whose frames never decrease, the
+order `ingest.parse_detections` enforces and `synth.generate` sorts into.
+In that order one pass over the table's columns finds every scene, and
+holds only each vehicle's open span, the closed spans and the distinct
+pedestrian frames: its memory follows the vehicles and the frames with a
+pedestrian, not the detections.
+
 The paper gates idle footage by frame differencing before this step. The
 pipeline's input is detections and no stage reads frames, so that gate is
 not implemented. The module keeps its name because it is where that gate
@@ -18,10 +25,11 @@ up `crossrisk.motion_gate` by name.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .ingest import ObjectClass
+from .ingest import DetectionTable, ObjectClass
 
 
 # Longest detection dropout, in seconds, bridged inside one scene.
@@ -48,41 +56,48 @@ class SceneSpan:
             raise ValueError("frame_start must be <= frame_end")
 
 
-def segment_scenes(detections, hangover_frames: int) -> list[SceneSpan]:
-    """Cut a frame-ordered detection sequence into per-vehicle scenes.
+def segment_scenes(table: DetectionTable, hangover_frames: int
+                   ) -> list[SceneSpan]:
+    """Cut a frame-ordered detection table into per-vehicle scenes.
 
     Vehicle identity is the detection id (detector outputs with stable ids,
     and all synthetic corpora, carry one). A run of more than
     `hangover_frames` frames without the vehicle closes its scene, and a
     reappearance opens a new one.
+
+    The table's frames must not decrease, as `ingest.parse_detections` and
+    `synth.generate` guarantee. Then one pass over its `frames`, `classes`
+    and `ids` columns suffices: each vehicle's open span is its first and
+    last frame so far, closed when the next frame lies past the hangover,
+    and the distinct pedestrian frames arrive sorted. No detection record
+    is built and no vehicle's frames are kept.
     """
-    vehicle_frames: dict[str, list[int]] = {}
-    ped_frames: set[int] = set()
-    for rec in detections:
-        if rec.object_class is ObjectClass.VEHICLE:
-            vehicle_frames.setdefault(rec.detection_id, []).append(
-                rec.frame_index)
-        else:
-            ped_frames.add(rec.frame_index)
-
+    open_spans: dict[str, list[int]] = {}      # id -> [start, last frame]
     raw_spans: list[tuple[int, int, str]] = []
-    for key, key_frames in vehicle_frames.items():
-        frames = sorted(set(key_frames))
-        start = prev = frames[0]
-        for f in frames[1:]:
-            if f - prev - 1 > hangover_frames:
-                raw_spans.append((start, prev, key))
-                start = f
-            prev = f
-        raw_spans.append((start, prev, key))
+    ped_frames = array("q")
+    vehicle = ObjectClass.VEHICLE
+    for frame, cls, key in zip(table.frames, table.classes, table.ids):
+        if cls is not vehicle:
+            if not ped_frames or ped_frames[-1] != frame:
+                ped_frames.append(frame)
+            continue
+        span = open_spans.get(key)
+        if span is None:
+            open_spans[key] = [frame, frame]
+        elif frame - span[1] - 1 > hangover_frames:
+            raw_spans.append((span[0], span[1], key))
+            span[0] = span[1] = frame
+        else:
+            span[1] = frame
+    raw_spans.extend((start, last, key)
+                     for key, (start, last) in open_spans.items())
 
-    ped_sorted = sorted(ped_frames)
     spans = []
     for n, (start, end, key) in enumerate(sorted(raw_spans)):
         # Interactive iff the first pedestrian frame at or after the span's
         # start lies inside it.
-        k = bisect_left(ped_sorted, start)
-        interactive = k < len(ped_sorted) and ped_sorted[k] <= end
+        k = bisect_left(ped_frames, start)
+        interactive = k < len(ped_frames) and ped_frames[k] <= end
         spans.append(SceneSpan(
             scene_id=f"s{n:04d}",
             vehicle_track_hint=key,

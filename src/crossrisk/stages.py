@@ -46,11 +46,19 @@ writers sort their output canonically so results are byte-identical
 regardless of worker count. A `.jsonl` stage file appears only whole: it
 is written under a temporary name and renamed, and a stage that fails
 while writing it leaves no file, so the next stage stops on the missing
-file rather than read a part. The analyze stage only reads each spot's
-config and features: `analytics` owns both the analysis policy and the
-layout of `analysis.json`. `analysis_record` builds that record and
-`emit_report` renders it, so the report stage can be rerun from that file
-alone.
+file rather than read a part.
+
+What each stage holds at once: segment, one spot's detection columns and
+its scene spans (`motion_gate`); track, one spot's detection columns and
+one run's tracks; extract, one run's tracks and the finished scenes'
+`features.jsonl` lines; analyze, one `analytics.SceneSummary` per scene of
+the corpus, each row checked as a whole bundle and let go at once.
+
+The analyze stage only reads each spot's config and features; it fails
+when two spot directories name one spot id, whose scenes would merge.
+`analytics` owns both the analysis policy and the layout of
+`analysis.json`. `analysis_record` builds that record and `emit_report`
+renders it, so the report stage can be rerun from that file alone.
 """
 
 from __future__ import annotations
@@ -731,22 +739,37 @@ def run_extract(cfg: PipelineConfig) -> None:
                  len(lines), skipped[_NO_VEHICLE], skipped[_NEVER_MOVED])
 
 
-def read_features(spot_dir: Path) -> list[SceneFeatures]:
-    return read_jsonl(spot_dir / "features.jsonl", "features",
-                      record_to_features)
-
-
 # --- analyze stage --------------------------------------------------------------
+
+
+def _scene_summary_of(r: dict) -> analytics.SceneSummary:
+    return analytics.scene_summary(record_to_features(r))
+
+
+def read_scene_summaries(spot_dir: Path) -> list[analytics.SceneSummary]:
+    """Each `features.jsonl` row read, and checked, as a whole bundle by
+    `record_to_features`, and held only as the summary the analysis
+    reads."""
+    return read_jsonl(spot_dir / "features.jsonl", "features",
+                      _scene_summary_of)
 
 
 def run_analyze(cfg: PipelineConfig) -> Path:
     """Write `analysis.json`: the record `analytics.analysis_record` builds
-    from every spot's feature bundles."""
+    from every spot's scene summaries. Two spot directories whose configs
+    name one spot id raise PipelineError, since their scenes would merge
+    into that spot's rows."""
     spots = []
+    dirs: dict[str, Path] = {}
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
+        first = dirs.setdefault(config.spot_id, spot_dir)
+        if first != spot_dir:
+            raise PipelineError(
+                f"spot directories {first} and {spot_dir} both hold spot "
+                f"{config.spot_id!r}")
         spots.append((config.spot_id, config.signalized,
-                      read_features(spot_dir)))
+                      read_scene_summaries(spot_dir)))
     doc = {"schema": SCHEMAS["analysis"],
            **analytics.analysis_record(spots, cfg.baseline_m)}
     path = Path(cfg.out_dir) / "analysis.json"

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
+from bisect import bisect_left
 
 import numpy as np
 
 from crossrisk.errors import NoConflict
 from crossrisk.features import PsmValue, SceneFeatures, VehicleZone
-from crossrisk.ingest import DetectionRecord, ObjectClass
+from crossrisk.ingest import DetectionRecord, DetectionTable, ObjectClass
+from crossrisk.motion_gate import SceneSpan
 from crossrisk.synth import AgentScript, ScenarioSpec, synthetic_spot_config
 from crossrisk.tracker import TrackPoint, Trajectory
 
@@ -56,6 +59,53 @@ def make_detection(frame, cls, x, y, det_id):
     return DetectionRecord(frame_index=frame, object_class=cls,
                            contact_point_px=(float(x), float(y)),
                            detection_id=det_id)
+
+
+def detection_table(records) -> DetectionTable:
+    """The `DetectionTable` of a frame-ordered list of records."""
+    records = list(records)
+    return DetectionTable(
+        array("q", [r.frame_index for r in records]),
+        array("d", [r.contact_point_px[0] for r in records]),
+        array("d", [r.contact_point_px[1] for r in records]),
+        [r.object_class for r in records],
+        [r.detection_id for r in records])
+
+
+def segment_scenes_reference(detections, hangover_frames: int
+                             ) -> list[SceneSpan]:
+    """Per-vehicle scenes from each vehicle's sorted list of distinct
+    frames, split where more than `hangover_frames` frames are missing;
+    interactive when a pedestrian frame lies inside the span."""
+    vehicle_frames: dict[str, list[int]] = {}
+    ped_frames: set[int] = set()
+    for rec in detections:
+        if rec.object_class is ObjectClass.VEHICLE:
+            vehicle_frames.setdefault(rec.detection_id, []).append(
+                rec.frame_index)
+        else:
+            ped_frames.add(rec.frame_index)
+
+    raw_spans: list[tuple[int, int, str]] = []
+    for key, key_frames in vehicle_frames.items():
+        frames = sorted(set(key_frames))
+        start = prev = frames[0]
+        for f in frames[1:]:
+            if f - prev - 1 > hangover_frames:
+                raw_spans.append((start, prev, key))
+                start = f
+            prev = f
+        raw_spans.append((start, prev, key))
+
+    ped_sorted = sorted(ped_frames)
+    spans = []
+    for n, (start, end, key) in enumerate(sorted(raw_spans)):
+        k = bisect_left(ped_sorted, start)
+        interactive = k < len(ped_sorted) and ped_sorted[k] <= end
+        spans.append(SceneSpan(scene_id=f"s{n:04d}", vehicle_track_hint=key,
+                               frame_start=start, frame_end=end,
+                               interactive=interactive))
+    return spans
 
 
 def segment_hit(a1, a2, b1, b2):

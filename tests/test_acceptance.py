@@ -10,6 +10,7 @@ import pytest
 from crossrisk import synth
 from crossrisk.analytics import (
     psm_ranges,
+    scene_summary,
     stopping_by_psm_range,
     weighted_merge,
 )
@@ -197,7 +198,7 @@ def test_criterion_5_psm_range_binning():
         assert abs(got - want) <= 1e-6
     for got, want in zip(ranges["positive"], pos_quartiles):
         assert abs(got - want) <= 1e-6
-    scene = make_scene_features(psm=-1.5)
+    scene = scene_summary(make_scene_features(psm=-1.5))
     assert stopping_by_psm_range({"D": [scene]}, ranges, 10.0)[0][0] == 4
     print("criterion 5 PASS: 8 published boundaries reproduced to 1e-6, "
           "-1.5s bins to range 4")

@@ -9,13 +9,19 @@ from crossrisk.analytics import (
     emit_report,
     psm_ranges,
     range_edges,
+    scene_summary,
     spot_speed_stats,
     stopping_by_psm_range,
     stopping_percentage,
     weighted_merge,
     weighted_quantile,
 )
-from oracles import make_scene_features as _scene
+from oracles import make_scene_features
+
+
+def _scene(**kwargs):
+    """The analysis's summary of a bundle made by `make_scene_features`."""
+    return scene_summary(make_scene_features(**kwargs))
 
 
 # --- scene classification -----------------------------------------------------

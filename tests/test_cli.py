@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import shutil
 import sys
 
 import pytest
@@ -362,6 +363,19 @@ def test_bad_spot_config_is_data_error(tmp_path, capsys, key, value):
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "MalformedRecord"
     assert f"{path}: " in diagnostic["message"]
+
+
+def test_two_spot_directories_of_one_spot_id_are_data_error(tmp_path, capsys):
+    # Their scenes would merge into one spot's rows and PSM samples.
+    assert _run("all", "--out-dir", str(tmp_path), "--seed", "3") == 0
+    shutil.copytree(tmp_path / "near_miss", tmp_path / "near_miss_b")
+    capsys.readouterr()
+    assert _run("analyze", "--out-dir", str(tmp_path)) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["error"] == "PipelineError"
+    assert str(tmp_path / "near_miss") in diagnostic["message"]
+    assert str(tmp_path / "near_miss_b") in diagnostic["message"]
 
 
 def test_stage_files_are_self_describing(tmp_path):

@@ -38,10 +38,12 @@ from crossrisk.stages import (
     features_to_record,
     load_detections,
     load_spot_config,
-    read_features,
+    read_jsonl,
+    read_scene_summaries,
     read_scenes,
     read_trajectories,
     record_to_features,
+    run_analyze,
     run_segment,
     run_synth,
     run_track,
@@ -166,7 +168,7 @@ def test_scene_type_proportions_replay_from_file(tmp_path):
     spot_dir = tmp_path
     write_jsonl(spot_dir / "features.jsonl", "features",
                 map(dumps_sorted, rows))
-    bundles = read_features(spot_dir)
+    bundles = read_scene_summaries(spot_dir)
     stats = spot_speed_stats("A", bundles)
     assert stats["car_only"] == 2681
     assert stats["interactive"] == 1540
@@ -681,3 +683,36 @@ def test_track_holds_a_runs_tracks_not_the_text_of_its_lines(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < (spot_dir / "trajectories.jsonl").stat().st_size
+
+
+def test_analyze_holds_scene_summaries_not_feature_bundles(tmp_path):
+    # Many scenes with long per-frame lists: the bundles of one spot take
+    # several times what the analysis holds at its peak.
+    speeds = [float(k % 40) for k in range(60)]
+    rows = [dumps_sorted(features_to_record(replace(
+        _bundle(scene_id=f"s{k:05d}", interactive=k % 2 == 1,
+                speeds=speeds),
+        vehicle_zones=[VehicleZone.BEFORE] * 61,
+        crosswalk_distances_m=[float(k)] * 60,
+        distances_m=[5.0] * 60, relative_positions=[FRONT] * 60)))
+        for k in range(400)]
+    spot_dir = tmp_path / "A"
+    spot_dir.mkdir()
+    (spot_dir / "config.json").write_text(
+        json.dumps(spot_config_to_dict(synth.synthetic_spot_config("A"))))
+    write_jsonl(spot_dir / "features.jsonl", "features", rows)
+    del rows
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        bundles = read_jsonl(spot_dir / "features.jsonl", "features",
+                             record_to_features)
+        held, _ = tracemalloc.get_traced_memory()
+        del bundles
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        run_analyze(PipelineConfig(out_dir=tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < (held - before) / 4
