@@ -18,6 +18,8 @@ from .errors import DegenerateCalibration, PointAtInfinity
 # Relative tolerance on the homogeneous divide term before a point counts
 # as being on the vanishing line.
 _W_EPS = 1e-12
+# Relative doubled area below which three points count as collinear.
+_COLLINEAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,12 @@ def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normed, t
 
 
-def _collinear(a, b, c, tol: float = 1e-9) -> bool:
+def _collinear(a, b, c) -> bool:
     """True when the triangle abc has (relative) zero area."""
     area2 = abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
     scale = max(abs(b[0] - a[0]), abs(b[1] - a[1]),
                 abs(c[0] - a[0]), abs(c[1] - a[1]), 1.0)
-    return area2 <= tol * scale * scale
+    return area2 <= _COLLINEAR_TOL * scale * scale
 
 
 def has_collinear_triple(points) -> bool:

@@ -33,13 +33,13 @@ and keeps of them only their `features.jsonl` lines. A scene's rows of
 one object come in frame order, so each row is checked against the one
 before it as it is read, and a row out of order fails at its own line.
 
-A synthetic spot's `truth.json` holds the analytic PSM and stop flag of
-the scenario's first vehicle, the frames at which each agent was emitted
-(synthetic detection ids are agent ids, so these give every detection's
-provenance) and the scene spans of the emitted stream. It holds no
-sampled positions and no frame rate: the positions follow from the
-scenario's scripts (`synth.AgentScript.world_at`), and the frame rate is
-in `config.json`.
+A synthetic spot's `truth.json` holds only its schema, the frames at
+which each agent was emitted (synthetic detection ids are agent ids, so
+these give every detection's provenance) and the scene spans of the
+emitted stream. It holds no sampled positions, PSM, stop flag or frame
+rate: the positions, PSMs and stops follow from the scenario's scripts
+(`synth.AgentScript.world_at`, `synth.analytic_psm`,
+`synth._scripted_stop`), and the frame rate is in `config.json`.
 
 Stage files are self-describing: the first line names the schema. All
 writers sort their output canonically so results are byte-identical
@@ -287,8 +287,6 @@ def load_detections(spot_dir: Path, config: SpotConfig) -> DetectionTable:
 
 def _truth_record(truth: synth.GroundTruth) -> dict:
     return {
-        "psm_seconds": truth.psm_seconds,
-        "stopped": truth.stopped,
         "emitted_frames": {k: v for k, v in sorted(truth.emitted_frames.items())},
         "spans": [_span_record(s) for s in truth.spans],
     }
@@ -698,8 +696,7 @@ def _extract_scene_job(args) -> tuple[str, str | None, str | None]:
     vehicle = scene_vehicle(trajectories, span.vehicle_track_hint)
     if vehicle is None:
         return span.scene_id, None, _NO_VEHICLE
-    peds = [t for t in trajectories
-            if t.object_class is ObjectClass.PEDESTRIAN and len(t) > 0]
+    peds = [t for t in trajectories if t.object_class is ObjectClass.PEDESTRIAN]
     try:
         bundle = feat.extract_scene_features(
             span.scene_id, vehicle, peds, spot, calib, params)

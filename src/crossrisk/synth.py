@@ -12,8 +12,9 @@ scripts are the ground truth: `AgentScript.world_at` and
 any time or frames, so no sampled position is stored. `GroundTruth` keeps
 what the scripts alone do not give: the frames at which each agent was
 emitted (and from them the provenance of every detection) and the scene
-spans of the emitted stream. Its analytic PSM and stop flag are computed
-straight from the scripts, independent of any pipeline code path.
+spans of the emitted stream. The PSM and stop truths come straight from
+the scripts, independent of any pipeline code path: `analytic_psm` for a
+vehicle-pedestrian pair and `_scripted_stop` for a vehicle.
 """
 
 from __future__ import annotations
@@ -83,13 +84,11 @@ class ScenarioSpec:
 class GroundTruth:
     """What the scripts alone do not give about one generated scenario:
     the emitted frames, after blackouts and drops, and the scene spans of
-    the emitted stream; with the analytic PSM and stop flag of its first
-    vehicle."""
+    the emitted stream. PSM and stops follow from the scripts
+    (`analytic_psm`, `_scripted_stop`)."""
 
     emitted_frames: dict[str, list[int]]
     spans: list[SceneSpan]
-    psm_seconds: float | None                # continuous arrival-time gap
-    stopped: bool
 
     @cached_property
     def provenance(self) -> dict[tuple[int, str], str]:
@@ -100,17 +99,16 @@ class GroundTruth:
 
 
 def synthetic_spot_config(spot_id: str = "synthA",
-                          frame_size: tuple[int, int] = (1920, 1080),
-                          fps: float = 25.0, frame_skip: int = 5,
                           signalized: bool = False) -> SpotConfig:
     """A crosswalk spot seen from an oblique camera.
 
     World frame: the road runs along x, vehicles travel +x; the crosswalk
     spans the road at x in [-2, 2]; sidewalks flank the road beyond
     |y| = 7. The camera looks down the road: the near curb fills the
-    bottom of the frame, the far end narrows toward the top.
+    bottom of the frame, the far end narrows toward the top. The camera
+    gives 1920x1080 frames at 25 fps, of which every fifth is kept.
     """
-    w, h = frame_size
+    w, h = 1920, 1080
     correspondences = [
         {"pixel": [0.073 * w, 0.926 * h], "world": [-30.0, -11.0]},
         {"pixel": [0.927 * w, 0.926 * h], "world": [30.0, -11.0]},
@@ -125,9 +123,9 @@ def synthetic_spot_config(spot_id: str = "synthA",
         "school_zone": True,
         "speed_camera": False,
         "speed_limit_kmh": 30.0,
-        "frame_size": list(frame_size),
-        "fps": fps,
-        "frame_skip": frame_skip,
+        "frame_size": [w, h],
+        "fps": 25.0,
+        "frame_skip": 5,
         "calibration": correspondences,
         "crosswalk_polygon_world": [[-2.0, -7.0], [2.0, -7.0],
                                     [2.0, 7.0], [-2.0, 7.0]],
@@ -256,21 +254,7 @@ def generate(spec: ScenarioSpec) -> tuple[DetectionTable, GroundTruth]:
     # segmentation below adds its own.
     del columns, frames, xs, ys, ranks, order
     spans = segment_scenes(records, hangover_frames_at(fps))
-
-    vehicles = [a for a in spec.agents if a.object_class is ObjectClass.VEHICLE]
-    peds = [a for a in spec.agents if a.object_class is ObjectClass.PEDESTRIAN]
-    psm_value = None
-    if vehicles and peds:
-        for ped in sorted(peds, key=lambda p: p.agent_id):
-            psm_value = analytic_psm(vehicles[0], ped)
-            if psm_value is not None:
-                break
-    stopped = bool(vehicles) and _scripted_stop(
-        vehicles[0], min(p[0] for p in config.crosswalk_polygon_world))
-
-    truth = GroundTruth(emitted_frames=emitted_frames, spans=spans,
-                        psm_seconds=psm_value, stopped=stopped)
-    return records, truth
+    return records, GroundTruth(emitted_frames=emitted_frames, spans=spans)
 
 
 # --- the standard named scenarios -------------------------------------------
@@ -354,13 +338,13 @@ def standard_corpus(noise_sigma: float = 0.0, drop_probability: float = 0.0,
     return corpus
 
 
-def traffic_spec(n_scenes: int, seed: int = 0, spot_id: str = "bulk",
-                 noise_sigma: float = 1.0,
-                 interactive_every: int = 3) -> ScenarioSpec:
-    """One long stream of staggered scenes for throughput runs.
+def traffic_spec(n_scenes: int, seed: int = 0,
+                 noise_sigma: float = 1.0) -> ScenarioSpec:
+    """One long stream of staggered scenes for throughput runs, on the
+    spot "bulk".
 
-    Every scene is a vehicle pass; every interactive_every-th scene adds a
-    crossing pedestrian.
+    Every scene is a vehicle pass; every third scene adds a crossing
+    pedestrian.
     """
     rng = np.random.default_rng(seed)
     agents = []
@@ -369,12 +353,12 @@ def traffic_spec(n_scenes: int, seed: int = 0, spot_id: str = "bulk",
         speed = float(rng.uniform(5.0, 12.0))
         lane = float(rng.choice((-3.5, -1.5, 1.5, 3.5)))
         agents.append(_vehicle(f"v{i:05d}", t0, speed, lane))
-        if i % interactive_every == 0:
+        if i % 3 == 0:
             walk = float(rng.uniform(1.0, 1.8))
             start = t0 + float(rng.uniform(0.0, 2.0))
             agents.append(AgentScript(f"p{i:05d}", ObjectClass.PEDESTRIAN, (
                 (start, 0.0, 9.0), (start + 18.0 / walk, 0.0, -9.0))))
         t0 += 52.0 / speed + 2.0
-    return ScenarioSpec(name=spot_id, config=synthetic_spot_config(spot_id=spot_id),
+    return ScenarioSpec(name="bulk", config=synthetic_spot_config(spot_id="bulk"),
                         agents=tuple(agents), noise_sigma=noise_sigma,
                         drop_probability=0.0, seed=seed)

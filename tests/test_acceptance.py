@@ -101,16 +101,33 @@ def test_criterion_1_zero_noise_end_to_end_fidelity():
             for e, g in zip(expected, got):
                 assert abs(e - g) <= 1e-9 * max(1.0, abs(e)), spec.name
 
-        # PSM against the analytic arrival-time gap, within one step.
-        if truth.psm_seconds is not None:
-            vehicle = next(t for t in trajs
-                           if t.object_class is ObjectClass.VEHICLE)
-            peds = [t for t in trajs
-                    if t.object_class is ObjectClass.PEDESTRIAN]
-            bundle = extract_scene_features("s", vehicle, peds,
-                                            SpotZones(config), calib)
+        # Every vehicle track's stop flag against its script's stop.
+        crosswalk_min_x = min(x for x, _ in config.crosswalk_polygon_world)
+        peds = [t for t in trajs if t.object_class is ObjectClass.PEDESTRIAN]
+        bundles = {}
+        for t in trajs:
+            if t.object_class is ObjectClass.VEHICLE:
+                agent = t.points[0].detection_id
+                bundle = extract_scene_features("s", t, peds,
+                                                SpotZones(config), calib)
+                assert bundle.stopped == synth._scripted_stop(
+                    scripts[agent], crosswalk_min_x), spec.name
+                bundles.setdefault(agent, bundle)
+
+        # PSM within one step of the analytic arrival-time gap of the first
+        # vehicle to the first pedestrian, in id order, whose path it meets.
+        vehicle = next(a for a in spec.agents
+                       if a.object_class is ObjectClass.VEHICLE)
+        truth_psm = None
+        for ped in sorted(spec.agents, key=lambda a: a.agent_id):
+            if ped.object_class is ObjectClass.PEDESTRIAN:
+                truth_psm = synth.analytic_psm(vehicle, ped)
+                if truth_psm is not None:
+                    break
+        if truth_psm is not None:
+            bundle = bundles[vehicle.agent_id]
             assert bundle.psm_seconds is not None, spec.name
-            assert abs(bundle.psm_seconds - truth.psm_seconds) <= fstep, spec.name
+            assert abs(bundle.psm_seconds - truth_psm) <= fstep, spec.name
 
     elapsed = time.monotonic() - started
     assert elapsed < 10.0

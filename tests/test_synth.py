@@ -8,6 +8,7 @@ from crossrisk.ingest import ObjectClass
 from crossrisk.synth import (
     AgentScript,
     ScenarioSpec,
+    _scripted_stop,
     analytic_psm,
     generate,
     standard_corpus,
@@ -62,8 +63,6 @@ def test_drops_remove_detections_but_not_truth():
     emitted = truth.emitted_frames["v0"]
     assert [rec.frame_index for rec in dropped] == emitted
     assert set(emitted) < set(full_truth.emitted_frames["v0"])
-    assert (truth.psm_seconds, truth.stopped) == \
-        (full_truth.psm_seconds, full_truth.stopped)
 
 
 @pytest.mark.parametrize("spec", [
@@ -124,21 +123,26 @@ def test_standard_corpus_has_eight_named_scenarios():
     assert len(set(names)) == 8
 
 
+def _standard_spec(name):
+    return next(spec for spec, _ in standard_corpus() if spec.name == name)
+
+
 def test_near_miss_scenario_in_riskiest_positive_range():
-    truth = dict((spec.name, t) for spec, t in standard_corpus())["near_miss"]
-    assert truth.psm_seconds is not None
-    assert 0.0 < truth.psm_seconds < 1.25
+    vehicle, ped = _standard_spec("near_miss").agents
+    psm = analytic_psm(vehicle, ped)
+    assert psm is not None
+    assert 0.0 < psm < 1.25
 
 
 def test_vehicle_first_scenario_negative_psm():
-    truth = dict((spec.name, t) for spec, t in standard_corpus())["vehicle_first"]
-    assert truth.psm_seconds == pytest.approx(-1.5, abs=1e-9)
+    vehicle, ped = _standard_spec("vehicle_first").agents
+    assert analytic_psm(vehicle, ped) == pytest.approx(-1.5, abs=1e-9)
 
 
 def test_stop_and_go_scenario_stops_short_of_crosswalk():
-    by_name = {spec.name: (spec, t) for spec, t in standard_corpus()}
-    spec, truth = by_name["stop_and_go"]
-    assert truth.stopped
+    spec = _standard_spec("stop_and_go")
+    crosswalk_min_x = min(x for x, _ in spec.config.crosswalk_polygon_world)
+    assert _scripted_stop(spec.agents[0], crosswalk_min_x)
     # The scripted hold is at x=-6, four meters short of the crosswalk edge.
     hold = [w for w in spec.agents[0].waypoints if w[1] == -6.0]
     assert len(hold) >= 2
