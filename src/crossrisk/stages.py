@@ -29,9 +29,18 @@ workers, the workers return tracks and this process encodes them.
 those of the next run in `scene_runs` order, and every row's scene is
 listed in `scenes.jsonl`. So the extract stage holds one run at a time:
 it extracts a run's scenes when the first row of the next run arrives,
-and keeps of them only their `features.jsonl` lines. A scene's rows of
-one object come in frame order, so each row is checked against the one
-before it as it is read, and a row out of order fails at its own line.
+and writes each scene's `features.jsonl` line as the scene is done. A
+scene's rows of one object come in frame order, so each row is checked
+against the one before it as it is read, and a row out of order fails at
+its own line.
+
+`features.jsonl` therefore lists its scenes in `scene_runs` order, that
+is by `(frame_start, frame_end)` of the scene windows, in the order
+`scenes.jsonl` lists windows with equal frames. Since `segment_scenes`
+numbers its ids in `(start, end, vehicle)` order, up to 9,999 scenes a
+spot this is scene id order; past that it is numeric id order, so
+`s9999` comes before `s10000`. Scenes skipped for want of a vehicle
+track, or whose vehicle never moved, have no line.
 
 A synthetic spot's `truth.json` holds only its schema, the frames at
 which each agent was emitted (synthetic detection ids are agent ids, so
@@ -40,18 +49,20 @@ emitted stream. It holds no sampled positions, PSM, stop flag or frame
 rate: the positions, PSMs and stops follow from the scenario's scripts
 (`synth.AgentScript.world_at`, `synth.analytic_psm`,
 `synth._scripted_stop`), and the frame rate is in `config.json`.
+`write_truth` writes it one agent's frame list at a time, in the bytes
+`json.dumps` gives the whole record with `sort_keys=True`.
 
-Stage files are self-describing: the first line names the schema. All
-writers sort their output canonically so results are byte-identical
-regardless of worker count. A `.jsonl` stage file appears only whole: it
-is written under a temporary name and renamed, and a stage that fails
-while writing it leaves no file, so the next stage stops on the missing
-file rather than read a part.
+Stage files are self-describing: the first line names the schema. Every
+writer fixes its output's order from its input alone, so results are
+byte-identical regardless of worker count. A `.jsonl` stage file appears
+only whole: it is written under a temporary name and renamed, and a
+stage that fails while writing it leaves no file, so the next stage
+stops on the missing file rather than read a part.
 
 What each stage holds at once: segment, one spot's detection columns and
 its scene spans (`motion_gate`); track, one spot's detection columns and
-one run's tracks; extract, one run's tracks and the finished scenes'
-`features.jsonl` lines; analyze, one `analytics.SceneSummary` per scene of
+one run's tracks; extract, one run's tracks and the scene being
+extracted; analyze, one `analytics.SceneSummary` per scene of
 the corpus, each row checked as a whole bundle and let go at once.
 
 The analyze stage only reads each spot's config and features; it fails
@@ -285,11 +296,18 @@ def load_detections(spot_dir: Path, config: SpotConfig) -> DetectionTable:
 # --- synth stage --------------------------------------------------------------
 
 
-def _truth_record(truth: synth.GroundTruth) -> dict:
-    return {
-        "emitted_frames": {k: v for k, v in sorted(truth.emitted_frames.items())},
-        "spans": [_span_record(s) for s in truth.spans],
-    }
+def write_truth(spot_dir: Path, truth: synth.GroundTruth) -> None:
+    """Write a synthetic spot's `truth.json`: its schema, each agent's
+    emitted frames and the scene spans, in the bytes of `json.dumps` with
+    `sort_keys=True`. Each agent's frame list is encoded as it is written,
+    so no record of the whole truth is built."""
+    with open(spot_dir / "truth.json", "w") as fh:
+        fh.write('{"emitted_frames": {')
+        for k, (agent, frames) in enumerate(truth.agent_frames()):
+            fh.write(f'{", " if k else ""}{json_str(agent)}: '
+                     f'{dumps_sorted(frames.tolist())}')
+        fh.write(f'}}, "schema": {json_str(SCHEMAS["truth"])}, "spans": '
+                 f'{dumps_sorted([_span_record(s) for s in truth.spans])}}}')
 
 
 def run_synth(cfg: PipelineConfig) -> list[Path]:
@@ -314,9 +332,7 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
             json.dumps(spot_config_to_dict(spec.config), sort_keys=True, indent=1))
         write_jsonl(spot_dir / "detections.jsonl", "detections",
                     map(format_detection, records))
-        (spot_dir / "truth.json").write_text(
-            json.dumps({"schema": SCHEMAS["truth"], **_truth_record(truth)},
-                       sort_keys=True))
+        write_truth(spot_dir, truth)
         log.info("synth %s: %d detections, %d agents",
                  spec.name, len(records), len(spec.agents))
         dirs.append(spot_dir)
@@ -689,27 +705,28 @@ _NO_VEHICLE = "no_vehicle"
 _NEVER_MOVED = "never_moved"
 
 
-def _extract_scene_job(args) -> tuple[str, str | None, str | None]:
-    """The scene's id and its `features.jsonl` line, or its id, None and
-    the reason it was skipped."""
+def _extract_scene_job(args) -> tuple[str | None, str | None]:
+    """The scene's `features.jsonl` line, or None and the reason the scene
+    was skipped."""
     span, trajectories, spot, calib, params = args
     vehicle = scene_vehicle(trajectories, span.vehicle_track_hint)
     if vehicle is None:
-        return span.scene_id, None, _NO_VEHICLE
+        return None, _NO_VEHICLE
     peds = [t for t in trajectories if t.object_class is ObjectClass.PEDESTRIAN]
     try:
         bundle = feat.extract_scene_features(
             span.scene_id, vehicle, peds, spot, calib, params)
     except ZeroHeading:
-        return span.scene_id, None, _NEVER_MOVED
-    return span.scene_id, dumps_sorted(features_to_record(bundle)), None
+        return None, _NEVER_MOVED
+    return dumps_sorted(features_to_record(bundle)), None
 
 
 def run_extract(cfg: PipelineConfig) -> None:
     """Extract every scene's features and write each spot's
-    `features.jsonl` in scene id order. With one worker each scene is
+    `features.jsonl` in `scene_runs` order (see the module docstring),
+    each line written as its scene is done. With one worker each scene is
     extracted as `read_trajectories` yields it, so one run of scene
-    windows is held at a time, and of the scenes done only their lines."""
+    windows is held at a time, and no line once it is written."""
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
         calib = config.build_calibration()
@@ -718,22 +735,20 @@ def run_extract(cfg: PipelineConfig) -> None:
         jobs = ((span, trajectories, spot, calib, cfg.features)
                 for span, trajectories in read_trajectories(
                     spot_dir, read_scenes(spot_dir), counts))
-        lines = []
-        skipped = Counter()
-        for scene_id, line, why in _map_jobs(_extract_scene_job, jobs,
-                                             cfg.workers):
-            if line is None:
-                skipped[why] += 1
-            else:
-                lines.append((scene_id, line))
-        lines.sort()
-        write_jsonl(spot_dir / "features.jsonl", "features",
-                    (line for _, line in lines))
+        outcomes = Counter()
+
+        def lines():
+            for line, why in _map_jobs(_extract_scene_job, jobs, cfg.workers):
+                outcomes[why] += 1
+                if line is not None:
+                    yield line
+
+        write_jsonl(spot_dir / "features.jsonl", "features", lines())
         log.info("spot %s: read %d trajectory rows, %d decoded in full; "
                  "extracted features for %d scenes, skipped %d with no "
                  "vehicle track and %d whose vehicle never moved",
                  config.spot_id, counts["rows"], counts["decoded"],
-                 len(lines), skipped[_NO_VEHICLE], skipped[_NEVER_MOVED])
+                 outcomes[None], outcomes[_NO_VEHICLE], outcomes[_NEVER_MOVED])
 
 
 # --- analyze stage --------------------------------------------------------------

@@ -83,18 +83,38 @@ class ScenarioSpec:
 @dataclass
 class GroundTruth:
     """What the scripts alone do not give about one generated scenario:
-    the emitted frames, after blackouts and drops, and the scene spans of
-    the emitted stream. PSM and stops follow from the scripts
-    (`analytic_psm`, `_scripted_stop`)."""
+    the frames at which each agent was emitted, after blackouts and drops,
+    and the scene spans of the emitted stream. PSM and stops follow from
+    the scripts (`analytic_psm`, `_scripted_stop`).
 
-    emitted_frames: dict[str, list[int]]
+    The emitted frames are held compactly, 8 bytes a frame: `agent_ids`
+    lists the agents in id order, the int64 column `frames` holds each
+    agent's frames in turn, and agent k's are
+    `frames[offsets[k]:offsets[k + 1]]`. `emitted_frames` gives them as a
+    dict of lists, built each time it is read.
+    """
+
+    agent_ids: tuple[str, ...]
+    frames: array
+    offsets: array
     spans: list[SceneSpan]
+
+    def agent_frames(self):
+        """(agent id, its emitted frames as an int64 `array`) for each
+        agent, in id order."""
+        for aid, lo, hi in zip(self.agent_ids, self.offsets, self.offsets[1:]):
+            yield aid, self.frames[lo:hi]
+
+    @property
+    def emitted_frames(self) -> dict[str, list[int]]:
+        """Agent id -> the frames with a detection of that agent."""
+        return {aid: frames.tolist() for aid, frames in self.agent_frames()}
 
     @cached_property
     def provenance(self) -> dict[tuple[int, str], str]:
         """(frame, detection_id) -> agent for every emitted detection;
         synthetic detection ids are agent ids."""
-        return {(frame, aid): aid for aid, frames in self.emitted_frames.items()
+        return {(frame, aid): aid for aid, frames in self.agent_frames()
                 for frame in frames}
 
 
@@ -190,9 +210,12 @@ def generate(spec: ScenarioSpec) -> tuple[DetectionTable, GroundTruth]:
 
     Work is vectorized per agent, so cost scales with the number of emitted
     detections, not frames times agents, and no Python object is made per
-    detection: each agent's visible frames and points stay numpy columns,
-    one `np.lexsort` on (frame, agent id) orders them all, and the stream
-    is returned as a `DetectionTable` of the sorted columns.
+    detection: each agent's visible frames go onto the truth's frame
+    column and its points stay numpy columns, one stable sort of the frame
+    column orders them all (ties in agent id order), and the stream is
+    returned as a `DetectionTable` of the sorted columns, each numpy
+    column let go once copied. Agents that share an id raise InvalidSpec,
+    since their detections could not be told apart.
     """
     config = spec.config
     calib = config.build_calibration()
@@ -201,13 +224,17 @@ def generate(spec: ScenarioSpec) -> tuple[DetectionTable, GroundTruth]:
     fps, skip = config.fps, config.frame_skip
     rng = np.random.default_rng(spec.seed)
 
-    emitted_frames: dict[str, list[int]] = {a.agent_id: [] for a in spec.agents}
     agents = sorted(spec.agents, key=lambda a: a.agent_id)
-    # Each agent's visible (frames, x, y, rank in agent id order).
-    columns = [(np.empty(0, np.int64), np.empty(0), np.empty(0),
-                np.empty(0, np.intp))]
+    for a, b in zip(agents, agents[1:]):
+        if a.agent_id == b.agent_id:
+            raise InvalidSpec(
+                f"{spec.name}: two agents share the id {a.agent_id!r}")
+    # Agent k's visible frames are emitted[offsets[k]:offsets[k + 1]].
+    emitted, offsets = array("q"), array("q")
+    xs, ys = [np.empty(0)], [np.empty(0)]
 
-    for rank, agent in enumerate(agents):
+    for agent in agents:
+        offsets.append(len(emitted))
         first = int(math.ceil(agent.t_start * fps / skip)) * skip
         last = int(math.floor(agent.t_end * fps / skip)) * skip
         if last < first:
@@ -237,24 +264,32 @@ def generate(spec: ScenarioSpec) -> tuple[DetectionTable, GroundTruth]:
                          0.0, w - 1e-6)
             ey = np.clip(ey + rng.normal(0.0, spec.noise_sigma, len(frames)),
                          0.0, h - 1e-6)
-        shown = frames[visible]
-        emitted_frames[agent.agent_id] = shown.tolist()
-        columns.append((shown, ex[visible], ey[visible],
-                        np.full(len(shown), rank, dtype=np.intp)))
+        emitted.frombytes(frames[visible].tobytes())
+        xs.append(ex[visible])
+        ys.append(ey[visible])
+    offsets.append(len(emitted))
 
-    frames, xs, ys, ranks = map(np.concatenate, zip(*columns))
-    order = np.lexsort((ranks, frames))
-    ranks = ranks[order]
+    # A stable sort on frames keeps each frame's detections in agent id
+    # order, as the columns were appended. Rebinding each name lets go of
+    # its numpy column before the next one is copied.
+    frames = np.frombuffer(emitted, dtype=np.int64)
+    order = np.argsort(frames, kind="stable")
+    frames = array("q", frames[order].tobytes())
+    xs = np.concatenate(xs)
+    xs = array("d", xs[order].tobytes())
+    ys = np.concatenate(ys)
+    ys = array("d", ys[order].tobytes())
+    ranks = np.repeat(np.arange(len(agents)), np.diff(offsets))[order]
+    del order
     records = DetectionTable(
-        array("q", frames[order].tobytes()), array("d", xs[order].tobytes()),
-        array("d", ys[order].tobytes()),
+        frames, xs, ys,
         np.array([a.object_class for a in agents], dtype=object)[ranks].tolist(),
         np.array([a.agent_id for a in agents], dtype=object)[ranks].tolist())
-    # The numpy columns, a few times the table's size, go before the
-    # segmentation below adds its own.
-    del columns, frames, xs, ys, ranks, order
+    del ranks
     spans = segment_scenes(records, hangover_frames_at(fps))
-    return records, GroundTruth(emitted_frames=emitted_frames, spans=spans)
+    return records, GroundTruth(
+        agent_ids=tuple(a.agent_id for a in agents), frames=emitted,
+        offsets=offsets, spans=spans)
 
 
 # --- the standard named scenarios -------------------------------------------

@@ -3,13 +3,14 @@ import json
 import tempfile
 import tracemalloc
 import weakref
+from array import array
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from crossrisk.analytics import spot_speed_stats
 from crossrisk.errors import MalformedRecord
@@ -44,6 +45,7 @@ from crossrisk.stages import (
     read_trajectories,
     record_to_features,
     run_analyze,
+    run_extract,
     run_segment,
     run_synth,
     run_track,
@@ -148,6 +150,37 @@ def test_scene_rows_round_trip_through_read_scenes(spans):
         write_jsonl(Path(tmp) / "scenes.jsonl", "scenes",
                     [dumps_sorted(_span_record(s)) for s in spans])
         assert read_scenes(Path(tmp)) == spans
+
+
+def _truth_of(emitted: dict[str, list[int]], spans) -> synth.GroundTruth:
+    """A GroundTruth holding `emitted`."""
+    ids = sorted(emitted)
+    offsets = itertools.accumulate((len(emitted[a]) for a in ids), initial=0)
+    return synth.GroundTruth(
+        agent_ids=tuple(ids),
+        frames=array("q", itertools.chain(*(emitted[a] for a in ids))),
+        offsets=array("q", offsets), spans=spans)
+
+
+# Agent ids that need escapes: a quote, a backslash, non-ASCII text and a
+# control character.
+_agent_ids = st.text(max_size=4) | st.sampled_from(
+    ['"', "\\", "v\u00e9", "\u6b69\u884c\u8005", "\n", "\U0001f697"])
+
+
+@given(st.dictionaries(_agent_ids, st.lists(_frames, max_size=5), max_size=5),
+       st.lists(_spans(), max_size=3))
+@example({}, [])
+@example({'"': [], "\\": [0, 5], "v\u00e9": [10**7]}, [])
+def test_truth_file_is_json_dumps_of_the_whole_record(emitted, spans):
+    # The reference is the record the synth stage once built whole.
+    record = {"schema": stages.SCHEMAS["truth"],
+              "emitted_frames": dict(sorted(emitted.items())),
+              "spans": [_span_record(s) for s in spans]}
+    with tempfile.TemporaryDirectory() as tmp:
+        stages.write_truth(Path(tmp), _truth_of(emitted, spans))
+        text = (Path(tmp) / "truth.json").read_bytes()
+    assert text == json.dumps(record, sort_keys=True).encode()
 
 
 def test_feature_record_pedestrian_fields_on_disk():
@@ -682,6 +715,46 @@ def test_track_holds_a_runs_tracks_not_the_text_of_its_lines(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < (spot_dir / "trajectories.jsonl").stat().st_size
+
+
+def test_extract_holds_no_line_of_a_finished_scene(tmp_path):
+    # 800 sequential passes, each its own run: the features of the spot
+    # are several times what extract needs to hold, which is the scene
+    # index, one run's tracks and the scene being extracted.
+    (spot_dir,) = _tracked(tmp_path, corpus="bulk", bulk_scenes=800,
+                           noise_sigma=1.0)
+    tracemalloc.start()
+    try:
+        run_extract(PipelineConfig(out_dir=tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (spot_dir / "features.jsonl").stat().st_size / 4
+
+
+def test_features_rows_come_in_scene_runs_order(tmp_path):
+    # scenes.jsonl lists the windows last first, and their ids, numbered
+    # in frame order, sort as text in another order (s10000 < s9997): the
+    # rows follow the windows' frames, with any number of workers.
+    cfg = PipelineConfig(out_dir=tmp_path, seed=3, corpus="bulk",
+                         bulk_scenes=6, noise_sigma=1.0)
+    run_synth(cfg)
+    run_segment(cfg)
+    (spot_dir,) = cfg.spot_dirs()
+    spans = sorted(read_scenes(spot_dir), key=lambda s: s.frame_start)
+    ids = [f"s{9997 + k}" for k in range(len(spans))]
+    assert len(ids) == 6 and sorted(ids) != ids
+    write_jsonl(spot_dir / "scenes.jsonl", "scenes", [
+        dumps_sorted(_span_record(replace(span, scene_id=i)))
+        for span, i in reversed(list(zip(spans, ids)))])
+    run_track(cfg)
+    files = []
+    for workers in (1, 2):
+        run_extract(replace(cfg, workers=workers))
+        files.append((spot_dir / "features.jsonl").read_bytes())
+    assert files[0] == files[1]
+    rows = _plain_rows(spot_dir / "features.jsonl")
+    assert [r["scene_id"] for r in rows] == ids
 
 
 def test_analyze_holds_scene_summaries_not_feature_bundles(tmp_path):

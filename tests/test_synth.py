@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from crossrisk.synth import (
     AgentScript,
     ScenarioSpec,
     _scripted_stop,
+    _vehicle,
     analytic_psm,
     generate,
     standard_corpus,
@@ -157,6 +160,15 @@ def test_scenario_outside_frame_is_rejected():
         generate(ScenarioSpec(name="bad", config=config, agents=(agent,)))
 
 
+def test_agents_sharing_an_id_are_rejected():
+    # Their detections would carry one id, so neither the emitted frames
+    # nor the (frame, id) pairs of the stream could tell them apart.
+    agents = (_vehicle("v0", 0.0, 8.0, -3.5), _vehicle("v0", 0.5, 8.0, 3.5))
+    with pytest.raises(InvalidSpec, match="'v0'"):
+        generate(ScenarioSpec(name="twins", config=synthetic_spot_config(),
+                              agents=agents))
+
+
 def test_waypoint_times_must_increase():
     with pytest.raises(InvalidSpec):
         AgentScript("v0", ObjectClass.VEHICLE,
@@ -242,3 +254,19 @@ def test_traffic_spec_scales_with_scene_count():
     small, _ = generate(traffic_spec(5, seed=1))
     large, _ = generate(traffic_spec(15, seed=1))
     assert len(large) > len(small) > 0
+
+
+def test_generate_peaks_at_most_128_bytes_an_emitted_detection():
+    """The truth holds each emitted frame once, in one int64 column, and
+    each numpy column goes once copied into the table: the table (40
+    bytes a detection), the truth's 8 and the sort's transient columns."""
+    spec = traffic_spec(300)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        records, _ = generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / len(records) <= 128
