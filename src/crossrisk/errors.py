@@ -61,3 +61,7 @@ class InvalidSpec(PipelineError):
 
 class IoFailure(PipelineError):
     """A report or stage file could not be written."""
+
+
+class StaleInput(PipelineError):
+    """A stage file's inputs have changed since it was written."""

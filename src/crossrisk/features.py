@@ -420,7 +420,10 @@ class SceneFeatures:
     """The full per-scene feature bundle.
 
     `pedestrians` maps each pedestrian track id to that track's per-step
-    speeds in km/h and its per-point zones.
+    speeds in km/h and its per-point zones. Only `vehicle_accelerations`,
+    `vehicle_acceleration_runs`, `stopped` and `stop_distance_m` depend on
+    `FeatureParams`; `derive` sets them from the vehicle's speeds, zones
+    and crosswalk distances, which `measure` sets with the rest.
     """
 
     scene_id: str
@@ -444,26 +447,17 @@ class SceneFeatures:
     ped_in_crossing_area: bool
 
 
-def extract_scene_features(scene_id: str, vehicle: Trajectory,
-                           pedestrians: list[Trajectory], spot: SpotZones,
-                           calib: Calibration,
-                           params: FeatureParams | None = None) -> SceneFeatures:
-    """Compute the whole feature bundle for one scene of the spot whose
-    zones `spot` holds.
+def measure(scene_id: str, vehicle: Trajectory, pedestrians: list[Trajectory],
+            spot: SpotZones, calib: Calibration) -> SceneFeatures:
+    """Every feature of one scene that takes no parameter, for the spot
+    whose zones `spot` holds; the four fields `derive` sets are left empty.
 
     Vehicle-pedestrian lists run against the nearest pedestrian per frame;
     PSM runs against the overall nearest pedestrian and is None when their
     paths never conflict.
     """
-    params = params or FeatureParams()
-
     speeds = speed_list(vehicle)
     zones, cw_dists = vehicle_zones(vehicle, spot)
-    accel = acceleration_list(low_pass(speeds, params.alpha),
-                              params.epsilon_kmh, zones)
-    stopped, window = stop_window(speeds, zones, params.stop_tolerance_kmh,
-                                  params.stop_min_steps)
-    stop_distance = min((cw_dists[j] for j in window), default=None)
 
     ped_features = {}
     vw = {p.frame: p.world for p in vehicle.points}
@@ -507,11 +501,11 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
         vehicle_id=vehicle.object_id,
         vehicle_speeds_kmh=speeds,
         vehicle_zones=zones,
-        vehicle_accelerations=accel,
-        vehicle_acceleration_runs=collapse_runs(accel),
+        vehicle_accelerations=[],
+        vehicle_acceleration_runs=[],
         crosswalk_distances_m=cw_dists,
-        stopped=stopped,
-        stop_distance_m=stop_distance,
+        stopped=False,
+        stop_distance_m=None,
         pedestrians=ped_features,
         distances_m=distances,
         relative_positions=rel_positions,
@@ -519,3 +513,35 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
         psm_seconds_refined=psm_value.seconds_refined if psm_value else None,
         ped_in_crossing_area=in_crossing,
     )
+
+
+def derive(bundle: SceneFeatures, params: FeatureParams) -> SceneFeatures:
+    """`bundle` with its four `params`-dependent fields set from its
+    vehicle speeds, zones and crosswalk distances."""
+    speeds, zones = bundle.vehicle_speeds_kmh, bundle.vehicle_zones
+    accel = acceleration_list(low_pass(speeds, params.alpha),
+                              params.epsilon_kmh, zones)
+    stopped, window = stop_window(speeds, zones, params.stop_tolerance_kmh,
+                                  params.stop_min_steps)
+    bundle.vehicle_accelerations = accel
+    bundle.vehicle_acceleration_runs = collapse_runs(accel)
+    bundle.stopped = stopped
+    bundle.stop_distance_m = min(
+        (bundle.crosswalk_distances_m[j] for j in window), default=None)
+    return bundle
+
+
+def extract_scene_features(scene_id: str, vehicle: Trajectory,
+                           pedestrians: list[Trajectory], spot: SpotZones,
+                           calib: Calibration,
+                           params: FeatureParams | None = None) -> SceneFeatures:
+    """The whole feature bundle of one scene: `measure`, then `derive`.
+
+    Only `vehicle_accelerations`, `vehicle_acceleration_runs`, `stopped`
+    and `stop_distance_m` depend on `params`, so the extract stage may
+    derive a bundle again from its `features.jsonl` row. A change to what
+    `measure` computes must change `stages.SCHEMAS["run"]`, so that rows
+    measured by older code are not trusted.
+    """
+    return derive(measure(scene_id, vehicle, pedestrians, spot, calib),
+                  params or FeatureParams())

@@ -11,6 +11,7 @@ one output directory with one subdirectory per camera spot:
     out/<spot>/features.jsonl      one feature bundle per scene
     out/analysis.json              the report's tables as one record
     out/report/*.csv               that record rendered as CSV
+    out/run.json                   what track and extract read and wrote
 
 The track stage runs the tracker once per run of overlapping scene
 windows, not once per scene, so a detection in several windows is tracked
@@ -65,6 +66,17 @@ one run's tracks; extract, one run's tracks and the scene being
 extracted; analyze, one `analytics.SceneSummary` per scene of
 the corpus, each row checked as a whole bundle and let go at once.
 
+`run.json` holds, per spot, the sha256 of the `trajectories.jsonl` and
+`features.jsonl` that track and extract wrote and of each spot file they
+read for it (`_READS`), and no time, path or worker count. A stage drops
+its output's entry before writing the file and records it once the file
+is in place. Extract refuses tracks that are the recorded file but whose
+spot files have changed since (`StaleInput`). Features that are the
+recorded file, measured from the config, scenes and tracks there now,
+are only derived again under the new `FeatureParams`, a row at a time
+(`features.derive`). A record of another schema is not trusted, so a
+change to what `features.measure` computes must change `SCHEMAS["run"]`.
+
 The analyze stage only reads each spot's config and features; it fails
 when two spot directories name one spot id, whose scenes would merge.
 `analytics` owns both the analysis policy and the layout of
@@ -74,6 +86,7 @@ renders it, so the report stage can be rerun from that file alone.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -82,6 +95,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -90,6 +104,7 @@ from .errors import (
     IoFailure,
     MalformedRecord,
     PipelineError,
+    StaleInput,
     ZeroHeading,
 )
 from .features import FeatureParams, PedestrianZone, SceneFeatures, VehicleZone
@@ -123,6 +138,7 @@ SCHEMAS = {
     "features": "crossrisk/features/v1",
     "analysis": "crossrisk/analysis/v1",
     "truth": "crossrisk/truth/v1",
+    "run": "crossrisk/run/v1",
 }
 
 
@@ -205,18 +221,22 @@ def _bad_row(path, schema_key: str, n: int, exc: Exception) -> MalformedRecord:
                            f"({type(exc).__name__}: {exc})")
 
 
-def read_jsonl(path, schema_key: str, row) -> list:
+def _rows(path, schema_key: str, row):
     """The rows after a stage file's schema header, each passed through
-    `row`; a row that is not JSON or that `row` cannot read raises
-    MalformedRecord with its line number."""
-    out = []
+    `row` as it is taken; a row that is not JSON or that `row` cannot read
+    raises MalformedRecord with its line number."""
     for n, line in _stage_lines(path, schema_key):
         if not line.isspace():
             try:
-                out.append(row(json_line(line)))
+                out = row(json_line(line))
             except _SHAPE_ERRORS as exc:
                 raise _bad_row(path, schema_key, n, exc) from exc
-    return out
+            yield out
+
+
+def read_jsonl(path, schema_key: str, row) -> list:
+    """The list of `_rows(path, schema_key, row)`."""
+    return list(_rows(path, schema_key, row))
 
 
 @dataclass
@@ -291,6 +311,58 @@ def load_detections(spot_dir: Path, config: SpotConfig) -> DetectionTable:
             return parse_detections(fh, config)
     except OSError as exc:
         raise IoFailure(f"cannot read {spot_dir}/detections.jsonl: {exc}") from exc
+
+
+# The spot files each recorded output is made from.
+_READS = {"trajectories.jsonl": ("config.json", "detections.jsonl",
+                                 "scenes.jsonl"),
+          "features.jsonl": ("config.json", "scenes.jsonl",
+                             "trajectories.jsonl")}
+
+
+def _digest(path: Path) -> str:
+    """The file's sha256 in hex, read in 64 KiB blocks."""
+    sha = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 16):
+                sha.update(block)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return sha.hexdigest()
+
+
+def _run_spots(doc: dict) -> dict:
+    """A `run.json` record's entries by spot directory and output name;
+    none from a record of another schema."""
+    if doc.get("schema") != SCHEMAS["run"]:
+        return {}
+    for outputs in doc["spots"].values():
+        for entry in outputs.values():
+            for value in (entry["sha256"], *entry["read"].values()):
+                _typed(value, (str,))
+    return doc["spots"]
+
+
+def _run_record(cfg: PipelineConfig) -> dict:
+    path = Path(cfg.out_dir) / "run.json"
+    return (_read_document(path, "a run record", _run_spots)
+            if path.exists() else {})
+
+
+def _record(cfg: PipelineConfig, spots: dict, spot_dir: Path, name: str,
+            read: dict | None) -> None:
+    """Drop the spot's entry for output `name` (`read` None) or set it to
+    the file's digest and `read`, then write `run.json` whole."""
+    outputs = spots.setdefault(spot_dir.name, {})
+    if read is None:
+        outputs.pop(name, None)
+    else:
+        outputs[name] = {"read": read, "sha256": _digest(spot_dir / name)}
+    path = Path(cfg.out_dir) / "run.json"
+    part = path.with_name(".run.json.part")
+    part.write_text(dumps_sorted({"schema": SCHEMAS["run"], "spots": spots}))
+    os.replace(part, path)
 
 
 # --- synth stage --------------------------------------------------------------
@@ -472,9 +544,11 @@ def run_track(cfg: PipelineConfig) -> None:
     detections are read when its first run is taken, and each run's are
     cut from their frame column, so records are built only for the run
     being tracked. With one worker one run's tracks are held at a time,
-    never its text."""
+    never its text. Each file is recorded in `run.json`, with the digests
+    of the spot files it was made from."""
     spots = [(spot_dir, load_spot_config(spot_dir),
               scene_runs(read_scenes(spot_dir))) for spot_dir in cfg.spot_dirs()]
+    record = _run_record(cfg)
 
     def jobs():
         for spot_dir, config, runs in spots:
@@ -488,10 +562,14 @@ def run_track(cfg: PipelineConfig) -> None:
 
     results = _map_jobs(_track_run_job, jobs(), cfg.workers)
     for spot_dir, config, runs in spots:
+        read = {name: _digest(spot_dir / name)
+                for name in _READS["trajectories.jsonl"]}
         counts = Counter()
         lines = (line for scenes, trajectories in islice(results, len(runs))
                  for line in scene_lines(trajectories, scenes, counts))
+        _record(cfg, record, spot_dir, "trajectories.jsonl", None)
         write_jsonl(spot_dir / "trajectories.jsonl", "trajectories", lines)
+        _record(cfg, record, spot_dir, "trajectories.jsonl", read)
         log.info("spot %s: tracked %d scenes in %d runs, %d trajectory rows "
                  "of %d distinct points", config.spot_id,
                  sum(map(len, runs)), len(runs), counts["rows"],
@@ -721,34 +799,76 @@ def _extract_scene_job(args) -> tuple[str | None, str | None]:
     return dumps_sorted(features_to_record(bundle)), None
 
 
+def _check_fresh(spot_dir: Path, made: dict | None, digests: dict) -> None:
+    """Raise StaleInput when `trajectories.jsonl` is the file whose entry
+    `made` track recorded, but a file track read has changed since."""
+    if made is None or made["sha256"] != digests["trajectories.jsonl"]:
+        return
+    for name in _READS["trajectories.jsonl"]:
+        if made["read"].get(name) != (digests.get(name)
+                                      or _digest(spot_dir / name)):
+            raise StaleInput(
+                f"{spot_dir / name} has changed since track read it to "
+                f"write {spot_dir / 'trajectories.jsonl'}; run track again")
+
+
+def _derived_line(params: FeatureParams, r: dict) -> str:
+    """The `features.jsonl` line of row `r`'s bundle derived again under
+    `params`."""
+    return dumps_sorted(features_to_record(
+        feat.derive(record_to_features(r), params)))
+
+
 def run_extract(cfg: PipelineConfig) -> None:
     """Extract every scene's features and write each spot's
     `features.jsonl` in `scene_runs` order (see the module docstring),
     each line written as its scene is done. With one worker each scene is
     extracted as `read_trajectories` yields it, so one run of scene
-    windows is held at a time, and no line once it is written."""
+    windows is held at a time, and no line once it is written. The
+    features of a spot are derived again, or stale tracks refused, as the
+    module docstring says."""
+    record = _run_record(cfg)
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
-        calib = config.build_calibration()
-        spot = feat.SpotZones(config)
-        counts = Counter()
-        jobs = ((span, trajectories, spot, calib, cfg.features)
-                for span, trajectories in read_trajectories(
-                    spot_dir, read_scenes(spot_dir), counts))
-        outcomes = Counter()
+        made = record.get(spot_dir.name, {})
+        read = {name: _digest(spot_dir / name)
+                for name in _READS["features.jsonl"]}
+        _check_fresh(spot_dir, made.get("trajectories.jsonl"), read)
+        path = spot_dir / "features.jsonl"
+        measured = made.get("features.jsonl")
+        derive_only = (measured is not None and measured["read"] == read
+                       and path.exists() and measured["sha256"] == _digest(path))
+        counts, outcomes = Counter(), Counter()
+        if derive_only:
+            results = ((line, None) for line in _rows(
+                path, "features", partial(_derived_line, cfg.features)))
+        else:
+            calib = config.build_calibration()
+            spot = feat.SpotZones(config)
+            jobs = ((span, trajectories, spot, calib, cfg.features)
+                    for span, trajectories in read_trajectories(
+                        spot_dir, read_scenes(spot_dir), counts))
+            results = _map_jobs(_extract_scene_job, jobs, cfg.workers)
 
         def lines():
-            for line, why in _map_jobs(_extract_scene_job, jobs, cfg.workers):
+            for line, why in results:
                 outcomes[why] += 1
                 if line is not None:
                     yield line
 
-        write_jsonl(spot_dir / "features.jsonl", "features", lines())
-        log.info("spot %s: read %d trajectory rows, %d decoded in full; "
-                 "extracted features for %d scenes, skipped %d with no "
-                 "vehicle track and %d whose vehicle never moved",
-                 config.spot_id, counts["rows"], counts["decoded"],
-                 outcomes[None], outcomes[_NO_VEHICLE], outcomes[_NEVER_MOVED])
+        _record(cfg, record, spot_dir, "features.jsonl", None)
+        write_jsonl(path, "features", lines())
+        _record(cfg, record, spot_dir, "features.jsonl", read)
+        if derive_only:
+            log.info("spot %s: derived the features of %d scenes again from "
+                     "the rows measured before", config.spot_id, outcomes[None])
+        else:
+            log.info("spot %s: read %d trajectory rows, %d decoded in full; "
+                     "extracted features for %d scenes, skipped %d with no "
+                     "vehicle track and %d whose vehicle never moved",
+                     config.spot_id, counts["rows"], counts["decoded"],
+                     outcomes[None], outcomes[_NO_VEHICLE],
+                     outcomes[_NEVER_MOVED])
 
 
 # --- analyze stage --------------------------------------------------------------

@@ -192,6 +192,39 @@ def test_failed_stage_leaves_no_file_for_the_next(tmp_path, capsys):
     assert "trajectories.jsonl" in diagnostic["message"]
 
 
+def _move_detections(spot_dir):
+    path = spot_dir / "detections.jsonl"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("".join(f"{line}\n" for line in [header, *(
+        json.dumps({**r, "x": r["x"] + 15}) for r in map(json.loads, rows))]))
+    return path
+
+
+def _mark_speed_camera(spot_dir):
+    path = spot_dir / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "speed_camera": True}))
+    return path
+
+
+@pytest.mark.parametrize("edit", [_move_detections, _mark_speed_camera])
+def test_tracks_made_from_changed_spot_files_are_stale(tmp_path, capsys, edit):
+    # Every detection moved 15 px, or the config edited, and segment run
+    # again but not track: extract must not take the old tracks for the
+    # new ones.
+    out = ("--out-dir", str(tmp_path), "--spot", "near_miss")
+    assert _run("all", *out) == 0
+    changed = edit(tmp_path / "near_miss")
+    assert _run("segment", *out) == 0
+    capsys.readouterr()
+    assert _run("extract", *out) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "StaleInput"
+    assert diagnostic["message"].startswith(f"{changed} has changed since")
+    assert _run("track", *out) == 0
+    assert _run("extract", *out) == 0
+
+
 @pytest.mark.parametrize("document, problem", [
     ('{"features": {"alpha": 0.2}}', "features.alpha is set by --alpha"),
     ('{"tracker": {"gate": 3}}', "unknown key tracker.gate"),
