@@ -540,8 +540,9 @@ def extract_scene_features(scene_id: str, vehicle: Trajectory,
     Only `vehicle_accelerations`, `vehicle_acceleration_runs`, `stopped`
     and `stop_distance_m` depend on `params`, so the extract stage may
     derive a bundle again from its `features.jsonl` row. A change to what
-    `measure` computes must change `stages.SCHEMAS["run"]`, so that rows
-    measured by older code are not trusted.
+    `measure` computes is a change to this package's source, whose digest
+    `run.json` records with each spot's features, so rows measured by
+    older code are measured again rather than trusted.
     """
     return derive(measure(scene_id, vehicle, pedestrians, spot, calib),
                   params or FeatureParams())

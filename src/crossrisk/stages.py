@@ -68,14 +68,15 @@ the corpus, each row checked as a whole bundle and let go at once.
 
 `run.json` holds, per spot, the sha256 of the `trajectories.jsonl` and
 `features.jsonl` that track and extract wrote and of each spot file they
-read for it (`_READS`), and no time, path or worker count. A stage drops
-its output's entry before writing the file and records it once the file
-is in place. Extract refuses tracks that are the recorded file but whose
+read for it (`_READS`), and no time, path or worker count; the features
+entry also holds the digest of this package's source. A stage drops its
+output's entry before writing the file and records it once the file is
+in place. Extract refuses tracks that are the recorded file but whose
 spot files have changed since (`StaleInput`). Features that are the
-recorded file, measured from the config, scenes and tracks there now,
-are only derived again under the new `FeatureParams`, a row at a time
-(`features.derive`). A record of another schema is not trusted, so a
-change to what `features.measure` computes must change `SCHEMAS["run"]`.
+recorded file, measured by this source from the config, scenes and
+tracks there now, are only derived again under the new `FeatureParams`,
+a row at a time (`features.derive`); any other features are measured
+again, and so are all under a record of another schema.
 
 The analyze stage only reads each spot's config and features; it fails
 when two spot directories name one spot id, whose scenes would merge.
@@ -95,7 +96,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -344,22 +345,25 @@ def _run_spots(doc: dict) -> dict:
     return doc["spots"]
 
 
-def _run_record(cfg: PipelineConfig) -> dict:
-    path = Path(cfg.out_dir) / "run.json"
-    return (_read_document(path, "a run record", _run_spots)
-            if path.exists() else {})
+@cache
+def _source_digest() -> str:
+    """The sha256 of the names and digests of this package's source files,
+    so that a change to the code that measured a row is seen."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256("".join(f"{p.name} {_digest(p)}\n"
+                                  for p in files).encode()).hexdigest()
 
 
-def _record(cfg: PipelineConfig, spots: dict, spot_dir: Path, name: str,
-            read: dict | None) -> None:
+def _record(spots: dict, spot_dir: Path, name: str, read: dict | None) -> None:
     """Drop the spot's entry for output `name` (`read` None) or set it to
-    the file's digest and `read`, then write `run.json` whole."""
+    the file's digest and `read`, then write the out dir's `run.json`
+    whole."""
     outputs = spots.setdefault(spot_dir.name, {})
     if read is None:
         outputs.pop(name, None)
     else:
         outputs[name] = {"read": read, "sha256": _digest(spot_dir / name)}
-    path = Path(cfg.out_dir) / "run.json"
+    path = spot_dir.parent / "run.json"
     part = path.with_name(".run.json.part")
     part.write_text(dumps_sorted({"schema": SCHEMAS["run"], "spots": spots}))
     os.replace(part, path)
@@ -548,7 +552,9 @@ def run_track(cfg: PipelineConfig) -> None:
     of the spot files it was made from."""
     spots = [(spot_dir, load_spot_config(spot_dir),
               scene_runs(read_scenes(spot_dir))) for spot_dir in cfg.spot_dirs()]
-    record = _run_record(cfg)
+    run_json = Path(cfg.out_dir) / "run.json"
+    record = (_read_document(run_json, "a run record", _run_spots)
+              if run_json.exists() else {})
 
     def jobs():
         for spot_dir, config, runs in spots:
@@ -567,9 +573,9 @@ def run_track(cfg: PipelineConfig) -> None:
         counts = Counter()
         lines = (line for scenes, trajectories in islice(results, len(runs))
                  for line in scene_lines(trajectories, scenes, counts))
-        _record(cfg, record, spot_dir, "trajectories.jsonl", None)
+        _record(record, spot_dir, "trajectories.jsonl", None)
         write_jsonl(spot_dir / "trajectories.jsonl", "trajectories", lines)
-        _record(cfg, record, spot_dir, "trajectories.jsonl", read)
+        _record(record, spot_dir, "trajectories.jsonl", read)
         log.info("spot %s: tracked %d scenes in %d runs, %d trajectory rows "
                  "of %d distinct points", config.spot_id,
                  sum(map(len, runs)), len(runs), counts["rows"],
@@ -827,12 +833,15 @@ def run_extract(cfg: PipelineConfig) -> None:
     windows is held at a time, and no line once it is written. The
     features of a spot are derived again, or stale tracks refused, as the
     module docstring says."""
-    record = _run_record(cfg)
+    run_json = Path(cfg.out_dir) / "run.json"
+    record = (_read_document(run_json, "a run record", _run_spots)
+              if run_json.exists() else {})
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
         made = record.get(spot_dir.name, {})
         read = {name: _digest(spot_dir / name)
                 for name in _READS["features.jsonl"]}
+        read["source"] = _source_digest()
         _check_fresh(spot_dir, made.get("trajectories.jsonl"), read)
         path = spot_dir / "features.jsonl"
         measured = made.get("features.jsonl")
@@ -856,9 +865,9 @@ def run_extract(cfg: PipelineConfig) -> None:
                 if line is not None:
                     yield line
 
-        _record(cfg, record, spot_dir, "features.jsonl", None)
+        _record(record, spot_dir, "features.jsonl", None)
         write_jsonl(path, "features", lines())
-        _record(cfg, record, spot_dir, "features.jsonl", read)
+        _record(record, spot_dir, "features.jsonl", read)
         if derive_only:
             log.info("spot %s: derived the features of %d scenes again from "
                      "the rows measured before", config.spot_id, outcomes[None])

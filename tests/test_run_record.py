@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossrisk import features as feat
+from crossrisk import features as feat, stages
 from crossrisk.errors import MalformedRecord
 from crossrisk.features import FeatureParams
 from crossrisk.ingest import dumps_sorted
@@ -39,6 +39,15 @@ from crossrisk.tracker import TrackerParams
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _source_digest() -> str:
+    """Every source file of the package by name and sha256, hashed."""
+    files = sorted(Path(stages.__file__).parent.glob("*.py"))
+    assert {"features.py", "stages.py", "geometry.py"} <= {
+        p.name for p in files}
+    return hashlib.sha256("".join(f"{p.name} {_sha256(p)}\n"
+                                  for p in files).encode()).hexdigest()
 
 
 class _Measured:
@@ -132,7 +141,8 @@ def test_run_record_holds_the_digests_of_what_each_stage_read_and_wrote(
                 "sha256": digest["trajectories.jsonl"]},
             "features.jsonl": {"read": {
                 k: digest[k] for k in ("config.json", "scenes.jsonl",
-                                       "trajectories.jsonl")},
+                                       "trajectories.jsonl")}
+                | {"source": _source_digest()},
                 "sha256": digest["features.jsonl"]}}
     record = {"schema": SCHEMAS["run"], "spots": spots}
     assert (standard / "run.json").read_text() == dumps_sorted(record)
@@ -168,8 +178,17 @@ def _record_of_another_schema(out_dir: Path) -> None:
                                              "crossrisk/run/v0"))
 
 
+def _features_measured_by_other_source(out_dir: Path) -> None:
+    path = out_dir / "run.json"
+    record = json.loads(path.read_text())
+    for outputs in record["spots"].values():
+        outputs["features.jsonl"]["read"]["source"] = "0" * 64
+    path.write_text(dumps_sorted(record))
+
+
 @pytest.mark.parametrize("edit", [_edit_feature_row,
-                                  _record_of_another_schema])
+                                  _record_of_another_schema,
+                                  _features_measured_by_other_source])
 def test_changed_features_or_record_make_extract_measure_again(
         tmp_path, monkeypatch, edit):
     cfg = PipelineConfig(out_dir=tmp_path, seed=3)

@@ -732,10 +732,11 @@ def test_extract_holds_no_line_of_a_finished_scene(tmp_path):
     assert peak < (spot_dir / "features.jsonl").stat().st_size / 4
 
 
-def test_features_rows_come_in_scene_runs_order(tmp_path):
+def test_features_rows_come_in_scene_runs_order(tmp_path, monkeypatch):
     # scenes.jsonl lists the windows last first, and their ids, numbered
     # in frame order, sort as text in another order (s10000 < s9997): the
-    # rows follow the windows' frames, with any number of workers.
+    # rows follow the windows' frames, with any number of workers. Each
+    # extract runs without run.json, so it measures every scene again.
     cfg = PipelineConfig(out_dir=tmp_path, seed=3, corpus="bulk",
                          bulk_scenes=6, noise_sigma=1.0)
     run_synth(cfg)
@@ -748,10 +749,21 @@ def test_features_rows_come_in_scene_runs_order(tmp_path):
         dumps_sorted(_span_record(replace(span, scene_id=i)))
         for span, i in reversed(list(zip(spans, ids)))])
     run_track(cfg)
+    calls = []
+    map_jobs = stages._map_jobs
+
+    def recording(fn, jobs, workers):
+        calls.append((fn, workers))
+        return map_jobs(fn, jobs, workers)
+
+    monkeypatch.setattr(stages, "_map_jobs", recording)
     files = []
     for workers in (1, 2):
+        (tmp_path / "run.json").unlink()
         run_extract(replace(cfg, workers=workers))
         files.append((spot_dir / "features.jsonl").read_bytes())
+    assert calls == [(stages._extract_scene_job, 1),
+                     (stages._extract_scene_job, 2)]
     assert files[0] == files[1]
     rows = _plain_rows(spot_dir / "features.jsonl")
     assert [r["scene_id"] for r in rows] == ids
