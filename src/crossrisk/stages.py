@@ -868,16 +868,12 @@ def run_extract(cfg: PipelineConfig) -> None:
         _record(record, spot_dir, "features.jsonl", None)
         write_jsonl(path, "features", lines())
         _record(record, spot_dir, "features.jsonl", read)
-        if derive_only:
-            log.info("spot %s: derived the features of %d scenes again from "
-                     "the rows measured before", config.spot_id, outcomes[None])
-        else:
-            log.info("spot %s: read %d trajectory rows, %d decoded in full; "
-                     "extracted features for %d scenes, skipped %d with no "
-                     "vehicle track and %d whose vehicle never moved",
-                     config.spot_id, counts["rows"], counts["decoded"],
-                     outcomes[None], outcomes[_NO_VEHICLE],
-                     outcomes[_NEVER_MOVED])
+        log.info("spot %s: read %d trajectory rows, %d decoded in full; "
+                 "%s features for %d scenes, skipped %d with no vehicle "
+                 "track and %d whose vehicle never moved", config.spot_id,
+                 counts["rows"], counts["decoded"],
+                 "derived" if derive_only else "extracted", outcomes[None],
+                 outcomes[_NO_VEHICLE], outcomes[_NEVER_MOVED])
 
 
 # --- analyze stage --------------------------------------------------------------
