@@ -2,9 +2,14 @@
 report | all.
 
 Each stage reads the previous stage's files from the output directory and
-writes its own; any stage can be re-run in isolation. Exit codes: 0 on
-success, 1 on a data error (a machine-readable diagnostic goes to
-stderr), 2 on usage errors.
+writes its own; any stage can be re-run in isolation. Segment and track
+skip a spot whose output `run.json` shows made from the files, code and
+tracker parameters there now, and extract then only derives the features
+again (see `stages`). To make a stage run again on such a spot, delete
+its output file (`scenes.jsonl`, `trajectories.jsonl` or
+`features.jsonl`), or delete `run.json` to make every stage run again.
+Exit codes: 0 on success, 1 on a data error (a machine-readable
+diagnostic goes to stderr), 2 on usage errors.
 
 Every subcommand takes --out-dir and -v. Beyond those, each takes only
 the flags its stage reads, and a flag it does not read is a usage error:

@@ -11,7 +11,7 @@ one output directory with one subdirectory per camera spot:
     out/<spot>/features.jsonl      one feature bundle per scene
     out/analysis.json              the report's tables as one record
     out/report/*.csv               that record rendered as CSV
-    out/run.json                   what track and extract read and wrote
+    out/run.json                   what segment, track and extract read and wrote
 
 The track stage runs the tracker once per run of overlapping scene
 windows, not once per scene, so a detection in several windows is tracked
@@ -66,17 +66,23 @@ one run's tracks; extract, one run's tracks and the scene being
 extracted; analyze, one `analytics.SceneSummary` per scene of
 the corpus, each row checked as a whole bundle and let go at once.
 
-`run.json` holds, per spot, the sha256 of the `trajectories.jsonl` and
-`features.jsonl` that track and extract wrote and of each spot file they
-read for it (`_READS`), and no time, path or worker count; the features
-entry also holds the digest of this package's source. A stage drops its
-output's entry before writing the file and records it once the file is
-in place. Extract refuses tracks that are the recorded file but whose
-spot files have changed since (`StaleInput`). Features that are the
-recorded file, measured by this source from the config, scenes and
-tracks there now, are only derived again under the new `FeatureParams`,
-a row at a time (`features.derive`); any other features are measured
-again, and so are all under a record of another schema.
+`run.json` holds, per spot, an entry for each `scenes.jsonl`,
+`trajectories.jsonl` and `features.jsonl` that segment, track and extract
+wrote: the file's sha256, and under `read` the sha256 of each spot file it
+was made from (`_READS`) and of this package's source; the tracks' entry
+also holds the `TrackerParams`. It holds no time, path or worker count. A
+stage drops its output's entry before writing the file and records it
+once the file is in place, with the digest of the bytes it wrote. An
+output is current (`_current`) when its entry's `read` equals the digests
+now and the file there is the one recorded. Segment and track do no work
+for a spot whose output is current. Extract derives the features of such
+a spot again under the new `FeatureParams`, a row at a time
+(`features.derive`), and measures any other spot's again; every stage
+runs again on every spot under a record of another schema. To make a
+stage run again on unchanged inputs, delete its output file, or
+`run.json` for every stage. Track refuses scenes, and extract tracks,
+that are the recorded file but whose spot files have changed since
+(`StaleInput`).
 
 The analyze stage only reads each spot's config and features; it fails
 when two spot directories name one spot id, whose scenes would merge.
@@ -95,7 +101,7 @@ import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from itertools import chain, islice
 from pathlib import Path
@@ -143,22 +149,45 @@ SCHEMAS = {
 }
 
 
-def write_jsonl(path, schema_key: str, lines) -> None:
-    """A stage file: the schema header, then one line per encoded row.
+# The characters of text `write_jsonl` gathers before it encodes, hashes
+# and writes them: enough that the calls cost little per line, few enough
+# that a stage holding one row at a time still holds little.
+_BLOCK_CHARS = 1 << 16
 
-    The file is written under a temporary name beside `path` and renamed
-    to `path` once whole. When writing fails, also when taking a line from
-    `lines` raises, neither that file nor one at `path` is left, so a
-    later stage fails on the missing file instead of reading a part.
+
+def write_jsonl(path, schema_key: str, lines) -> str:
+    """A stage file: the schema header, then one line per encoded row.
+    Returns the sha256 of the bytes written, in hex, so that `run.json`
+    records the file without reading it back.
+
+    The lines are gathered into blocks of about `_BLOCK_CHARS`, and each
+    block encoded, hashed and written at once, under a temporary name
+    beside `path` that is renamed to `path` once whole. When writing
+    fails, also when taking a line from `lines` raises, neither that file
+    nor one at `path` is left, so a later stage fails on the missing file
+    instead of reading a part.
     """
     path = Path(path)
     part = path.with_name(f".{path.name}.part")
+    sha = hashlib.sha256()
+
+    def write(fh, block):
+        data = ("\n".join(block) + "\n").encode()
+        sha.update(data)
+        fh.write(data)
+
     try:
         try:
-            with open(part, "w") as fh:
-                fh.write(dumps_sorted({"schema": SCHEMAS[schema_key]}) + "\n")
+            with open(part, "wb") as fh:
+                block, size = [dumps_sorted({"schema": SCHEMAS[schema_key]})], 0
                 for line in lines:
-                    fh.write(line + "\n")
+                    block.append(line)
+                    size += len(line)
+                    if size >= _BLOCK_CHARS:
+                        write(fh, block)
+                        block, size = [], 0
+                if block:
+                    write(fh, block)
             os.replace(part, path)
         except BaseException:
             part.unlink(missing_ok=True)
@@ -166,6 +195,7 @@ def write_jsonl(path, schema_key: str, lines) -> None:
             raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return sha.hexdigest()
 
 
 # What reading a row of the wrong shape raises: a missing key, a list or
@@ -314,8 +344,11 @@ def load_detections(spot_dir: Path, config: SpotConfig) -> DetectionTable:
         raise IoFailure(f"cannot read {spot_dir}/detections.jsonl: {exc}") from exc
 
 
-# The spot files each recorded output is made from.
-_READS = {"trajectories.jsonl": ("config.json", "detections.jsonl",
+# The spot files each recorded output is made from, and the stage that
+# writes each output a later stage reads.
+_WRITER = {"scenes.jsonl": "segment", "trajectories.jsonl": "track"}
+_READS = {"scenes.jsonl": ("config.json", "detections.jsonl"),
+          "trajectories.jsonl": ("config.json", "detections.jsonl",
                                  "scenes.jsonl"),
           "features.jsonl": ("config.json", "scenes.jsonl",
                              "trajectories.jsonl")}
@@ -345,27 +378,73 @@ def _run_spots(doc: dict) -> dict:
     return doc["spots"]
 
 
+def _load_record(out_dir) -> dict:
+    """The entries of the out dir's `run.json` (`_run_spots`); none when
+    there is no such file."""
+    path = Path(out_dir) / "run.json"
+    return (_read_document(path, "a run record", _run_spots)
+            if path.exists() else {})
+
+
 @cache
 def _source_digest() -> str:
     """The sha256 of the names and digests of this package's source files,
-    so that a change to the code that measured a row is seen."""
+    so that a change to the code that made an output is seen."""
     files = sorted(Path(__file__).parent.glob("*.py"))
     return hashlib.sha256("".join(f"{p.name} {_digest(p)}\n"
                                   for p in files).encode()).hexdigest()
 
 
-def _record(spots: dict, spot_dir: Path, name: str, read: dict | None) -> None:
-    """Drop the spot's entry for output `name` (`read` None) or set it to
-    the file's digest and `read`, then write the out dir's `run.json`
-    whole."""
-    outputs = spots.setdefault(spot_dir.name, {})
-    if read is None:
-        outputs.pop(name, None)
-    else:
-        outputs[name] = {"read": read, "sha256": _digest(spot_dir / name)}
-    path = spot_dir.parent / "run.json"
+def _read_digests(spot_dir: Path, name: str) -> dict:
+    """The digests now of what output `name` is made from: each spot file
+    of `_READS` and this package's source."""
+    return {**{f: _digest(spot_dir / f) for f in _READS[name]},
+            "source": _source_digest()}
+
+
+def _current(record: dict, spot_dir: Path, name: str, read: dict) -> bool:
+    """Whether the spot's output `name` is the file `record` holds an
+    entry for, made from what `read` holds now."""
+    entry = record.get(spot_dir.name, {}).get(name)
+    path = spot_dir / name
+    return (entry is not None and entry["read"] == read and path.exists()
+            and entry["sha256"] == _digest(path))
+
+
+def _check_fresh(record: dict, spot_dir: Path, name: str,
+                 digests: dict) -> None:
+    """Raise StaleInput when the spot's input `name` is the file whose
+    entry `record` holds, but a spot file read to make it has changed
+    since; `digests` holds those already taken, `name`'s among them."""
+    made = record.get(spot_dir.name, {}).get(name)
+    if made is None or made["sha256"] != digests[name]:
+        return
+    for source in _READS[name]:
+        if made["read"].get(source) != (digests.get(source)
+                                        or _digest(spot_dir / source)):
+            raise StaleInput(
+                f"{spot_dir / source} has changed since {_WRITER[name]} read "
+                f"it to write {spot_dir / name}; run {_WRITER[name]} again")
+
+
+def _write_recorded(record: dict, spot_dir: Path, name: str, read: dict,
+                    lines) -> None:
+    """Write the spot's output `name` from `lines` (`write_jsonl`) and
+    record it in the out dir's `run.json`, made from `read`: an entry is
+    dropped before the file is written and set once it is in place."""
+    outputs = record.setdefault(spot_dir.name, {})
+    if outputs.pop(name, None) is not None:
+        _save_record(spot_dir.parent, record)
+    sha256 = write_jsonl(spot_dir / name, name.removesuffix(".jsonl"), lines)
+    outputs[name] = {"read": read, "sha256": sha256}
+    _save_record(spot_dir.parent, record)
+
+
+def _save_record(out_dir: Path, record: dict) -> None:
+    """Write `run.json` whole, under a temporary name renamed into place."""
+    path = out_dir / "run.json"
     part = path.with_name(".run.json.part")
-    part.write_text(dumps_sorted({"schema": SCHEMAS["run"], "spots": spots}))
+    part.write_text(dumps_sorted({"schema": SCHEMAS["run"], "spots": record}))
     os.replace(part, path)
 
 
@@ -419,13 +498,22 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_segment(cfg: PipelineConfig) -> None:
+    """Cut each spot's detections into scene windows and write its
+    `scenes.jsonl`, recorded in `run.json`; a spot whose scenes are
+    current is not segmented again."""
+    record = _load_record(cfg.out_dir)
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
+        read = _read_digests(spot_dir, "scenes.jsonl")
+        if _current(record, spot_dir, "scenes.jsonl", read):
+            log.info("spot %s: scenes.jsonl is up to date, not segmented "
+                     "again", config.spot_id)
+            continue
         records = load_detections(spot_dir, config)
         spans = motion_gate.segment_scenes(
             records, motion_gate.hangover_frames_at(config.fps))
-        write_jsonl(spot_dir / "scenes.jsonl", "scenes",
-                    (dumps_sorted(_span_record(s)) for s in spans))
+        _write_recorded(record, spot_dir, "scenes.jsonl", read,
+                        (dumps_sorted(_span_record(s)) for s in spans))
         frames = sum((s.frame_end - s.frame_start) // config.frame_skip + 1
                      for s in spans)
         inter = sum(1 for s in spans if s.interactive)
@@ -549,17 +637,32 @@ def run_track(cfg: PipelineConfig) -> None:
     cut from their frame column, so records are built only for the run
     being tracked. With one worker one run's tracks are held at a time,
     never its text. Each file is recorded in `run.json`, with the digests
-    of the spot files it was made from."""
-    spots = [(spot_dir, load_spot_config(spot_dir),
-              scene_runs(read_scenes(spot_dir))) for spot_dir in cfg.spot_dirs()]
-    run_json = Path(cfg.out_dir) / "run.json"
-    record = (_read_document(run_json, "a run record", _run_spots)
-              if run_json.exists() else {})
+    of what it was made from and the tracker's parameters; a spot whose
+    tracks are current is not tracked again, and scenes made from other
+    spot files than those there now are refused once the detections
+    parse (`StaleInput`)."""
+    record = _load_record(cfg.out_dir)
+    params = dumps_sorted(asdict(cfg.tracker))
+    spots = []
+    for spot_dir in cfg.spot_dirs():
+        config = load_spot_config(spot_dir)
+        read = {**_read_digests(spot_dir, "trajectories.jsonl"),
+                "tracker": params}
+        if _current(record, spot_dir, "trajectories.jsonl", read):
+            log.info("spot %s: trajectories.jsonl is up to date, not "
+                     "tracked again", config.spot_id)
+            continue
+        runs = scene_runs(read_scenes(spot_dir))
+        if not runs:    # with one worker, `jobs` may never reach the spot
+            _check_fresh(record, spot_dir, "scenes.jsonl", read)
+        spots.append((spot_dir, config, runs, read))
 
     def jobs():
-        for spot_dir, config, runs in spots:
+        for spot_dir, config, runs, read in spots:
             calib = config.build_calibration()
             records = load_detections(spot_dir, config)
+            # After the parse, so that a malformed file fails as such.
+            _check_fresh(record, spot_dir, "scenes.jsonl", read)
             frames = records.frames     # already frame-ordered
             for run in runs:
                 lo = bisect_left(frames, run[0].frame_start)
@@ -567,15 +670,11 @@ def run_track(cfg: PipelineConfig) -> None:
                 yield run, records[lo:hi], config, calib, cfg.tracker
 
     results = _map_jobs(_track_run_job, jobs(), cfg.workers)
-    for spot_dir, config, runs in spots:
-        read = {name: _digest(spot_dir / name)
-                for name in _READS["trajectories.jsonl"]}
+    for spot_dir, config, runs, read in spots:
         counts = Counter()
         lines = (line for scenes, trajectories in islice(results, len(runs))
                  for line in scene_lines(trajectories, scenes, counts))
-        _record(record, spot_dir, "trajectories.jsonl", None)
-        write_jsonl(spot_dir / "trajectories.jsonl", "trajectories", lines)
-        _record(record, spot_dir, "trajectories.jsonl", read)
+        _write_recorded(record, spot_dir, "trajectories.jsonl", read, lines)
         log.info("spot %s: tracked %d scenes in %d runs, %d trajectory rows "
                  "of %d distinct points", config.spot_id,
                  sum(map(len, runs)), len(runs), counts["rows"],
@@ -805,19 +904,6 @@ def _extract_scene_job(args) -> tuple[str | None, str | None]:
     return dumps_sorted(features_to_record(bundle)), None
 
 
-def _check_fresh(spot_dir: Path, made: dict | None, digests: dict) -> None:
-    """Raise StaleInput when `trajectories.jsonl` is the file whose entry
-    `made` track recorded, but a file track read has changed since."""
-    if made is None or made["sha256"] != digests["trajectories.jsonl"]:
-        return
-    for name in _READS["trajectories.jsonl"]:
-        if made["read"].get(name) != (digests.get(name)
-                                      or _digest(spot_dir / name)):
-            raise StaleInput(
-                f"{spot_dir / name} has changed since track read it to "
-                f"write {spot_dir / 'trajectories.jsonl'}; run track again")
-
-
 def _derived_line(params: FeatureParams, r: dict) -> str:
     """The `features.jsonl` line of row `r`'s bundle derived again under
     `params`."""
@@ -833,20 +919,13 @@ def run_extract(cfg: PipelineConfig) -> None:
     windows is held at a time, and no line once it is written. The
     features of a spot are derived again, or stale tracks refused, as the
     module docstring says."""
-    run_json = Path(cfg.out_dir) / "run.json"
-    record = (_read_document(run_json, "a run record", _run_spots)
-              if run_json.exists() else {})
+    record = _load_record(cfg.out_dir)
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
-        made = record.get(spot_dir.name, {})
-        read = {name: _digest(spot_dir / name)
-                for name in _READS["features.jsonl"]}
-        read["source"] = _source_digest()
-        _check_fresh(spot_dir, made.get("trajectories.jsonl"), read)
+        read = _read_digests(spot_dir, "features.jsonl")
+        _check_fresh(record, spot_dir, "trajectories.jsonl", read)
         path = spot_dir / "features.jsonl"
-        measured = made.get("features.jsonl")
-        derive_only = (measured is not None and measured["read"] == read
-                       and path.exists() and measured["sha256"] == _digest(path))
+        derive_only = _current(record, spot_dir, "features.jsonl", read)
         counts, outcomes = Counter(), Counter()
         if derive_only:
             results = ((line, None) for line in _rows(
@@ -865,9 +944,7 @@ def run_extract(cfg: PipelineConfig) -> None:
                 if line is not None:
                     yield line
 
-        _record(record, spot_dir, "features.jsonl", None)
-        write_jsonl(path, "features", lines())
-        _record(record, spot_dir, "features.jsonl", read)
+        _write_recorded(record, spot_dir, "features.jsonl", read, lines())
         log.info("spot %s: read %d trajectory rows, %d decoded in full; "
                  "%s features for %d scenes, skipped %d with no vehicle "
                  "track and %d whose vehicle never moved", config.spot_id,

@@ -225,6 +225,35 @@ def test_tracks_made_from_changed_spot_files_are_stale(tmp_path, capsys, edit):
     assert _run("extract", *out) == 0
 
 
+def _cut_detections(spot_dir):
+    """Drop the spot's detections after frame 155, within its scene."""
+    path = spot_dir / "detections.jsonl"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("".join(f"{line}\n" for line in [header, *(
+        r for r in rows if json.loads(r)["frame"] <= 155)]))
+    return path
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("edit", [_cut_detections, _move_detections,
+                                  _mark_speed_camera])
+def test_scenes_made_from_changed_spot_files_are_stale(tmp_path, capsys,
+                                                       edit, workers):
+    # The detections cut or moved, or the config edited, and segment not
+    # run again: track must not take the old scenes for the new ones.
+    out = ("--out-dir", str(tmp_path), "--spot", "near_miss")
+    assert _run("all", *out, "--seed", "3") == 0
+    changed = edit(tmp_path / "near_miss")
+    capsys.readouterr()
+    assert _run("track", *out, "--workers", workers) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "StaleInput"
+    assert diagnostic["message"].startswith(
+        f"{changed} has changed since segment read it")
+    for stage in ("segment", "track", "extract"):
+        assert _run(stage, *out) == 0
+
+
 @pytest.mark.parametrize("document, problem", [
     ('{"features": {"alpha": 0.2}}', "features.alpha is set by --alpha"),
     ('{"tracker": {"gate": 3}}', "unknown key tracker.gate"),
@@ -461,12 +490,20 @@ def test_spot_filter_restricts_stages(tmp_path):
     assert not (tmp_path / "near_miss" / "scenes.jsonl").exists()
 
 
-def test_stage_rerun_in_isolation_is_stable(tmp_path):
+def test_stage_rerun_in_isolation_is_stable(tmp_path, caplog):
+    # Segment skips a spot whose scenes are current, so the file goes
+    # first: the stage must write it again, to the same bytes and record.
     assert _run("all", "--out-dir", str(tmp_path), "--seed", "3") == 0
-    scenes = (tmp_path / "near_miss" / "scenes.jsonl").read_bytes()
+    path = tmp_path / "near_miss" / "scenes.jsonl"
+    scenes = path.read_bytes()
+    record = (tmp_path / "run.json").read_bytes()
+    path.unlink()
+    caplog.set_level(logging.INFO, logger="crossrisk.stages")
     assert _run("segment", "--out-dir", str(tmp_path),
                 "--spot", "near_miss") == 0
-    assert (tmp_path / "near_miss" / "scenes.jsonl").read_bytes() == scenes
+    assert "spot near_miss: 1 scenes (" in caplog.text
+    assert path.read_bytes() == scenes
+    assert (tmp_path / "run.json").read_bytes() == record
 
 
 def test_report_rerenders_from_analysis_json_alone(tmp_path):

@@ -1,31 +1,37 @@
-"""`run.json` and the extract stage's derive-only path.
+"""`run.json`, the stages that skip a spot whose output is current, and
+the extract stage's derive-only path.
 
-Extract reads `features.jsonl` instead of the tracks when `run.json`
-shows that the file is the one it wrote, measured from the config, scenes
-and tracks that are there now; it then only derives the four
-`FeatureParams` fields of each row again. These tests hold that path to a
-full extract of a copy with no `run.json`, byte for byte, and check that
-each change to what a row was measured from makes extract measure again.
-"""
+Segment and track do no work for a spot whose `scenes.jsonl` or
+`trajectories.jsonl` is the file `run.json` recorded, made from the spot
+files, package source and tracker parameters there now; these tests hold
+what they leave to a fresh run's bytes, and check that each change to
+what the file was made from makes the stage run again. Extract reads
+`features.jsonl` instead of the tracks when `run.json` shows that the file
+is the one it wrote, measured from the config, scenes and tracks that are
+there now; it then only derives the four `FeatureParams` fields of each
+row again. These tests hold that path to a full extract of a copy with no
+`run.json`, byte for byte, and check that each change to what a row was
+measured from makes extract measure again."""
 
 import hashlib
 import json
 import shutil
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossrisk import features as feat, stages
+from crossrisk import features as feat, motion_gate, stages, tracker
 from crossrisk.errors import MalformedRecord
 from crossrisk.features import FeatureParams
 from crossrisk.ingest import dumps_sorted
 from crossrisk.stages import (
     SCHEMAS,
     PipelineConfig,
+    read_scenes,
     run_all,
     run_analyze,
     run_extract,
@@ -33,6 +39,7 @@ from crossrisk.stages import (
     run_segment,
     run_synth,
     run_track,
+    scene_runs,
 )
 from crossrisk.tracker import TrackerParams
 
@@ -50,18 +57,25 @@ def _source_digest() -> str:
                                   for p in files).encode()).hexdigest()
 
 
-class _Measured:
-    """Counts `extract_scene_features` calls while patched in."""
+class _Counted:
+    """Counts the calls of `module.name` while patched in."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, module, name):
         self.calls = 0
-        original = feat.extract_scene_features
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             self.calls += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(feat, "extract_scene_features", counted)
+        monkeypatch.setattr(module, name, counted)
+
+
+class _Measured(_Counted):
+    """Counts `extract_scene_features` calls while patched in."""
+
+    def __init__(self, monkeypatch):
+        super().__init__(monkeypatch, feat, "extract_scene_features")
 
 
 def _extract_to_report(cfg: PipelineConfig) -> None:
@@ -128,22 +142,27 @@ def test_derived_rerun_equals_a_full_extract(standard, first, second):
 
 def test_run_record_holds_the_digests_of_what_each_stage_read_and_wrote(
         standard):
+    source = {"source": _source_digest()}
+    params = {"tracker": json.dumps(asdict(TrackerParams()), sort_keys=True)}
     spots = {}
     for d in sorted(p for p in standard.iterdir() if p.is_dir()
                     and (p / "config.json").exists()):
         digest = {name: _sha256(d / name) for name in (
             "config.json", "detections.jsonl", "scenes.jsonl",
             "trajectories.jsonl", "features.jsonl")}
+
+        def entry(output, *read, more=()):
+            return {"read": {k: digest[k] for k in read} | source | dict(more),
+                    "sha256": digest[output]}
+
         spots[d.name] = {
-            "trajectories.jsonl": {"read": {
-                k: digest[k] for k in ("config.json", "detections.jsonl",
-                                       "scenes.jsonl")},
-                "sha256": digest["trajectories.jsonl"]},
-            "features.jsonl": {"read": {
-                k: digest[k] for k in ("config.json", "scenes.jsonl",
-                                       "trajectories.jsonl")}
-                | {"source": _source_digest()},
-                "sha256": digest["features.jsonl"]}}
+            "scenes.jsonl": entry("scenes.jsonl", "config.json",
+                                  "detections.jsonl"),
+            "trajectories.jsonl": entry(
+                "trajectories.jsonl", "config.json", "detections.jsonl",
+                "scenes.jsonl", more=params),
+            "features.jsonl": entry("features.jsonl", "config.json",
+                                    "scenes.jsonl", "trajectories.jsonl")}
     record = {"schema": SCHEMAS["run"], "spots": spots}
     assert (standard / "run.json").read_text() == dumps_sorted(record)
 
@@ -223,7 +242,8 @@ def test_failed_track_leaves_no_entry_for_its_tracks(tmp_path):
     with pytest.raises(MalformedRecord):
         run_track(cfg)
     record = json.loads((tmp_path / "run.json").read_text())
-    assert set(record["spots"]["single_pass"]) == {"features.jsonl"}
+    assert set(record["spots"]["single_pass"]) == {"scenes.jsonl",
+                                                   "features.jsonl"}
 
 
 def test_derive_only_extract_holds_one_row_at_a_time(tmp_path, monkeypatch):
@@ -246,3 +266,118 @@ def test_derive_only_extract_holds_one_row_at_a_time(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert measured.calls == 0
     assert peak < (spot_dir / "features.jsonl").stat().st_size / 4
+
+
+def _copy(standard: Path, tmp_path: Path) -> tuple[Path, PipelineConfig]:
+    out_dir = tmp_path / "out"
+    shutil.copytree(standard, out_dir)
+    return out_dir, PipelineConfig(out_dir=out_dir, seed=3)
+
+
+def _segment_and_track_calls(monkeypatch) -> tuple[_Counted, _Counted]:
+    return (_Counted(monkeypatch, motion_gate, "segment_scenes"),
+            _Counted(monkeypatch, tracker, "track_scene"))
+
+
+def _scenes_and_tracks(out_dir: Path) -> dict:
+    """Every scenes and trajectories file, by path."""
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for name in ("scenes.jsonl", "trajectories.jsonl")
+            for p in sorted(out_dir.glob(f"*/{name}"))}
+
+
+def _with_record(out_dir: Path) -> dict:
+    """`_scenes_and_tracks` and `run.json`."""
+    return _scenes_and_tracks(out_dir) | {
+        "run.json": (out_dir / "run.json").read_bytes()}
+
+
+def _runs(spot_dir: Path) -> int:
+    return len(scene_runs(read_scenes(spot_dir)))
+
+
+def test_second_segment_and_track_do_no_work(standard, tmp_path, monkeypatch,
+                                             caplog):
+    out_dir, cfg = _copy(standard, tmp_path)
+    files = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    segmented, tracked = _segment_and_track_calls(monkeypatch)
+    caplog.set_level("INFO", logger="crossrisk.stages")
+    run_segment(cfg)
+    run_track(cfg)
+    assert segmented.calls == tracked.calls == 0
+    assert {p: p.read_bytes() for p in files} == files
+    for name in ("scenes.jsonl", "trajectories.jsonl"):
+        assert caplog.text.count(f"{name} is up to date") == len(
+            cfg.spot_dirs())
+
+
+def _cut_detections(spot_dir: Path) -> None:
+    """Drop the spot's detections after frame 155."""
+    path = spot_dir / "detections.jsonl"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("".join(f"{line}\n" for line in [header, *(
+        r for r in rows if json.loads(r)["frame"] <= 155)]))
+
+
+def test_only_the_spot_whose_detections_changed_runs_again(
+        standard, tmp_path, monkeypatch):
+    out_dir, cfg = _copy(standard, tmp_path)
+    _cut_detections(out_dir / "near_miss")
+    fresh = tmp_path / "fresh"
+    shutil.copytree(out_dir, fresh)
+    (fresh / "run.json").unlink()
+    segmented, tracked = _segment_and_track_calls(monkeypatch)
+    run_segment(cfg)
+    run_track(cfg)
+    assert segmented.calls == 1
+    assert tracked.calls == _runs(out_dir / "near_miss")
+    run_segment(replace(cfg, out_dir=fresh))
+    run_track(replace(cfg, out_dir=fresh))
+    assert segmented.calls == 1 + len(cfg.spot_dirs())
+    changed = _scenes_and_tracks(out_dir)
+    assert changed == _scenes_and_tracks(fresh)
+    assert {k for k, text in _scenes_and_tracks(standard).items()
+            if changed[k] != text} == {"near_miss/scenes.jsonl",
+                                       "near_miss/trajectories.jsonl"}
+
+
+def _track_with_other_params(cfg: PipelineConfig) -> list[Path]:
+    run_track(replace(cfg, tracker=TrackerParams(process_noise=4.0)))
+    return cfg.spot_dirs()
+
+
+def _tracks_made_by_other_source(cfg: PipelineConfig) -> list[Path]:
+    path = cfg.out_dir / "run.json"
+    record = json.loads(path.read_text())
+    for outputs in record["spots"].values():
+        outputs["trajectories.jsonl"]["read"]["source"] = "0" * 64
+    path.write_text(dumps_sorted(record))
+    return cfg.spot_dirs()
+
+
+def _edit_track_row(cfg: PipelineConfig) -> list[Path]:
+    spot_dir = cfg.out_dir / "stop_and_go"
+    path = spot_dir / "trajectories.jsonl"
+    header, row, *rest = path.read_text().splitlines()
+    row = json.loads(row)
+    row["world"][0] += 1.0
+    path.write_text("".join(f"{line}\n" for line in
+                            [header, dumps_sorted(row), *rest]))
+    return [spot_dir]
+
+
+@pytest.mark.parametrize("edit", [_track_with_other_params,
+                                  _tracks_made_by_other_source,
+                                  _edit_track_row])
+def test_changed_tracks_or_record_make_track_run_again(
+        standard, tmp_path, monkeypatch, edit):
+    out_dir, cfg = _copy(standard, tmp_path)
+    first = _with_record(out_dir)
+    edited = edit(cfg)
+    assert _with_record(out_dir) != first
+    segmented, tracked = _segment_and_track_calls(monkeypatch)
+    run_segment(cfg)
+    run_track(cfg)
+    assert segmented.calls == 0
+    assert tracked.calls == sum(map(_runs, edited)) > 0
+    assert _with_record(out_dir) == first

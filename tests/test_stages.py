@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tempfile
@@ -33,6 +34,7 @@ from crossrisk.ingest import (
 from crossrisk.motion_gate import SceneSpan
 from crossrisk import stages, synth, tracker
 from crossrisk.stages import (
+    SCHEMAS,
     PipelineConfig,
     _row_halves,
     _span_record,
@@ -212,6 +214,21 @@ def test_read_jsonl_rejects_wrong_schema(tmp_path):
     path.write_text(json.dumps({"schema": "crossrisk/other/v9"}) + "\n")
     with pytest.raises(MalformedRecord):
         read_scenes(tmp_path)
+
+
+_BLOCK = stages._BLOCK_CHARS
+
+
+@pytest.mark.parametrize("sizes", [[], [0, 0], [10] * 3,
+                                   [_BLOCK - 1, 1, _BLOCK, 5], [3 * _BLOCK]])
+def test_write_jsonl_returns_the_digest_of_the_bytes_it_wrote(tmp_path, sizes):
+    # Lines that fill the write blocks exactly, overrun them or are empty.
+    lines = [chr(ord("a") + k % 26) * n for k, n in enumerate(sizes)]
+    path = tmp_path / "scenes.jsonl"
+    digest = write_jsonl(path, "scenes", iter(lines))
+    header = dumps_sorted({"schema": SCHEMAS["scenes"]})
+    assert path.read_text() == "".join(f"{line}\n" for line in [header, *lines])
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_scene_vehicle_prefers_hinted_track():
