@@ -220,7 +220,7 @@ def parse_detections(stream, config: SpotConfig) -> DetectionTable:
         line = raw.strip()
         if not line:
             continue
-        if not (line.isascii() or is_utf8(line)):   # no call per ASCII line
+        if not is_utf8(line):
             raise MalformedRecord(line_number, "not UTF-8 text")
         try:
             obj = json_line(line)

@@ -638,9 +638,17 @@ def run_track(cfg: PipelineConfig) -> None:
     being tracked. With one worker one run's tracks are held at a time,
     never its text. Each file is recorded in `run.json`, with the digests
     of what it was made from and the tracker's parameters; a spot whose
-    tracks are current is not tracked again, and scenes made from other
-    spot files than those there now are refused once the detections
-    parse (`StaleInput`)."""
+    tracks are current is not tracked again.
+
+    Scenes made from other spot files than those there now are refused
+    (`StaleInput`) once the spot's detections parse, so that a malformed
+    file fails as such. Like a parse error, the refusal comes when the
+    spot's jobs are taken, so what it leaves depends on the worker count:
+    one worker has begun the spot's file, and removes it with its entry;
+    more take jobs ahead, so they may refuse before any write, leaving the
+    old tracks and entry, or end the write of an earlier spot. Either way
+    extract then refuses the spot. A spot with no scene runs has no jobs,
+    so its scenes are checked before any are taken."""
     record = _load_record(cfg.out_dir)
     params = dumps_sorted(asdict(cfg.tracker))
     spots = []
@@ -653,7 +661,7 @@ def run_track(cfg: PipelineConfig) -> None:
                      "tracked again", config.spot_id)
             continue
         runs = scene_runs(read_scenes(spot_dir))
-        if not runs:    # with one worker, `jobs` may never reach the spot
+        if not runs:    # `jobs` may never reach the spot
             _check_fresh(record, spot_dir, "scenes.jsonl", read)
         spots.append((spot_dir, config, runs, read))
 

@@ -250,6 +250,10 @@ def test_scenes_made_from_changed_spot_files_are_stale(tmp_path, capsys,
     assert diagnostic["error"] == "StaleInput"
     assert diagnostic["message"].startswith(
         f"{changed} has changed since segment read it")
+    # One worker leaves no tracks, two the old ones; extract refuses both.
+    assert _run("extract", *out) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == {"1": "IoFailure", "2": "StaleInput"}[workers]
     for stage in ("segment", "track", "extract"):
         assert _run(stage, *out) == 0
 
