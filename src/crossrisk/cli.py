@@ -8,6 +8,10 @@ tracker parameters there now, and extract then only derives the features
 again (see `stages`). To make a stage run again on such a spot, delete
 its output file (`scenes.jsonl`, `trajectories.jsonl` or
 `features.jsonl`), or delete `run.json` to make every stage run again.
+A stage whose recorded input was made from spot files that have changed
+since refuses the spot before any work (`StaleInput`, exit 1) and names
+the stage to run again; analyze refuses features whose scenes or tracks
+have been made again since.
 Exit codes: 0 on success, 1 on a data error (a machine-readable
 diagnostic goes to stderr), 2 on usage errors.
 

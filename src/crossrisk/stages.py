@@ -72,17 +72,24 @@ wrote: the file's sha256, and under `read` the sha256 of each spot file it
 was made from (`_READS`) and of this package's source; the tracks' entry
 also holds the `TrackerParams`. It holds no time, path or worker count. A
 stage drops its output's entry before writing the file and records it
-once the file is in place, with the digest of the bytes it wrote. An
-output is current (`_current`) when its entry's `read` equals the digests
-now and the file there is the one recorded. Segment and track do no work
-for a spot whose output is current. Extract derives the features of such
-a spot again under the new `FeatureParams`, a row at a time
+once the file is in place, with the digest of the bytes it wrote.
+
+Segment, track and extract each check a spot once, before any work
+(`_status`), by one rule. An input a stage recorded, scenes or tracks,
+that is still the recorded file but whose own spot files have changed
+since is stale: the stage removes its output of the spot and that entry,
+and refuses (`StaleInput`), naming the earliest stage to run again.
+Otherwise the output is current when its entry's `read` equals the
+digests now and the file there is the one recorded. Segment and track do
+no work for a spot whose output is current. Extract derives the features
+of such a spot again under the new `FeatureParams`, a row at a time
 (`features.derive`), and measures any other spot's again; every stage
 runs again on every spot under a record of another schema. To make a
 stage run again on unchanged inputs, delete its output file, or
-`run.json` for every stage. Track refuses scenes, and extract tracks,
-that are the recorded file but whose spot files have changed since
-(`StaleInput`).
+`run.json` for every stage. Analyze hashes nothing: it refuses a spot
+whose features entry records other scenes or tracks than their own
+entries record now (`StaleInput`), as when segment and track ran again
+but extract did not.
 
 The analyze stage only reads each spot's config and features; it fails
 when two spot directories name one spot id, whose scenes would merge.
@@ -350,8 +357,8 @@ _WRITER = {"scenes.jsonl": "segment", "trajectories.jsonl": "track"}
 _READS = {"scenes.jsonl": ("config.json", "detections.jsonl"),
           "trajectories.jsonl": ("config.json", "detections.jsonl",
                                  "scenes.jsonl"),
-          "features.jsonl": ("config.json", "scenes.jsonl",
-                             "trajectories.jsonl")}
+          "features.jsonl": ("config.json", "detections.jsonl",
+                             "scenes.jsonl", "trajectories.jsonl")}
 
 
 def _digest(path: Path) -> str:
@@ -395,36 +402,37 @@ def _source_digest() -> str:
                                   for p in files).encode()).hexdigest()
 
 
-def _read_digests(spot_dir: Path, name: str) -> dict:
-    """The digests now of what output `name` is made from: each spot file
-    of `_READS` and this package's source."""
-    return {**{f: _digest(spot_dir / f) for f in _READS[name]},
-            "source": _source_digest()}
+def _status(record: dict, spot_dir: Path, name: str,
+            **params) -> tuple[dict, bool]:
+    """What the spot's output `name` is made from now, and whether it is
+    current: the file `record` holds an entry for, made from just that.
 
-
-def _current(record: dict, spot_dir: Path, name: str, read: dict) -> bool:
-    """Whether the spot's output `name` is the file `record` holds an
-    entry for, made from what `read` holds now."""
-    entry = record.get(spot_dir.name, {}).get(name)
+    The digests are those of each spot file of `_READS[name]`, taken once,
+    then this package's source and `params`. An input a stage recorded
+    (`_WRITER`) that is still the recorded file but whose own spot files
+    have changed since is stale: then the spot's output `name` and its
+    entry are removed and StaleInput names the changed file and the stage
+    to run again, the earliest first."""
+    digests = {f: _digest(spot_dir / f) for f in _READS[name]}
+    outputs = record.get(spot_dir.name, {})
+    for made in _READS[name]:
+        entry = outputs.get(made) if made in _WRITER else None
+        if entry is None or entry["sha256"] != digests[made]:
+            continue
+        for source in _READS[made]:
+            if entry["read"].get(source) != digests[source]:
+                (spot_dir / name).unlink(missing_ok=True)
+                if outputs.pop(name, None) is not None:
+                    _save_record(spot_dir.parent, record)
+                raise StaleInput(
+                    f"{spot_dir / source} has changed since {_WRITER[made]} "
+                    f"read it to write {spot_dir / made}; run "
+                    f"{_WRITER[made]} again")
+    read = {**digests, "source": _source_digest(), **params}
+    entry = outputs.get(name)
     path = spot_dir / name
-    return (entry is not None and entry["read"] == read and path.exists()
-            and entry["sha256"] == _digest(path))
-
-
-def _check_fresh(record: dict, spot_dir: Path, name: str,
-                 digests: dict) -> None:
-    """Raise StaleInput when the spot's input `name` is the file whose
-    entry `record` holds, but a spot file read to make it has changed
-    since; `digests` holds those already taken, `name`'s among them."""
-    made = record.get(spot_dir.name, {}).get(name)
-    if made is None or made["sha256"] != digests[name]:
-        return
-    for source in _READS[name]:
-        if made["read"].get(source) != (digests.get(source)
-                                        or _digest(spot_dir / source)):
-            raise StaleInput(
-                f"{spot_dir / source} has changed since {_WRITER[name]} read "
-                f"it to write {spot_dir / name}; run {_WRITER[name]} again")
+    return read, (entry is not None and entry["read"] == read
+                  and path.exists() and entry["sha256"] == _digest(path))
 
 
 def _write_recorded(record: dict, spot_dir: Path, name: str, read: dict,
@@ -504,8 +512,8 @@ def run_segment(cfg: PipelineConfig) -> None:
     record = _load_record(cfg.out_dir)
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
-        read = _read_digests(spot_dir, "scenes.jsonl")
-        if _current(record, spot_dir, "scenes.jsonl", read):
+        read, current = _status(record, spot_dir, "scenes.jsonl")
+        if current:
             log.info("spot %s: scenes.jsonl is up to date, not segmented "
                      "again", config.spot_id)
             continue
@@ -640,37 +648,33 @@ def run_track(cfg: PipelineConfig) -> None:
     of what it was made from and the tracker's parameters; a spot whose
     tracks are current is not tracked again.
 
-    Scenes made from other spot files than those there now are refused
-    (`StaleInput`) once the spot's detections parse, so that a malformed
-    file fails as such. Like a parse error, the refusal comes when the
-    spot's jobs are taken, so what it leaves depends on the worker count:
-    one worker has begun the spot's file, and removes it with its entry;
-    more take jobs ahead, so they may refuse before any write, leaving the
-    old tracks and entry, or end the write of an earlier spot. Either way
-    extract then refuses the spot. A spot with no scene runs has no jobs,
-    so its scenes are checked before any are taken."""
+    Every spot is checked (`_status`) before any is tracked. Scenes made
+    from other spot files than those there now are refused there
+    (`StaleInput`), with the spot's tracks and their entry removed and no
+    other spot's touched, whatever the worker count; the spot's detections
+    are parsed first, so that a malformed file fails as such."""
     record = _load_record(cfg.out_dir)
     params = dumps_sorted(asdict(cfg.tracker))
     spots = []
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
-        read = {**_read_digests(spot_dir, "trajectories.jsonl"),
-                "tracker": params}
-        if _current(record, spot_dir, "trajectories.jsonl", read):
+        try:
+            read, current = _status(record, spot_dir, "trajectories.jsonl",
+                                    tracker=params)
+        except StaleInput:
+            load_detections(spot_dir, config)   # malformed fails as such
+            raise
+        if current:
             log.info("spot %s: trajectories.jsonl is up to date, not "
                      "tracked again", config.spot_id)
             continue
-        runs = scene_runs(read_scenes(spot_dir))
-        if not runs:    # `jobs` may never reach the spot
-            _check_fresh(record, spot_dir, "scenes.jsonl", read)
-        spots.append((spot_dir, config, runs, read))
+        spots.append((spot_dir, config, scene_runs(read_scenes(spot_dir)),
+                      read))
 
     def jobs():
         for spot_dir, config, runs, read in spots:
             calib = config.build_calibration()
             records = load_detections(spot_dir, config)
-            # After the parse, so that a malformed file fails as such.
-            _check_fresh(record, spot_dir, "scenes.jsonl", read)
             frames = records.frames     # already frame-ordered
             for run in runs:
                 lo = bisect_left(frames, run[0].frame_start)
@@ -925,15 +929,13 @@ def run_extract(cfg: PipelineConfig) -> None:
     each line written as its scene is done. With one worker each scene is
     extracted as `read_trajectories` yields it, so one run of scene
     windows is held at a time, and no line once it is written. The
-    features of a spot are derived again, or stale tracks refused, as the
-    module docstring says."""
+    features of a spot are derived again, or stale scenes and tracks
+    refused, as the module docstring says."""
     record = _load_record(cfg.out_dir)
     for spot_dir in cfg.spot_dirs():
         config = load_spot_config(spot_dir)
-        read = _read_digests(spot_dir, "features.jsonl")
-        _check_fresh(record, spot_dir, "trajectories.jsonl", read)
+        read, derive_only = _status(record, spot_dir, "features.jsonl")
         path = spot_dir / "features.jsonl"
-        derive_only = _current(record, spot_dir, "features.jsonl", read)
         counts, outcomes = Counter(), Counter()
         if derive_only:
             results = ((line, None) for line in _rows(
@@ -980,7 +982,9 @@ def run_analyze(cfg: PipelineConfig) -> Path:
     """Write `analysis.json`: the record `analytics.analysis_record` builds
     from every spot's scene summaries. Two spot directories whose configs
     name one spot id raise PipelineError, since their scenes would merge
-    into that spot's rows."""
+    into that spot's rows. Features that `run.json` shows made from other
+    scenes or tracks than those it records now raise StaleInput."""
+    record = _load_record(cfg.out_dir)
     spots = []
     dirs: dict[str, Path] = {}
     for spot_dir in cfg.spot_dirs():
@@ -990,6 +994,14 @@ def run_analyze(cfg: PipelineConfig) -> Path:
             raise PipelineError(
                 f"spot directories {first} and {spot_dir} both hold spot "
                 f"{config.spot_id!r}")
+        outputs = record.get(spot_dir.name, {})
+        made = outputs.get("features.jsonl")
+        for name in _WRITER:
+            if (made is not None and name in outputs
+                    and made["read"].get(name) != outputs[name]["sha256"]):
+                raise StaleInput(
+                    f"{spot_dir / name} has changed since extract read it to "
+                    f"write {spot_dir / 'features.jsonl'}; run extract again")
         spots.append((config.spot_id, config.signalized,
                       read_scene_summaries(spot_dir)))
     doc = {"schema": SCHEMAS["analysis"],

@@ -11,10 +11,13 @@ is the one it wrote, measured from the config, scenes and tracks that are
 there now; it then only derives the four `FeatureParams` fields of each
 row again. These tests hold that path to a full extract of a copy with no
 `run.json`, byte for byte, and check that each change to what a row was
-measured from makes extract measure again."""
+measured from makes extract measure again. The last ones hold the
+refusals of stale inputs: each stage checks every spot before any work,
+and analyze compares the features' entry with those of their inputs."""
 
 import hashlib
 import json
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossrisk import features as feat, motion_gate, stages, tracker
-from crossrisk.errors import MalformedRecord
+from crossrisk.errors import MalformedRecord, StaleInput
 from crossrisk.features import FeatureParams
 from crossrisk.ingest import dumps_sorted
 from crossrisk.stages import (
@@ -162,7 +165,8 @@ def test_run_record_holds_the_digests_of_what_each_stage_read_and_wrote(
                 "trajectories.jsonl", "config.json", "detections.jsonl",
                 "scenes.jsonl", more=params),
             "features.jsonl": entry("features.jsonl", "config.json",
-                                    "scenes.jsonl", "trajectories.jsonl")}
+                                    "detections.jsonl", "scenes.jsonl",
+                                    "trajectories.jsonl")}
     record = {"schema": SCHEMAS["run"], "spots": spots}
     assert (standard / "run.json").read_text() == dumps_sorted(record)
 
@@ -381,3 +385,66 @@ def test_changed_tracks_or_record_make_track_run_again(
     assert segmented.calls == 0
     assert tracked.calls == sum(map(_runs, edited)) > 0
     assert _with_record(out_dir) == first
+
+
+def _tree(out_dir: Path) -> dict:
+    """Every file under `out_dir`, by path."""
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_refused_track_leaves_the_same_files_at_any_worker_count(
+        standard, tmp_path):
+    # crossing_pair, the first spot, has tracks to make; near_miss, a later
+    # one, has stale scenes. Every spot is checked before any is tracked,
+    # so a pool that takes jobs ahead leaves what one worker leaves.
+    trees = {}
+    for workers in (1, 2):
+        out_dir = tmp_path / str(workers)
+        shutil.copytree(standard, out_dir)
+        (out_dir / "crossing_pair" / "trajectories.jsonl").unlink()
+        _cut_detections(out_dir / "near_miss")
+        with pytest.raises(StaleInput, match="run segment again$"):
+            run_track(PipelineConfig(out_dir=out_dir, workers=workers))
+        trees[workers] = _tree(out_dir)
+    assert trees[1] == trees[2]
+    assert not {"crossing_pair/trajectories.jsonl",
+                "near_miss/trajectories.jsonl"} & trees[1].keys()
+    record = json.loads(trees[1]["run.json"])["spots"]
+    assert "trajectories.jsonl" not in record["near_miss"]
+
+
+def test_extract_on_stale_scenes_names_segment(standard, tmp_path):
+    out_dir, cfg = _copy(standard, tmp_path)
+    spot_dir = out_dir / "near_miss"
+    _cut_detections(spot_dir)
+    with pytest.raises(StaleInput, match=re.escape(
+            f"{spot_dir / 'detections.jsonl'} has changed since segment read "
+            f"it to write {spot_dir / 'scenes.jsonl'}; run segment again")):
+        run_extract(cfg)
+    assert not (spot_dir / "features.jsonl").exists()
+    record = json.loads((out_dir / "run.json").read_text())["spots"]
+    assert "features.jsonl" not in record["near_miss"]
+
+
+def test_analyze_refuses_features_of_other_scenes(standard, tmp_path):
+    # Segment and track run again on the cut detections, extract not: the
+    # features are of the old scenes and tracks.
+    out_dir, cfg = _copy(standard, tmp_path)
+    spot_dir = out_dir / "near_miss"
+    _cut_detections(spot_dir)
+    fresh = tmp_path / "fresh"
+    shutil.copytree(out_dir, fresh)
+    (fresh / "run.json").unlink()
+    run_segment(cfg)
+    run_track(cfg)
+    with pytest.raises(StaleInput, match=re.escape(
+            f"{spot_dir / 'scenes.jsonl'} has changed since extract read it "
+            f"to write {spot_dir / 'features.jsonl'}; run extract again")):
+        run_analyze(cfg)
+    _extract_to_report(cfg)
+    fresh_cfg = replace(cfg, out_dir=fresh)
+    run_segment(fresh_cfg)
+    run_track(fresh_cfg)
+    _extract_to_report(fresh_cfg)
+    assert _outputs(out_dir) == _outputs(fresh) != _outputs(standard)
