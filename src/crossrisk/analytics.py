@@ -18,6 +18,7 @@ summaries, so a reader holds one small summary per scene, not its bundle.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from bisect import bisect_right
@@ -26,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure
 from .features import SceneFeatures
+from .ingest import write_file
 
 log = logging.getLogger(__name__)
 
@@ -233,16 +234,6 @@ def stopping_by_psm_range(scenes_by_spot: dict[str, list[SceneSummary]],
 # --- report files -------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write report {path}: {exc}") from exc
-
-
 def analysis_record(spots: list[tuple[str, bool, list[SceneSummary]]],
                     baseline_m: float) -> dict:
     """The `analysis.json` record, less its schema, from each spot's
@@ -307,7 +298,8 @@ def emit_report(out_dir, record: dict) -> list[Path]:
     the same bytes. Histogram files are two-column (bin center, mass), one
     row per bin, enough to redraw the distribution figures. Every table is
     laid out before the first file is written, so a record that lacks a
-    field writes nothing.
+    field writes nothing, and each file is written whole
+    (`ingest.write_file`).
     """
     speed = ["spot", "max_kmh", "min_kmh", "mean_kmh",
              "car_only_mean_kmh", "interactive_mean_kmh"]
@@ -342,5 +334,6 @@ def emit_report(out_dir, record: dict) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in tables:
-        _write_csv(out / name, header, rows)
+        csv.writer(text := io.StringIO()).writerows([header, *rows])
+        write_file(out / name, [text.getvalue()])
     return [out / name for name, _, _ in tables]

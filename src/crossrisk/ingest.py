@@ -21,22 +21,27 @@ the hours of footage, and the segment and track stages each read a whole
 spot's stream. So the parse returns a `DetectionTable`, which holds the
 stream as columns, about 43 bytes a detection where a list of
 `DetectionRecord`s held 276, and builds a record only when one is read.
+`write_file` writes every file of the pipeline, each whole or not at all.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import math
+import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import repeat
+from pathlib import Path
 from typing import NamedTuple
 
 from . import geometry
 from .errors import (
-    DegenerateCalibration,
+    IoFailure,
     MalformedRecord,
     MissingField,
     NonMonotoneFrame,
@@ -82,6 +87,32 @@ def json_nonfinite(text: str) -> str:
     if "n" not in text:
         return text
     return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def write_file(path, pieces) -> str:
+    """Write the text `pieces` to `path`, each encoded, hashed and written
+    as it is taken and let go before the next is built, under `.NAME.part`
+    renamed to `path` once whole; return the sha256 of the bytes in hex.
+    On any failure, also one taking a piece, neither file is left, and an
+    OSError is raised as IoFailure naming `path`."""
+    path = Path(path)
+    part = path.with_name(f".{path.name}.part")
+    sha = hashlib.sha256()
+    try:
+        try:
+            with open(part, "wb") as fh:
+                for data in map(str.encode, pieces):
+                    sha.update(data)
+                    fh.write(data)
+                    del data        # not held while the next piece is built
+            os.replace(part, path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return sha.hexdigest()
 
 
 class ObjectClass(enum.Enum):
@@ -351,6 +382,14 @@ def _polygon(value, what: str) -> list[tuple[float, float]]:
     return polygon
 
 
+@lru_cache(maxsize=256)
+def _check_calibration(calibration: tuple) -> None:
+    """Raise DegenerateCalibration unless `geometry` fits a calibration to
+    the correspondences. Remembered, since every stage loads every spot's
+    config and a fit costs more than the rest of the parse."""
+    geometry.Calibration(geometry.fit_homography(calibration))
+
+
 def parse_spot_config(doc: dict) -> SpotConfig:
     """Validate a decoded spot configuration JSON document.
 
@@ -361,22 +400,18 @@ def parse_spot_config(doc: dict) -> SpotConfig:
     `fps`, `crosswalk_length_m`, `speed_limit_kmh`, `lanes`, `frame_skip`
     or a `frame_size` side not above 0, `cia_buffer_m` below 0, a polygon
     of fewer than 3 vertices, an approach direction of zero length.
-    An absent field raises MissingField and unusable correspondences
-    DegenerateCalibration; a value of the wrong shape or out of range
-    raises what reading it raises, which `stages.load_spot_config` reports
-    as MalformedRecord.
+    An absent field raises MissingField, and correspondences from which
+    `geometry` fits no calibration DegenerateCalibration, so every stage
+    refuses them when it loads the config; a value of the wrong shape or
+    out of range raises what reading it raises, which
+    `stages.load_spot_config` reports as MalformedRecord.
     """
     calibration = [
         (_pair(c["pixel"], "calibration pixel"),
          _pair(c["world"], "calibration world"))
         for c in _require(doc, "calibration")
     ]
-    if len(calibration) < 4:
-        raise DegenerateCalibration(
-            f"need at least 4 calibration correspondences, got {len(calibration)}")
-    if len(calibration) == 4 and geometry.has_collinear_triple(
-            [c[1] for c in calibration]):
-        raise DegenerateCalibration("3 collinear world points among the 4 used")
+    _check_calibration(tuple(calibration))
 
     spot_id = _require(doc, "spot_id")
     if type(spot_id) is not str:

@@ -55,10 +55,11 @@ rate: the positions, PSMs and stops follow from the scenario's scripts
 
 Stage files are self-describing: the first line names the schema. Every
 writer fixes its output's order from its input alone, so results are
-byte-identical regardless of worker count. A `.jsonl` stage file appears
-only whole: it is written under a temporary name and renamed, and a
-stage that fails while writing it leaves no file, so the next stage
-stops on the missing file rather than read a part.
+byte-identical regardless of worker count. Every file the pipeline
+writes appears only whole (`ingest.write_file`): it is written under a
+temporary name and renamed, and a stage that fails while writing it
+leaves no file, so the next stage stops on the missing file rather than
+read a part.
 
 What each stage holds at once: segment, one spot's detection columns and
 its scene spans (`motion_gate`); track, one spot's detection columns and
@@ -104,7 +105,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
@@ -115,8 +115,10 @@ from pathlib import Path
 
 from . import analytics, features as feat, motion_gate, synth, tracker
 from .errors import (
+    DegenerateCalibration,
     IoFailure,
     MalformedRecord,
+    MissingField,
     PipelineError,
     StaleInput,
     ZeroHeading,
@@ -139,6 +141,7 @@ from .ingest import (
     parse_detections,
     parse_spot_config,
     spot_config_to_dict,
+    write_file,
 )
 from .motion_gate import SceneSpan
 from .tracker import TrackerParams, TrackPoint, Trajectory
@@ -156,53 +159,28 @@ SCHEMAS = {
 }
 
 
-# The characters of text `write_jsonl` gathers before it encodes, hashes
-# and writes them: enough that the calls cost little per line, few enough
+# The characters of text `write_jsonl` gathers into one piece for
+# `write_file`: enough that the calls cost little per line, few enough
 # that a stage holding one row at a time still holds little.
 _BLOCK_CHARS = 1 << 16
 
 
 def write_jsonl(path, schema_key: str, lines) -> str:
-    """A stage file: the schema header, then one line per encoded row.
-    Returns the sha256 of the bytes written, in hex, so that `run.json`
-    records the file without reading it back.
+    """`write_file` of a stage file: the schema header, then one line per
+    encoded row, in blocks of about `_BLOCK_CHARS`. Returns the sha256."""
 
-    The lines are gathered into blocks of about `_BLOCK_CHARS`, and each
-    block encoded, hashed and written at once, under a temporary name
-    beside `path` that is renamed to `path` once whole. When writing
-    fails, also when taking a line from `lines` raises, neither that file
-    nor one at `path` is left, so a later stage fails on the missing file
-    instead of reading a part.
-    """
-    path = Path(path)
-    part = path.with_name(f".{path.name}.part")
-    sha = hashlib.sha256()
+    def blocks():
+        block, size = [dumps_sorted({"schema": SCHEMAS[schema_key]})], 0
+        for line in lines:
+            block.append(line)
+            size += len(line)
+            if size >= _BLOCK_CHARS:
+                yield "\n".join(block) + "\n"
+                block, size = [], 0
+        if block:
+            yield "\n".join(block) + "\n"
 
-    def write(fh, block):
-        data = ("\n".join(block) + "\n").encode()
-        sha.update(data)
-        fh.write(data)
-
-    try:
-        try:
-            with open(part, "wb") as fh:
-                block, size = [dumps_sorted({"schema": SCHEMAS[schema_key]})], 0
-                for line in lines:
-                    block.append(line)
-                    size += len(line)
-                    if size >= _BLOCK_CHARS:
-                        write(fh, block)
-                        block, size = [], 0
-                if block:
-                    write(fh, block)
-            os.replace(part, path)
-        except BaseException:
-            part.unlink(missing_ok=True)
-            path.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return sha.hexdigest()
+    return write_file(path, blocks())
 
 
 # What reading a row of the wrong shape raises: a missing key, a list or
@@ -338,17 +316,27 @@ def _read_document(path: Path, what: str, use):
 
 
 def load_spot_config(spot_dir: Path) -> SpotConfig:
-    return _read_document(spot_dir / "config.json", "a spot config",
-                          parse_spot_config)
+    """The spot's `config.json`; every error on its contents names it."""
+    path = spot_dir / "config.json"
+    try:
+        return _read_document(path, "a spot config", parse_spot_config)
+    except (MissingField, DegenerateCalibration) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_detections(spot_dir: Path, config: SpotConfig) -> DetectionTable:
+    """The spot's `detections.jsonl`; a bad line raises its MalformedRecord
+    again, of the same type, with the file's path before the message."""
+    path = spot_dir / "detections.jsonl"
     try:
-        with open(spot_dir / "detections.jsonl", encoding="utf-8",
-                  errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return parse_detections(fh, config)
     except OSError as exc:
-        raise IoFailure(f"cannot read {spot_dir}/detections.jsonl: {exc}") from exc
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except MalformedRecord as exc:
+        n = exc.line_number
+        raise type(exc)(n, f"{path}: {str(exc).removeprefix(f'line {n}: ')}"
+                        ) from exc
 
 
 # The spot files each recorded output is made from, and the stage that
@@ -449,11 +437,8 @@ def _write_recorded(record: dict, spot_dir: Path, name: str, read: dict,
 
 
 def _save_record(out_dir: Path, record: dict) -> None:
-    """Write `run.json` whole, under a temporary name renamed into place."""
-    path = out_dir / "run.json"
-    part = path.with_name(".run.json.part")
-    part.write_text(dumps_sorted({"schema": SCHEMAS["run"], "spots": record}))
-    os.replace(part, path)
+    write_file(out_dir / "run.json",
+               [dumps_sorted({"schema": SCHEMAS["run"], "spots": record})])
 
 
 # --- synth stage --------------------------------------------------------------
@@ -464,13 +449,16 @@ def write_truth(spot_dir: Path, truth: synth.GroundTruth) -> None:
     emitted frames and the scene spans, in the bytes of `json.dumps` with
     `sort_keys=True`. Each agent's frame list is encoded as it is written,
     so no record of the whole truth is built."""
-    with open(spot_dir / "truth.json", "w") as fh:
-        fh.write('{"emitted_frames": {')
+
+    def pieces():
+        yield '{"emitted_frames": {'
         for k, (agent, frames) in enumerate(truth.agent_frames()):
-            fh.write(f'{", " if k else ""}{json_str(agent)}: '
-                     f'{dumps_sorted(frames.tolist())}')
-        fh.write(f'}}, "schema": {json_str(SCHEMAS["truth"])}, "spans": '
-                 f'{dumps_sorted([_span_record(s) for s in truth.spans])}}}')
+            yield (f'{", " if k else ""}{json_str(agent)}: '
+                   f'{dumps_sorted(frames.tolist())}')
+        yield (f'}}, "schema": {json_str(SCHEMAS["truth"])}, "spans": '
+               f'{dumps_sorted([_span_record(s) for s in truth.spans])}}}')
+
+    write_file(spot_dir / "truth.json", pieces())
 
 
 def run_synth(cfg: PipelineConfig) -> list[Path]:
@@ -491,8 +479,8 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
         records, truth = synth.generate(spec)
         spot_dir = root / spec.config.spot_id
         spot_dir.mkdir(exist_ok=True)
-        (spot_dir / "config.json").write_text(
-            json.dumps(spot_config_to_dict(spec.config), sort_keys=True, indent=1))
+        write_file(spot_dir / "config.json", [json.dumps(
+            spot_config_to_dict(spec.config), sort_keys=True, indent=1)])
         write_jsonl(spot_dir / "detections.jsonl", "detections",
                     map(format_detection, records))
         write_truth(spot_dir, truth)
@@ -1007,7 +995,7 @@ def run_analyze(cfg: PipelineConfig) -> Path:
     doc = {"schema": SCHEMAS["analysis"],
            **analytics.analysis_record(spots, cfg.baseline_m)}
     path = Path(cfg.out_dir) / "analysis.json"
-    path.write_text(json.dumps(doc, sort_keys=True))
+    write_file(path, [dumps_sorted(doc)])
     return path
 
 
@@ -1040,14 +1028,16 @@ def _map_jobs(fn, jobs, workers: int):
     that at once. The pool module is imported only then, since every run
     pays for the import. The pool sends back what `fn` returns: the track
     stage's tracks, which this process encodes as it writes them, and the
-    extract stage's lines."""
+    extract stage's lines.
+
+    No job is taken before a result is asked for, and an error raised by
+    taking a job is raised once the results of the jobs before it are
+    taken, so a stage that fails there leaves the same files at any worker
+    count; a job's own error is raised when its result is due."""
     jobs = iter(jobs)
     if workers <= 1:
         return map(fn, jobs)
-    head = list(islice(jobs, 2))
-    if len(head) <= 1:
-        return map(fn, head)
-    return _pool_map(fn, chain(head, jobs), workers)
+    return _pool_map(fn, jobs, workers)
 
 
 # Chunks per worker sent to the pool and not yet taken back: enough that a
@@ -1072,16 +1062,33 @@ def _run_chunk(fn, chunk: list) -> list:
     return [fn(job) for job in chunk]
 
 
+def _taken(jobs, failed: list):
+    """The jobs of `jobs` until taking one raises; that error is then
+    appended to `failed`."""
+    try:
+        yield from jobs
+    except Exception as exc:
+        failed.append(exc)
+
+
 def _pool_map(fn, jobs, workers: int):
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        sent = deque()
-        for chunk in _chunks(jobs):
-            sent.append(pool.submit(_run_chunk, fn, chunk))
-            if len(sent) >= _CHUNKS_IN_FLIGHT * workers:
+    failed = []
+    jobs = _taken(jobs, failed)
+    head = list(islice(jobs, 2))
+    if len(head) <= 1:
+        yield from map(fn, head)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            sent = deque()
+            for chunk in _chunks(chain(head, jobs)):
+                sent.append(pool.submit(_run_chunk, fn, chunk))
+                if len(sent) >= _CHUNKS_IN_FLIGHT * workers:
+                    yield from sent.popleft().result()
+            while sent:
                 yield from sent.popleft().result()
-        while sent:
-            yield from sent.popleft().result()
+    if failed:
+        raise failed[0]
 
 
 def run_all(cfg: PipelineConfig) -> None:

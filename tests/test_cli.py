@@ -169,16 +169,24 @@ def test_trajectory_row_of_an_unlisted_scene_is_data_error(tmp_path, capsys):
         f"line {len(lines)}: {path}: scene 's9999' is not listed")
 
 
-def test_failed_stage_leaves_no_file_for_the_next(tmp_path, capsys):
-    # Track reads a spot's detections while it writes the spot's
-    # trajectories; a bad line near the end fails it midway. The part it
-    # wrote must not be left for extract to read as a spot with no tracks.
+def _fail_track_on_a_bad_line(tmp_path, capsys, drop_scenes_entry):
+    """Put a bad detection line near the end and check that the failed
+    track leaves no part it wrote for extract to read as a spot with no
+    tracks. With the scenes' `run.json` entry, track refuses the stale
+    scenes and parses the detections before any write; without it, track
+    reads the detections while it writes the spot's trajectories and fails
+    midway."""
     assert _run("all", "--out-dir", str(tmp_path), "--corpus", "bulk",
                 "--scenes", "20", "--noise-sigma", "1.0", "--seed", "3") == 0
     path = tmp_path / "bulk" / "detections.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     lines[-3] = "{bad json\n"
     path.write_text("".join(lines))
+    if drop_scenes_entry:
+        record_path = tmp_path / "run.json"
+        record = json.loads(record_path.read_text())
+        del record["spots"]["bulk"]["scenes.jsonl"]
+        record_path.write_text(json.dumps(record))
     capsys.readouterr()
     assert _run("track", "--out-dir", str(tmp_path)) == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -190,6 +198,15 @@ def test_failed_stage_leaves_no_file_for_the_next(tmp_path, capsys):
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "IoFailure"
     assert "trajectories.jsonl" in diagnostic["message"]
+
+
+def test_failed_stage_leaves_no_file_for_the_next(tmp_path, capsys):
+    _fail_track_on_a_bad_line(tmp_path, capsys, drop_scenes_entry=False)
+
+
+def test_stage_failed_inside_its_write_leaves_no_file_for_the_next(
+        tmp_path, capsys):
+    _fail_track_on_a_bad_line(tmp_path, capsys, drop_scenes_entry=True)
 
 
 def _move_detections(spot_dir):
@@ -376,7 +393,7 @@ def test_integer_too_long_to_convert_is_data_error(tmp_path, capsys):
                 "--spot", "single_pass") == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "MalformedRecord"
-    assert diagnostic["message"].startswith("line 3: invalid JSON")
+    assert diagnostic["message"].startswith(f"line 3: {path}: invalid JSON")
 
 
 @pytest.mark.parametrize("edit", ["repeat", "null", "float"])
@@ -399,7 +416,7 @@ def test_bad_detection_id_is_data_error(tmp_path, capsys, edit):
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "MalformedRecord"
     line = 4 if edit == "repeat" else 3
-    assert diagnostic["message"].startswith(f"line {line}: id ")
+    assert diagnostic["message"].startswith(f"line {line}: {path}: id ")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -429,6 +446,53 @@ def test_bad_spot_config_is_data_error(tmp_path, capsys, key, value):
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "MalformedRecord"
     assert f"{path}: " in diagnostic["message"]
+
+
+def test_bad_detection_line_names_its_file(tmp_path, capsys):
+    # Track reads every spot's detections: the diagnostic says whose.
+    assert _run("all", "--out-dir", str(tmp_path), "--seed", "3") == 0
+    path = tmp_path / "near_miss" / "detections.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[92] = "{bad json\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert _run("track", "--out-dir", str(tmp_path)) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "MalformedRecord"
+    assert diagnostic["message"].startswith(f"line 93: {path}: invalid JSON")
+
+
+# Five correspondences whose pixels lie on one line: no homography fits.
+_COLLINEAR_PIXELS = [
+    {"pixel": [100.0 + 300.0 * k, 500.0], "world": world}
+    for k, world in enumerate([[-30.0, -11.0], [30.0, -11.0], [30.0, 11.0],
+                               [-30.0, 11.0], [0.0, 0.0]])]
+
+
+@pytest.mark.parametrize("key, value, error, message", [
+    ("fps", None, "MissingField", "spot config missing required field 'fps'"),
+    ("calibration", _COLLINEAR_PIXELS, "DegenerateCalibration",
+     "correspondences are rank deficient"),
+])
+def test_unusable_spot_config_names_its_file(tmp_path, capsys, key, value,
+                                             error, message):
+    # Segment refuses the config when it loads it, as every stage does,
+    # and says which spot's config it is.
+    assert _run("synth", "--out-dir", str(tmp_path), "--seed", "3") == 0
+    path = tmp_path / "single_pass" / "config.json"
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run("segment", "--out-dir", str(tmp_path),
+                "--spot", "single_pass") == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == error
+    assert diagnostic["message"] == f"{path}: {message}"
+    assert not (path.parent / "scenes.jsonl").exists()
 
 
 def test_two_spot_directories_of_one_spot_id_are_data_error(tmp_path, capsys):

@@ -244,8 +244,10 @@ def test_byte_not_utf8_in_a_detection_file_is_malformed(tmp_path, config):
     lines[1] = lines[1].replace('"v1"', '"v\u00e91"')   # UTF-8 past ASCII
     data = "\n".join(lines).encode().replace(b"v2", b"v\xff\xfe2")
     (tmp_path / "detections.jsonl").write_bytes(data)
-    with pytest.raises(MalformedRecord, match="^line 3: not UTF-8 text"):
+    with pytest.raises(MalformedRecord) as exc:
         load_detections(tmp_path, config)
+    assert str(exc.value) == (
+        f"line 3: {tmp_path / 'detections.jsonl'}: not UTF-8 text")
 
 
 def test_round_trip(config):

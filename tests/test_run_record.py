@@ -13,10 +13,14 @@ row again. These tests hold that path to a full extract of a copy with no
 `run.json`, byte for byte, and check that each change to what a row was
 measured from makes extract measure again. The last ones hold the
 refusals of stale inputs: each stage checks every spot before any work,
-and analyze compares the features' entry with those of their inputs."""
+and analyze compares the features' entry with those of their inputs; and
+the files left by a stage that fails, at any worker count, or whose write
+fails."""
 
+import errno
 import hashlib
 import json
+import os
 import re
 import shutil
 import tempfile
@@ -28,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossrisk import features as feat, motion_gate, stages, tracker
-from crossrisk.errors import MalformedRecord, StaleInput
+from crossrisk.errors import IoFailure, MalformedRecord, StaleInput
 from crossrisk.features import FeatureParams
 from crossrisk.ingest import dumps_sorted
 from crossrisk.stages import (
@@ -236,18 +240,39 @@ def test_misshapen_run_record_is_malformed(tmp_path, text):
         run_extract(cfg)
 
 
-def test_failed_track_leaves_no_entry_for_its_tracks(tmp_path):
+def _fail_track_on_a_bad_line(tmp_path: Path, drop_scenes_entry: bool):
+    """Put a bad detection line near the end and check that the failed
+    track leaves no tracks and no entry for them. With the scenes' entry,
+    track refuses the stale scenes before any write; without it, track
+    fails on the bad line inside the write."""
     cfg = PipelineConfig(out_dir=tmp_path, seed=3, spot="single_pass")
     run_all(cfg)
     path = tmp_path / "single_pass" / "detections.jsonl"
     lines = path.read_text().splitlines(keepends=True)
     lines[-3] = "{bad json\n"
     path.write_text("".join(lines))
+    record_path = tmp_path / "run.json"
+    if drop_scenes_entry:
+        record = json.loads(record_path.read_text())
+        del record["spots"]["single_pass"]["scenes.jsonl"]
+        record_path.write_text(json.dumps(record))
     with pytest.raises(MalformedRecord):
         run_track(cfg)
-    record = json.loads((tmp_path / "run.json").read_text())
-    assert set(record["spots"]["single_pass"]) == {"scenes.jsonl",
-                                                   "features.jsonl"}
+    record = json.loads(record_path.read_text())
+    assert set(record["spots"]["single_pass"]) == (
+        {"features.jsonl"} if drop_scenes_entry
+        else {"scenes.jsonl", "features.jsonl"})
+    assert not (path.parent / "trajectories.jsonl").exists()
+    assert not (path.parent / ".trajectories.jsonl.part").exists()
+
+
+def test_failed_track_leaves_no_entry_for_its_tracks(tmp_path):
+    _fail_track_on_a_bad_line(tmp_path, drop_scenes_entry=False)
+
+
+def test_track_failed_inside_its_write_leaves_no_entry_for_its_tracks(
+        tmp_path):
+    _fail_track_on_a_bad_line(tmp_path, drop_scenes_entry=True)
 
 
 def test_derive_only_extract_holds_one_row_at_a_time(tmp_path, monkeypatch):
@@ -414,6 +439,33 @@ def test_refused_track_leaves_the_same_files_at_any_worker_count(
     assert "trajectories.jsonl" not in record["near_miss"]
 
 
+def test_failed_parse_leaves_the_same_files_at_any_worker_count(
+        standard, tmp_path):
+    # No record and no tracks, and a bad line in near_miss's detections,
+    # which track reads only as it writes: the pool, which takes jobs
+    # ahead, still hands on the tracks of the spots before near_miss, and
+    # the error comes when near_miss's are due, as with one worker.
+    trees = {}
+    for workers in (1, 2):
+        out_dir = tmp_path / str(workers)
+        shutil.copytree(standard, out_dir)
+        (out_dir / "run.json").unlink()
+        for tracks in out_dir.glob("*/trajectories.jsonl"):
+            tracks.unlink()
+        path = out_dir / "near_miss" / "detections.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[92] = "{bad json\n"
+        path.write_text("".join(lines))
+        with pytest.raises(MalformedRecord, match="^line 93: .*invalid JSON"):
+            run_track(PipelineConfig(out_dir=out_dir, workers=workers))
+        trees[workers] = _tree(out_dir)
+    assert trees[1] == trees[2]
+    assert {"crossing_pair/trajectories.jsonl",
+            "multi_pedestrian/trajectories.jsonl"} <= trees[1].keys()
+    assert set(json.loads(trees[1]["run.json"])["spots"]) == {
+        "crossing_pair", "multi_pedestrian"}
+
+
 def test_extract_on_stale_scenes_names_segment(standard, tmp_path):
     out_dir, cfg = _copy(standard, tmp_path)
     spot_dir = out_dir / "near_miss"
@@ -448,3 +500,48 @@ def test_analyze_refuses_features_of_other_scenes(standard, tmp_path):
     run_track(fresh_cfg)
     _extract_to_report(fresh_cfg)
     assert _outputs(out_dir) == _outputs(fresh) != _outputs(standard)
+
+
+def _failing_replace(monkeypatch, path: Path) -> None:
+    """Make renaming a file into place at `path` fail, as on a full disk."""
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst) == path:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+
+
+@pytest.mark.parametrize("stage, name", [
+    (run_synth, "single_pass/config.json"),
+    (run_synth, "single_pass/truth.json"),
+    (run_segment, "run.json"),
+    (run_analyze, "analysis.json"),
+    (run_report, "report/speed_stats.csv"),
+])
+def test_failed_write_leaves_neither_the_file_nor_its_part(
+        standard, tmp_path, monkeypatch, stage, name):
+    # Each file is left whole or not at all, also one a stage wrote before.
+    out_dir, cfg = _copy(standard, tmp_path)
+    (out_dir / "near_miss" / "scenes.jsonl").unlink()    # segment records
+    path = out_dir / name
+    assert path.exists()
+    _failing_replace(monkeypatch, path)
+    with pytest.raises(IoFailure, match=re.escape(f"cannot write {path}: ")):
+        stage(cfg)
+    assert not path.exists()
+    assert not path.with_name(f".{path.name}.part").exists()
+
+
+def test_report_after_a_failed_analyze_names_the_missing_record(
+        standard, tmp_path, monkeypatch):
+    out_dir, cfg = _copy(standard, tmp_path)
+    path = out_dir / "analysis.json"
+    with monkeypatch.context() as patch:
+        _failing_replace(patch, path)
+        with pytest.raises(IoFailure):
+            run_analyze(cfg)
+    with pytest.raises(IoFailure, match=re.escape(f"cannot read {path}: ")):
+        run_report(cfg)
