@@ -26,15 +26,17 @@ _COLLINEAR_TOL = 1e-9
 class Calibration:
     """Immutable pixel->world conversion for one camera spot.
 
-    homography maps pixel coordinates to world meters on the ground plane.
+    homography maps pixel coordinates to world meters on the ground plane;
+    it is a read-only copy, so one calibration can be shared.
     """
 
     homography: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.homography, dtype=float)
+        h = np.array(self.homography, dtype=float)
         if h.shape != (3, 3) or abs(np.linalg.det(h)) < 1e-15:
             raise DegenerateCalibration("homography must be an invertible 3x3 matrix")
+        h.flags.writeable = False
         object.__setattr__(self, "homography", h)
 
     def to_world_many(self, points_px: np.ndarray) -> np.ndarray:

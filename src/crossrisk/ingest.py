@@ -208,8 +208,8 @@ class SpotConfig:
     cia_buffer_m: float = 3.0
 
     def build_calibration(self) -> geometry.Calibration:
-        """Fit the pixel->world homography from the correspondences."""
-        return geometry.Calibration(geometry.fit_homography(self.calibration))
+        """The pixel->world calibration fitted when the config was parsed."""
+        return _calibration(tuple(self.calibration))
 
 
 _CLASS_NAMES = {
@@ -383,11 +383,11 @@ def _polygon(value, what: str) -> list[tuple[float, float]]:
 
 
 @lru_cache(maxsize=256)
-def _check_calibration(calibration: tuple) -> None:
-    """Raise DegenerateCalibration unless `geometry` fits a calibration to
-    the correspondences. Remembered, since every stage loads every spot's
-    config and a fit costs more than the rest of the parse."""
-    geometry.Calibration(geometry.fit_homography(calibration))
+def _calibration(correspondences: tuple) -> geometry.Calibration:
+    """The calibration `geometry` fits to the correspondences, or
+    DegenerateCalibration. Remembered and shared, since every stage loads
+    every spot's config and a fit costs more than the rest of the parse."""
+    return geometry.Calibration(geometry.fit_homography(correspondences))
 
 
 def parse_spot_config(doc: dict) -> SpotConfig:
@@ -411,7 +411,7 @@ def parse_spot_config(doc: dict) -> SpotConfig:
          _pair(c["world"], "calibration world"))
         for c in _require(doc, "calibration")
     ]
-    _check_calibration(tuple(calibration))
+    _calibration(tuple(calibration))
 
     spot_id = _require(doc, "spot_id")
     if type(spot_id) is not str:

@@ -43,10 +43,10 @@ spot this is scene id order; past that it is numeric id order, so
 `s9999` comes before `s10000`. Scenes skipped for want of a vehicle
 track, or whose vehicle never moved, have no line.
 
-A synthetic spot's `truth.json` holds only its schema, the frames at
+A synthetic spot's `truth.json` holds only its schema and the frames at
 which each agent was emitted (synthetic detection ids are agent ids, so
-these give every detection's provenance) and the scene spans of the
-emitted stream. It holds no sampled positions, PSM, stop flag or frame
+these give every detection's provenance). It holds no scene spans, which
+are segment's output, nor sampled positions, PSM, stop flag or frame
 rate: the positions, PSMs and stops follow from the scenario's scripts
 (`synth.AgentScript.world_at`, `synth.analytic_psm`,
 `synth._scripted_stop`), and the frame rate is in `config.json`.
@@ -445,18 +445,17 @@ def _save_record(out_dir: Path, record: dict) -> None:
 
 
 def write_truth(spot_dir: Path, truth: synth.GroundTruth) -> None:
-    """Write a synthetic spot's `truth.json`: its schema, each agent's
-    emitted frames and the scene spans, in the bytes of `json.dumps` with
-    `sort_keys=True`. Each agent's frame list is encoded as it is written,
-    so no record of the whole truth is built."""
+    """Write a synthetic spot's `truth.json`: its schema and each agent's
+    emitted frames, in the bytes of `json.dumps` with `sort_keys=True`.
+    Each agent's frame list is encoded as it is written, so no record of
+    the whole truth is built."""
 
     def pieces():
         yield '{"emitted_frames": {'
         for k, (agent, frames) in enumerate(truth.agent_frames()):
             yield (f'{", " if k else ""}{json_str(agent)}: '
                    f'{dumps_sorted(frames.tolist())}')
-        yield (f'}}, "schema": {json_str(SCHEMAS["truth"])}, "spans": '
-               f'{dumps_sorted([_span_record(s) for s in truth.spans])}}}')
+        yield f'}}, "schema": {json_str(SCHEMAS["truth"])}}}'
 
     write_file(spot_dir / "truth.json", pieces())
 
@@ -522,8 +521,7 @@ def run_segment(cfg: PipelineConfig) -> None:
 
 
 def _span_record(span: SceneSpan) -> dict:
-    """One `scenes.jsonl` row, also used for the spans in `truth.json`;
-    `read_scenes` reads it back."""
+    """One `scenes.jsonl` row; `read_scenes` reads it back."""
     return {"scene_id": span.scene_id, "vehicle": span.vehicle_track_hint,
             "frame_start": span.frame_start, "frame_end": span.frame_end,
             "interactive": span.interactive}

@@ -11,10 +11,10 @@ scripts are the ground truth: `AgentScript.world_at` and
 `AgentScript.speed_list_kmh` give an agent's exact position and speed at
 any time or frames, so no sampled position is stored. `GroundTruth` keeps
 what the scripts alone do not give: the frames at which each agent was
-emitted (and from them the provenance of every detection) and the scene
-spans of the emitted stream. The PSM and stop truths come straight from
-the scripts, independent of any pipeline code path: `analytic_psm` for a
-vehicle-pedestrian pair and `_scripted_stop` for a vehicle.
+emitted, and from them the provenance of every detection; scene spans
+are the segment stage's output. The PSM and stop truths come straight
+from the scripts, independent of any pipeline code path: `analytic_psm`
+for a vehicle-pedestrian pair and `_scripted_stop` for a vehicle.
 """
 
 from __future__ import annotations
@@ -26,11 +26,15 @@ from functools import cached_property
 
 import numpy as np
 
+from . import motion_gate
 from .errors import InvalidSpec
 from .ingest import DetectionTable, ObjectClass, SpotConfig, parse_spot_config
-from .motion_gate import SceneSpan, hangover_frames_at, segment_scenes
 
 MPS_TO_KMH = 3.6
+
+# Nothing here calls it: scene spans come from the segment stage alone.
+# The benchmark's tracer still wraps this name, and fails if it is gone.
+segment_scenes = motion_gate.segment_scenes
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,8 @@ class ScenarioSpec:
 @dataclass
 class GroundTruth:
     """What the scripts alone do not give about one generated scenario:
-    the frames at which each agent was emitted, after blackouts and drops,
-    and the scene spans of the emitted stream. PSM and stops follow from
-    the scripts (`analytic_psm`, `_scripted_stop`).
+    the frames at which each agent was emitted, after blackouts and drops.
+    PSM and stops follow from the scripts (`analytic_psm`, `_scripted_stop`).
 
     The emitted frames are held compactly, 8 bytes a frame: `agent_ids`
     lists the agents in id order, the int64 column `frames` holds each
@@ -97,7 +100,6 @@ class GroundTruth:
     agent_ids: tuple[str, ...]
     frames: array
     offsets: array
-    spans: list[SceneSpan]
 
     def agent_frames(self):
         """(agent id, its emitted frames as an int64 `array`) for each
@@ -286,10 +288,8 @@ def generate(spec: ScenarioSpec) -> tuple[DetectionTable, GroundTruth]:
         np.array([a.object_class for a in agents], dtype=object)[ranks].tolist(),
         np.array([a.agent_id for a in agents], dtype=object)[ranks].tolist())
     del ranks
-    spans = segment_scenes(records, hangover_frames_at(fps))
-    return records, GroundTruth(
-        agent_ids=tuple(a.agent_id for a in agents), frames=emitted,
-        offsets=offsets, spans=spans)
+    return records, GroundTruth(agent_ids=tuple(a.agent_id for a in agents),
+                                frames=emitted, offsets=offsets)
 
 
 # --- the standard named scenarios -------------------------------------------

@@ -343,6 +343,14 @@ def test_degenerate_calibration_rejected():
         parse_spot_config(_minimal_config_doc(calibration=bad))
 
 
+def test_parsed_configs_share_one_read_only_calibration():
+    # The fit that validated the config is the one every caller gets.
+    calib = parse_spot_config(_minimal_config_doc()).build_calibration()
+    assert parse_spot_config(_minimal_config_doc()).build_calibration() is calib
+    with pytest.raises(ValueError, match="read-only"):
+        calib.homography[0, 0] = 2.0
+
+
 def test_config_round_trip():
     config = parse_spot_config(_minimal_config_doc())
     assert parse_spot_config(spot_config_to_dict(config)) == config

@@ -31,7 +31,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossrisk import features as feat, motion_gate, stages, tracker
+from crossrisk import (
+    features as feat,
+    geometry,
+    ingest,
+    motion_gate,
+    stages,
+    tracker,
+)
 from crossrisk.errors import IoFailure, MalformedRecord, StaleInput
 from crossrisk.features import FeatureParams
 from crossrisk.ingest import dumps_sorted
@@ -323,6 +330,15 @@ def _with_record(out_dir: Path) -> dict:
 
 def _runs(spot_dir: Path) -> int:
     return len(scene_runs(read_scenes(spot_dir)))
+
+
+def test_run_all_fits_each_calibration_once(tmp_path, monkeypatch):
+    # The eight standard spots share one set of correspondences, so one
+    # fit serves synth, every stage's config parse, track and extract.
+    ingest._calibration.cache_clear()
+    fits = _Counted(monkeypatch, geometry, "fit_homography")
+    run_all(PipelineConfig(out_dir=tmp_path, seed=3))
+    assert fits.calls == 1
 
 
 def test_second_segment_and_track_do_no_work(standard, tmp_path, monkeypatch,

@@ -32,7 +32,7 @@ from crossrisk.ingest import (
     spot_config_to_dict,
 )
 from crossrisk.motion_gate import SceneSpan
-from crossrisk import stages, synth, tracker
+from crossrisk import motion_gate, stages, synth, tracker
 from crossrisk.stages import (
     SCHEMAS,
     PipelineConfig,
@@ -154,14 +154,14 @@ def test_scene_rows_round_trip_through_read_scenes(spans):
         assert read_scenes(Path(tmp)) == spans
 
 
-def _truth_of(emitted: dict[str, list[int]], spans) -> synth.GroundTruth:
+def _truth_of(emitted: dict[str, list[int]]) -> synth.GroundTruth:
     """A GroundTruth holding `emitted`."""
     ids = sorted(emitted)
     offsets = itertools.accumulate((len(emitted[a]) for a in ids), initial=0)
     return synth.GroundTruth(
         agent_ids=tuple(ids),
         frames=array("q", itertools.chain(*(emitted[a] for a in ids))),
-        offsets=array("q", offsets), spans=spans)
+        offsets=array("q", offsets))
 
 
 # Agent ids that need escapes: a quote, a backslash, non-ASCII text and a
@@ -170,17 +170,15 @@ _agent_ids = st.text(max_size=4) | st.sampled_from(
     ['"', "\\", "v\u00e9", "\u6b69\u884c\u8005", "\n", "\U0001f697"])
 
 
-@given(st.dictionaries(_agent_ids, st.lists(_frames, max_size=5), max_size=5),
-       st.lists(_spans(), max_size=3))
-@example({}, [])
-@example({'"': [], "\\": [0, 5], "v\u00e9": [10**7]}, [])
-def test_truth_file_is_json_dumps_of_the_whole_record(emitted, spans):
+@given(st.dictionaries(_agent_ids, st.lists(_frames, max_size=5), max_size=5))
+@example({})
+@example({'"': [], "\\": [0, 5], "v\u00e9": [10**7]})
+def test_truth_file_is_json_dumps_of_the_whole_record(emitted):
     # The reference is the record the synth stage once built whole.
     record = {"schema": stages.SCHEMAS["truth"],
-              "emitted_frames": dict(sorted(emitted.items())),
-              "spans": [_span_record(s) for s in spans]}
+              "emitted_frames": dict(sorted(emitted.items()))}
     with tempfile.TemporaryDirectory() as tmp:
-        stages.write_truth(Path(tmp), _truth_of(emitted, spans))
+        stages.write_truth(Path(tmp), _truth_of(emitted))
         text = (Path(tmp) / "truth.json").read_bytes()
     assert text == json.dumps(record, sort_keys=True).encode()
 
@@ -660,7 +658,20 @@ def test_truth_sidecar_holds_no_sampled_positions(tmp_path):
     run_synth(cfg)
     for d in cfg.spot_dirs():
         truth = json.loads((d / "truth.json").read_text())
-        assert set(truth) == {"schema", "emitted_frames", "spans"}, d.name
+        assert set(truth) == {"schema", "emitted_frames"}, d.name
+
+
+def test_synth_runs_no_segmenter(tmp_path, monkeypatch):
+    # Scene spans come from the segment stage alone, not from synth.
+    def segmenting(*args, **kwargs):
+        raise AssertionError("synth ran the segmenter")
+
+    for module in (motion_gate, synth):
+        monkeypatch.setattr(module, "segment_scenes", segmenting)
+    for corpus in ("standard", "bulk"):
+        cfg = PipelineConfig(out_dir=tmp_path / corpus, seed=3, corpus=corpus,
+                             bulk_scenes=6)
+        assert len(run_synth(cfg)) == len(cfg.spot_dirs())
 
 
 def test_track_maps_the_runs_of_every_spot_at_once(tmp_path, monkeypatch):
