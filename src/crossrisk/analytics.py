@@ -115,8 +115,6 @@ def weighted_quantile(values, weights, q: float) -> float:
     duplicating every sample."""
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if w.sum() <= 0:
-        w = np.ones_like(v)
     order = np.argsort(v, kind="stable")
     v, w = v[order], w[order]
     cdf = np.cumsum(w) / w.sum()
@@ -150,9 +148,12 @@ def weighted_merge(samples_by_spot: dict[str, list[float]], group: str,
     `analysis.json` distribution entry of `group`.
 
     Each spot's samples carry weight w_i = 1 - n_i/n so that high-traffic
-    spots do not drown out the others. Samples and weights are floats,
-    whatever number type they came in as. Histogram masses stay
-    unnormalized: their sum is the weighted sample count.
+    spots do not drown out the others. With fewer than 2 non-empty spots
+    there is nothing to balance (the only spot's 1 - n/n is 0), so the
+    merge is `degenerate` and every sample and spot weighs 1.0; the
+    histogram and the ranges then read the same unit weights. Samples and
+    weights are floats, whatever number type they came in as. Histogram
+    masses stay unnormalized: their sum is the weighted sample count.
     """
     filtered = {
         spot: [s for s in samples if s is not None
@@ -160,6 +161,10 @@ def weighted_merge(samples_by_spot: dict[str, list[float]], group: str,
         for spot, samples in samples_by_spot.items()
     }
     total = sum(len(s) for s in filtered.values())
+    degenerate = len([s for s in filtered.values() if s]) < 2
+    if degenerate:
+        log.warning("weighted merge of group %r is degenerate: "
+                    "fewer than 2 non-empty spots", group)
     spot_weights = {}
     samples: list[float] = []
     weights: list[float] = []
@@ -167,19 +172,14 @@ def weighted_merge(samples_by_spot: dict[str, list[float]], group: str,
         n_i = len(filtered[spot])
         # One division instead of 1 - n/total: algebraically identical,
         # and exact whenever the ratio is representable.
-        w_i = (total - n_i) / total if total else 0.0
+        w_i = 1.0 if degenerate else (total - n_i) / total
         spot_weights[spot] = w_i
         samples.extend(filtered[spot])
         weights.extend([w_i] * n_i)
 
-    degenerate = len([s for s in filtered.values() if s]) < 2
-    if degenerate:
-        log.warning("weighted merge of group %r is degenerate: "
-                    "fewer than 2 non-empty spots", group)
-
     arr = np.asarray(samples, dtype=float)
     warr = np.asarray(weights, dtype=float)
-    if arr.size == 0 or warr.sum() == 0:
+    if arr.size == 0:
         edges, masses = [0.0, 1.0], [0.0]
     else:
         bins = _fd_bin_edges(arr, warr)
@@ -299,7 +299,9 @@ def emit_report(out_dir, record: dict) -> list[Path]:
     row per bin, enough to redraw the distribution figures. Every table is
     laid out before the first file is written, so a record that lacks a
     field writes nothing, and each file is written whole
-    (`ingest.write_file`).
+    (`ingest.write_file`). The set is whole too: a CSV the record does not
+    produce is removed, and a failed write removes every CSV, so
+    `out_dir` never mixes tables of two records.
     """
     speed = ["spot", "max_kmh", "min_kmh", "mean_kmh",
              "car_only_mean_kmh", "interactive_mean_kmh"]
@@ -333,7 +335,15 @@ def emit_report(out_dir, record: dict) -> list[Path]:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, header, rows in tables:
-        csv.writer(text := io.StringIO()).writerows([header, *rows])
-        write_file(out / name, [text.getvalue()])
-    return [out / name for name, _, _ in tables]
+    paths = [out / name for name, _, _ in tables]
+    try:
+        for path, (_, header, rows) in zip(paths, tables):
+            csv.writer(text := io.StringIO()).writerows([header, *rows])
+            write_file(path, [text.getvalue()])
+    except BaseException:
+        for path in out.glob("*.csv"):
+            path.unlink()
+        raise
+    for stale in set(out.glob("*.csv")).difference(paths):
+        stale.unlink()
+    return paths

@@ -326,12 +326,11 @@ def _world_headings(traj: Trajectory, calib: Calibration) -> list[tuple[float, f
     return [h if h is not None else first for h in headings]
 
 
-def _front_or_behind(vehicle: Trajectory, calib: Calibration,
-                     pedestrian_at) -> list[str]:
+def _front_or_behind(vehicle: Trajectory, headings, pedestrian_at) -> list[str]:
     """FRONT/BEHIND for each (frame, pedestrian world point) pair; every
     frame must be one of the vehicle's. Front means the pedestrian lies in
-    the half-plane ahead of the vehicle's contact point along its heading."""
-    headings = _world_headings(vehicle, calib)
+    the half-plane ahead of the vehicle's contact point along its heading,
+    one of `_world_headings` per vehicle point."""
     frame_index = {p.frame: k for k, p in enumerate(vehicle.points)}
     out = []
     for f, (px, py) in pedestrian_at:
@@ -454,8 +453,10 @@ def measure(scene_id: str, vehicle: Trajectory, pedestrians: list[Trajectory],
 
     Vehicle-pedestrian lists run against the nearest pedestrian per frame;
     PSM runs against the overall nearest pedestrian and is None when their
-    paths never conflict.
+    paths never conflict. A vehicle that never moved raises ZeroHeading,
+    with or without pedestrians.
     """
+    headings = _world_headings(vehicle, calib)
     speeds = speed_list(vehicle)
     zones, cw_dists = vehicle_zones(vehicle, spot)
 
@@ -481,7 +482,7 @@ def measure(scene_id: str, vehicle: Trajectory, pedestrians: list[Trajectory],
     psm_value = None
     if common:
         rel_positions = _front_or_behind(
-            vehicle, calib, [(f, nearest[f][2]) for f in common])
+            vehicle, headings, [(f, nearest[f][2]) for f in common])
         try:
             psm_value = psm(vehicle, by_id[min(nearest.values())[1]])
         except NoConflict:

@@ -136,8 +136,12 @@ def test_weighted_merge_equal_spots_equal_weights():
 
 
 def test_weighted_merge_single_spot_degenerate():
-    dist = weighted_merge({"A": [1.0, 2.0, 3.0]}, "m")
-    assert dist["spot_weights"]["A"] == 0.0
+    # Unit weights: the histogram holds the samples' mass, as the ranges
+    # read it.
+    dist = weighted_merge({"A": [1.0, 2.0, 3.0], "B": []}, "m")
+    assert dist["spot_weights"] == {"A": 1.0, "B": 1.0}
+    assert dist["weights"] == [1.0, 1.0, 1.0]
+    assert sum(dist["masses"]) == 3.0
     assert dist["degenerate"]
 
 

@@ -38,6 +38,17 @@ def test_missing_required_stage_file_is_data_error(tmp_path, capsys):
     assert "error" in diagnostic and "message" in diagnostic
 
 
+def test_missing_output_directory_is_an_io_failure(tmp_path, capsys):
+    # An OSError outside any stage file still gets a diagnostic.
+    missing = tmp_path / "missing"
+    assert _run("segment", "--out-dir", str(missing)) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["error"] == "IoFailure"
+    assert diagnostic["stage"] == "segment"
+    assert str(missing) in diagnostic["message"]
+
+
 @pytest.mark.parametrize("stage, rel", [
     ("extract", "single_pass/trajectories.jsonl"),
     ("report", "analysis.json"),
@@ -548,6 +559,53 @@ def test_scene_whose_vehicle_never_moved_is_skipped(tmp_path, caplog):
         assert _run(stage, "--out-dir", str(tmp_path)) == 0
     assert (tmp_path / "report" / "speed_stats.csv").exists()
     assert "and 1 whose vehicle never moved" in caplog.text
+
+
+def test_car_only_scene_whose_vehicle_never_moved_is_skipped(tmp_path,
+                                                             caplog):
+    # single_pass's only scene is car-only: standing still at one pixel,
+    # its vehicle has no heading either, so extract skips it as it skips
+    # an interactive one, and writes no row of zero speeds.
+    caplog.set_level(logging.INFO, logger="crossrisk.stages")
+    assert _run("synth", "--out-dir", str(tmp_path)) == 0
+    path = tmp_path / "single_pass" / "detections.jsonl"
+    header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for r in rows:
+        r.update(x=rows[0]["x"], y=rows[0]["y"])
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *rows]))
+    for stage in ("segment", "track", "extract"):
+        assert _run(stage, "--out-dir", str(tmp_path),
+                    "--spot", "single_pass") == 0
+    assert "spot single_pass: 1 scenes (1 car-only, 0 interactive)" in \
+        caplog.text
+    assert "and 1 whose vehicle never moved" in caplog.text
+    features = tmp_path / "single_pass" / "features.jsonl"
+    assert features.read_text().splitlines()[1:] == []
+
+
+def test_scene_without_a_vehicle_track_is_skipped(tmp_path, caplog):
+    # A window that ends before near_miss's vehicle arrives holds only the
+    # pedestrian: it has no vehicle track, so extract skips it and goes on.
+    assert _run("all", "--out-dir", str(tmp_path), "--seed", "3") == 0
+    spot = tmp_path / "near_miss"
+    vehicle_frames = [r["frame"] for r in map(
+        json.loads, (spot / "detections.jsonl").read_text().splitlines()[1:])
+        if r["class"] == "vehicle"]
+    (scene,) = map(json.loads,
+                   (spot / "scenes.jsonl").read_text().splitlines()[1:])
+    with open(spot / "scenes.jsonl", "a") as fh:
+        fh.write(json.dumps({**scene, "scene_id": "s0001", "frame_start": 0,
+                             "frame_end": min(vehicle_frames) - 5}) + "\n")
+    # No stage wrote these scenes, so analyze would refuse features made
+    # from them under segment's record; without one every stage runs.
+    (tmp_path / "run.json").unlink()
+    caplog.set_level(logging.INFO, logger="crossrisk.stages")
+    for stage in ("track", "extract", "analyze", "report"):
+        assert _run(stage, "--out-dir", str(tmp_path)) == 0
+    assert ("spot near_miss: read" in caplog.text
+            and "skipped 1 with no vehicle track" in caplog.text)
+    rows = (spot / "features.jsonl").read_text().splitlines()[1:]
+    assert [json.loads(r)["scene_id"] for r in rows] == [scene["scene_id"]]
 
 
 def test_spot_filter_restricts_stages(tmp_path):

@@ -250,6 +250,9 @@ def test_stop_detected_before_crosswalk():
                                   min_steps=3)
     assert stopped
     assert window == [2, 3, 4, 5]
+    # A stop that lasts to the last step.
+    assert stop_window(speeds[:5], zones, tolerance_kmh=2.0,
+                       min_steps=3) == (True, [2, 3, 4])
 
 
 def test_no_stop_when_never_below_tolerance():
@@ -351,6 +354,14 @@ def test_never_moving_vehicle_raises_zero_heading(config):
     ped = make_traj("p", ObjectClass.PEDESTRIAN, _steps(3), [(1, 0)] * 3)
     with pytest.raises(ZeroHeading):
         _pair_features(veh, ped, config)
+
+
+def test_never_moving_vehicle_without_pedestrians_raises_zero_heading(config):
+    # One rule for every scene: a car-only scene whose vehicle never moved
+    # has no features either, rather than a list of zero speeds.
+    veh = make_traj("v", ObjectClass.VEHICLE, _steps(3), [(0, 0)] * 3)
+    with pytest.raises(ZeroHeading):
+        extract_scene_features("s0", veh, [], SpotZones(config), IDENTITY)
 
 
 # --- PSM ------------------------------------------------------------------------------

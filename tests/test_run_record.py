@@ -551,6 +551,34 @@ def test_failed_write_leaves_neither_the_file_nor_its_part(
     assert not path.with_name(f".{path.name}.part").exists()
 
 
+def test_report_holds_only_the_tables_of_the_current_record(standard,
+                                                          tmp_path):
+    # A one-spot record without PSMs has no ranges and no distributions:
+    # the previous record's range and histogram tables go.
+    out_dir, cfg = _copy(standard, tmp_path)
+    report = out_dir / "report"
+    assert {"psm_ranges.csv", "stopping_by_psm_range.csv"} <= {
+        p.name for p in report.iterdir()}
+    run_analyze(replace(cfg, spot="single_pass"))
+    written = run_report(cfg)
+    assert json.loads((out_dir / "analysis.json").read_text())["ranges"] is None
+    assert sorted(report.iterdir()) == sorted(written)
+    assert {p.name for p in written} == {
+        "speed_stats.csv", "scene_counts.csv", "stopping_percentage.csv",
+        "psm_weights.csv"}
+
+
+def test_failed_report_write_leaves_no_table(standard, tmp_path, monkeypatch):
+    # The report's tables appear as a whole set or not at all: a failure
+    # after some were written again removes them all, older ones too.
+    out_dir, cfg = _copy(standard, tmp_path)
+    report = out_dir / "report"
+    _failing_replace(monkeypatch, report / "psm_weights.csv")
+    with pytest.raises(IoFailure):
+        run_report(cfg)
+    assert list(report.iterdir()) == []
+
+
 def test_report_after_a_failed_analyze_names_the_missing_record(
         standard, tmp_path, monkeypatch):
     out_dir, cfg = _copy(standard, tmp_path)
