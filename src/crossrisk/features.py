@@ -326,7 +326,8 @@ def _world_headings(traj: Trajectory, calib: Calibration) -> list[tuple[float, f
     return [h if h is not None else first for h in headings]
 
 
-def _front_or_behind(vehicle: Trajectory, headings, pedestrian_at) -> list[str]:
+def _front_or_behind(vehicle: Trajectory, headings: list[tuple[float, float]],
+                     pedestrian_at) -> list[str]:
     """FRONT/BEHIND for each (frame, pedestrian world point) pair; every
     frame must be one of the vehicle's. Front means the pedestrian lies in
     the half-plane ahead of the vehicle's contact point along its heading,
